@@ -1,6 +1,7 @@
 """Deterministic multi-agent flocking: spatial predictive control (SPC),
 a potential-field baseline (PFC), positional low-level controllers, a
-fixed-timestep simulation engine, and flock quality metrics."""
+fixed-timestep simulation engine, the declarative scenario schema, and flock
+quality metrics."""
 
 from .model import (
     Vec3,
@@ -32,11 +33,16 @@ from .llc import (
     step_trajectory,
     step_response,
 )
-from .engine import (
+from .config import (
     ConfigError,
     SpawnSpec,
     Waypoint,
     ScenarioConfig,
+    parse_scenario,
+    load_scenario,
+    scenario_to_dict,
+)
+from .engine import (
     TickRecord,
     Trace,
     observation_stream,
@@ -44,9 +50,6 @@ from .engine import (
     observe,
     Simulation,
     run_scenario,
-    parse_scenario,
-    load_scenario,
-    scenario_to_dict,
     tick_observation,
     tick_cost_params,
     write_trace_csv,

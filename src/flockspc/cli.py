@@ -2,7 +2,8 @@
 characterize controllers.
 
 Exit codes are a stable contract: 0 success, 2 usage or configuration error,
-3 quality-threshold violation in --strict mode (or a failed --verify).
+3 quality-threshold violation in --strict mode (or a failed --verify),
+4 a rollout diverged (an agent's plant state stopped being finite).
 Outputs never embed timestamps, so identical inputs and seeds reproduce
 byte-identical files.
 """
@@ -15,15 +16,17 @@ import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from itertools import product
 from pathlib import Path
+from typing import Any
 
 import numpy as np
 
-from .controller import ControllerConfig
-from .engine import ConfigError, load_scenario, run_scenario, scenario_to_dict, write_trace_csv
-from .llc import LLCConfig, step_response, step_trajectory
+from .config import ConfigError, ScenarioConfig, SpawnSpec, load, load_scenario, scenario_to_dict
+from .controller import ControllerConfig, ControllerKind
+from .engine import DivergenceError, run_scenario, write_trace_csv
+from .llc import LLCConfig, LLCFamily, step_response, step_trajectory
 from .metrics import (
     RunSummary,
     aggregate,
@@ -34,7 +37,6 @@ from .metrics import (
 )
 from .model import equilibrium_distance, CostParams, Vec3
 from .presets import build_scenario, resolve_layout
-from . import engine as _engine
 
 __all__ = ["main", "cmd_simulate", "cmd_sweep", "cmd_step_response", "cmd_equilibrium"]
 
@@ -43,11 +45,12 @@ THREADS_ENV = "FLOCKSPC_THREADS"
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_VIOLATION = 3
+EXIT_DIVERGED = 4
 
 
-def _fail(message: str) -> int:
+def _fail(message: str, code: int = EXIT_CONFIG) -> int:
     print(f"error: {message}", file=sys.stderr)
-    return EXIT_CONFIG
+    return code
 
 
 def _sweep_parallelism(job_count: int) -> int:
@@ -67,17 +70,8 @@ def _sweep_parallelism(job_count: int) -> int:
 
 
 def _summary_csv(summary: RunSummary) -> str:
-    row = {
-        "agent_count": summary.agent_count,
-        "obstacle_count": summary.obstacle_count,
-        "controller": summary.controller_kind,
-        "llc_family": summary.llc_family,
-        "seed": summary.seed,
-        "dist_min": summary.dist_min,
-        "comp_max": summary.comp_max,
-        "clear_obj": summary.clear_obj,
-        "overall": "pass" if summary.passed else "fail",
-    }
+    fields = summary_to_dict(summary)
+    row = {**fields["scenario"], **fields["metrics"], "overall": fields["verdicts"]["overall"]}
     header = ",".join(row)
     values = ",".join("" if v is None else str(v) for v in row.values())
     return f"{header}\n{values}\n"
@@ -88,13 +82,16 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         cfg = load_scenario(args.scenario)
         if args.seed is not None:
             cfg = replace(cfg, seed=args.seed)
-        trace = run_scenario(cfg, workers=args.workers)
+        # A diverging plant overflows before it stops being finite; the
+        # DivergenceError below reports it, so numpy's warnings add nothing.
+        with np.errstate(over="ignore", invalid="ignore"):
+            trace = run_scenario(cfg)
         thresholds = thresholds_for_scenario(cfg)
         summary = aggregate(trace, thresholds)
-    except ConfigError as exc:
+    except ValueError as exc:  # ConfigError included
         return _fail(str(exc))
-    except ValueError as exc:
-        return _fail(str(exc))
+    except DivergenceError as exc:
+        return _fail(f"rollout diverged at {exc}", EXIT_DIVERGED)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -119,89 +116,45 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 # --- sweep ---------------------------------------------------------------------
 
-_SWEEP_KEYS = (
-    "flock_sizes",
-    "obstacle_scenarios",
-    "controllers",
-    "llc_families",
-    "seeds",
-    "duration",
-    "noise_sigma",
-)
+
+@dataclass(frozen=True)
+class SweepSpec:
+    """Sweep manifest: the grid axes plus run length and noise level."""
+
+    flock_sizes: tuple[int, ...]
+    obstacle_scenarios: tuple[Any, ...]  # layout names or obstacle counts, see resolve_layout
+    controllers: tuple[ControllerKind, ...]
+    llc_families: tuple[LLCFamily, ...]
+    seeds: tuple[int, ...]
+    duration: float = 60.0  # this and noise_sigma are checked by ScenarioConfig
+    noise_sigma: float = 0.10
+
+    def __post_init__(self) -> None:
+        for name in ("flock_sizes", "obstacle_scenarios", "controllers", "llc_families", "seeds"):
+            if not getattr(self, name):
+                raise ConfigError(f"{name}: must be a non-empty list")
+        if min(self.flock_sizes) < 1:
+            raise ConfigError(f"flock_sizes: entries must be >= 1, got {list(self.flock_sizes)}")
+        for name in self.obstacle_scenarios:
+            try:
+                resolve_layout(name)
+            except ValueError as exc:
+                raise ConfigError(f"obstacle_scenarios: {exc}") from None
 
 
-def _parse_sweep(data: dict) -> dict:
-    if not isinstance(data, dict):
-        raise ConfigError("sweep: must be a JSON object")
-    unknown = set(data) - set(_SWEEP_KEYS)
-    if unknown:
-        raise ConfigError(f"sweep: unknown key(s) {sorted(unknown)}")
-    for key in ("flock_sizes", "obstacle_scenarios", "controllers", "llc_families", "seeds"):
-        if key not in data:
-            raise ConfigError(f"sweep.{key}: required field missing")
-        if not isinstance(data[key], list) or not data[key]:
-            raise ConfigError(f"sweep.{key}: must be a non-empty list")
-    for size in data["flock_sizes"]:
-        if isinstance(size, bool) or not isinstance(size, int) or size < 1:
-            raise ConfigError(f"sweep.flock_sizes: entries must be integers >= 1, got {size!r}")
-    for name in data["obstacle_scenarios"]:
-        try:
-            resolve_layout(name)
-        except ValueError as exc:
-            raise ConfigError(f"sweep.obstacle_scenarios: {exc}") from None
-    for ctrl in data["controllers"]:
-        if ctrl not in ("SPC", "PFC"):
-            raise ConfigError(f"sweep.controllers: must be 'SPC' or 'PFC', got {ctrl!r}")
-    for fam in data["llc_families"]:
-        if fam not in ("A", "B"):
-            raise ConfigError(f"sweep.llc_families: must be 'A' or 'B', got {fam!r}")
-    for seed in data["seeds"]:
-        if isinstance(seed, bool) or not isinstance(seed, int):
-            raise ConfigError(f"sweep.seeds: entries must be integers, got {seed!r}")
-    duration = data.get("duration", 60.0)
-    sigma = data.get("noise_sigma", 0.10)
-    if isinstance(duration, bool) or not isinstance(duration, (int, float)) or duration <= 0:
-        raise ConfigError(f"sweep.duration: must be a positive number, got {duration!r}")
-    if isinstance(sigma, bool) or not isinstance(sigma, (int, float)) or sigma < 0:
-        raise ConfigError(f"sweep.noise_sigma: must be >= 0, got {sigma!r}")
-    return {
-        "flock_sizes": data["flock_sizes"],
-        "obstacle_scenarios": data["obstacle_scenarios"],
-        "controllers": data["controllers"],
-        "llc_families": data["llc_families"],
-        "seeds": data["seeds"],
-        "duration": float(duration),
-        "noise_sigma": float(sigma),
-    }
-
-
-def _sweep_job(spec: tuple) -> RunSummary:
-    size, layout, ctrl, fam, seed, duration, sigma = spec
-    cfg = build_scenario(
-        size, layout, controller_kind=ctrl, llc_family=fam, seed=seed,
-        duration=duration, noise_sigma=sigma,
-    )
-    trace = run_scenario(cfg)
-    return aggregate(trace, thresholds_for_scenario(cfg))
+def _sweep_job(job: tuple) -> RunSummary:
+    cfg = build_scenario(*job)  # (size, layout, controller, family, seed, duration, sigma)
+    return aggregate(run_scenario(cfg), thresholds_for_scenario(cfg))
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     try:
-        try:
-            data = json.loads(Path(args.sweep).read_text())
-        except OSError as exc:
-            raise ConfigError(f"sweep file {args.sweep}: {exc}") from None
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"sweep file {args.sweep}: invalid JSON ({exc})") from None
-        spec = _parse_sweep(data)
+        spec = load(SweepSpec, args.sweep)
         jobs = [
-            (size, resolve_layout(layout)[0], ctrl, fam, seed, spec["duration"], spec["noise_sigma"])
+            (size, resolve_layout(layout)[0], ctrl, fam, seed, spec.duration, spec.noise_sigma)
             for size, layout, ctrl, fam, seed in product(
-                spec["flock_sizes"],
-                spec["obstacle_scenarios"],
-                spec["controllers"],
-                spec["llc_families"],
-                spec["seeds"],
+                spec.flock_sizes, spec.obstacle_scenarios, spec.controllers,
+                spec.llc_families, spec.seeds,
             )
         ]
         workers = _sweep_parallelism(len(jobs))
@@ -281,9 +234,9 @@ def cmd_equilibrium(args: argparse.Namespace) -> int:
     if not args.verify:
         return EXIT_OK
 
-    cfg = _engine.ScenarioConfig(
+    cfg = ScenarioConfig(
         agent_count=2,
-        spawn=_engine.SpawnSpec(
+        spawn=SpawnSpec(
             positions=(Vec3(-d_eq, 0.0, 1.4), Vec3(d_eq, 0.0, 1.4)),
         ),
         cost=CostParams(
@@ -326,7 +279,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--scenario", required=True, help="scenario JSON path")
     p_sim.add_argument("--out", required=True, help="output directory")
     p_sim.add_argument("--seed", type=int, default=None, help="override the scenario seed")
-    p_sim.add_argument("--workers", type=int, default=1, help="per-tick control evaluation threads")
     p_sim.add_argument("--strict", action="store_true", help="exit 3 on threshold violation")
     p_sim.add_argument("--format", choices=("json", "md", "csv"), default="json",
                        help="extra summary rendering next to summary.json")

@@ -11,13 +11,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Literal, Sequence
 
 import numpy as np
 
 from .model import CostParams, Vec3, evaluate_cost, evaluate_gradient
 
 __all__ = [
+    "ControllerKind",
     "ControllerConfig",
     "Setpoint",
     "dynamic_lookahead_count",
@@ -30,6 +31,8 @@ __all__ = [
 # holds position instead of normalizing a numerically meaningless direction.
 HOLD_GRADIENT_NORM = 1e-9
 
+ControllerKind = Literal["SPC", "PFC"]
+
 
 @dataclass(frozen=True)
 class ControllerConfig:
@@ -40,7 +43,7 @@ class ControllerConfig:
     dynamic_n enables distance-scaled candidate counts for SPC.
     """
 
-    kind: str
+    kind: ControllerKind
     epsilon: float = 0.06
     n_star: int = 5
     pfc_gain: float = 0.007
@@ -114,15 +117,17 @@ def spc_setpoint(
 
     Ties are broken toward the nearest candidate (smallest m).  The candidate
     costs are evaluated against the same frozen snapshot that produced the
-    gradient; neighbor motion during the step is ignored.
+    gradient; neighbor motion during the step is ignored.  The agent also
+    holds when the gradient norm is not finite (no usable direction) and when
+    no candidate has a finite cost.
     """
     if cfg.kind != "SPC":
         raise ValueError(f"spc_setpoint requires kind='SPC', got {cfg.kind!r}")
     gradient = evaluate_gradient(p_i, neighbors, params).total
-    if gradient.norm() < HOLD_GRADIENT_NORM:
+    if not HOLD_GRADIENT_NORM <= gradient.norm() < math.inf:  # NaN holds too
         return Setpoint(position=p_i)
     n = _candidate_count(cfg, p_i, params)
-    best = None
+    best = p_i
     best_cost = math.inf
     for candidate in build_candidate_set(p_i, gradient, cfg.epsilon, n):
         cost = evaluate_cost(candidate, neighbors, params).total

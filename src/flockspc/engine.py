@@ -5,33 +5,28 @@ setpoints every control_period from their own noisy observation snapshot:
 the true positions of all agents within r_h (plus self), perturbed by
 i.i.d. Gaussian noise per axis.  Noise comes from counter-based RNG streams
 keyed by (seed, control tick, observing agent), so a rollout is bit-identical
-regardless of how the per-agent control evaluations are parallelized.
+whatever order the per-agent decisions of a tick are evaluated in.
 
-Scenario files are JSON mirroring ScenarioConfig field-for-field; unknown
-keys are rejected.  Rollouts record one TickRecord per control tick and can
-be replayed observation-exactly via tick_observation().
+Rollouts record one TickRecord per control tick and can be replayed
+observation-exactly via tick_observation().  A plant state that stops being
+finite ends the rollout with a DivergenceError.
 """
 
 from __future__ import annotations
 
-import json
-import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import IO, Iterable, NamedTuple, Sequence
+from typing import IO, NamedTuple, Sequence
 
 import numpy as np
 
+from .config import ConfigError, ScenarioConfig
 from .controller import ControllerConfig, pfc_setpoint, spc_setpoint
-from .llc import LLCConfig, PlantState, explicit_xy_tilt, integrate_plant, pid_xy_tilt
-from .model import CostBreakdown, CostParams, Obstacle, Vec3, evaluate_cost, evaluate_gradient
+from .llc import PlantState, explicit_xy_tilt, integrate_plant, pid_xy_tilt
+from .model import CostBreakdown, CostParams, Vec3, evaluate_cost, evaluate_gradient
 
 __all__ = [
-    "ConfigError",
-    "SpawnSpec",
-    "Waypoint",
-    "ScenarioConfig",
+    "DivergenceError",
     "TickRecord",
     "Trace",
     "observation_stream",
@@ -39,9 +34,6 @@ __all__ = [
     "observe",
     "Simulation",
     "run_scenario",
-    "parse_scenario",
-    "load_scenario",
-    "scenario_to_dict",
     "tick_observation",
     "tick_cost_params",
     "write_trace_csv",
@@ -49,119 +41,8 @@ __all__ = [
 ]
 
 
-class ConfigError(ValueError):
-    """Scenario or sweep configuration problem; message names the field."""
-
-
-# --- scenario configuration -------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SpawnSpec:
-    """Initial placement: either explicit positions or a uniform random box
-    with rejection sampling to a minimum pairwise spacing."""
-
-    positions: tuple[Vec3, ...] | None = None
-    box_min: Vec3 | None = None
-    box_max: Vec3 | None = None
-    min_spacing: float = 0.4
-
-    def __post_init__(self) -> None:
-        boxed = self.box_min is not None or self.box_max is not None
-        if self.positions is not None:
-            if boxed:
-                raise ConfigError("spawn: give either positions or a box, not both")
-            object.__setattr__(self, "positions", tuple(self.positions))
-        else:
-            if self.box_min is None or self.box_max is None:
-                raise ConfigError("spawn: needs positions or both box_min and box_max")
-            lo, hi = self.box_min, self.box_max
-            if not (lo.x < hi.x and lo.y < hi.y and lo.z < hi.z):
-                raise ConfigError("spawn.box_max: must exceed box_min on every axis")
-        if not (self.min_spacing >= 0.0 and math.isfinite(self.min_spacing)):
-            raise ConfigError(f"spawn.min_spacing: must be >= 0, got {self.min_spacing}")
-
-
-@dataclass(frozen=True)
-class Waypoint:
-    """Target activation entry: the target becomes active at `time` seconds."""
-
-    time: float
-    target: Vec3
-
-
-@dataclass(frozen=True)
-class ScenarioConfig:
-    """Complete description of one deterministic rollout."""
-
-    agent_count: int
-    spawn: SpawnSpec
-    cost: CostParams
-    controller: ControllerConfig
-    llc: LLCConfig
-    r_h: float
-    noise_sigma: float
-    physics_dt: float
-    control_period: float
-    duration: float
-    seed: int
-    obstacles: tuple[Obstacle, ...] = ()
-    waypoints: tuple[Waypoint, ...] = ()
-    formation_time: float = 10.0
-    obs_delay_ticks: int = 0
-
-    def __post_init__(self) -> None:
-        if not (isinstance(self.agent_count, int) and self.agent_count >= 1):
-            raise ConfigError(f"agent_count: must be an integer >= 1, got {self.agent_count!r}")
-        if not isinstance(self.seed, int) or isinstance(self.seed, bool):
-            raise ConfigError(f"seed: must be an integer, got {self.seed!r}")
-        if not self.r_h > 0.0:  # inf allowed
-            raise ConfigError(f"r_h: must be positive, got {self.r_h}")
-        if not (self.noise_sigma >= 0.0 and math.isfinite(self.noise_sigma)):
-            raise ConfigError(f"noise_sigma: must be >= 0, got {self.noise_sigma}")
-        if not (self.physics_dt > 0.0 and math.isfinite(self.physics_dt)):
-            raise ConfigError(f"physics_dt: must be positive, got {self.physics_dt}")
-        if not self.control_period >= self.physics_dt:
-            raise ConfigError(
-                f"control_period: must be >= physics_dt, got {self.control_period}"
-            )
-        ratio = self.control_period / self.physics_dt
-        if abs(ratio - round(ratio)) > 1e-9 * max(1.0, ratio):
-            raise ConfigError(
-                "control_period: must be an integer multiple of physics_dt, "
-                f"got {self.control_period} / {self.physics_dt}"
-            )
-        if not (self.duration >= self.control_period and math.isfinite(self.duration)):
-            raise ConfigError(f"duration: must cover at least one control tick, got {self.duration}")
-        if not (0.0 <= self.formation_time < self.duration):
-            raise ConfigError(
-                f"formation_time: must be in [0, duration), got {self.formation_time}"
-            )
-        if not (isinstance(self.obs_delay_ticks, int) and self.obs_delay_ticks >= 0):
-            raise ConfigError(
-                f"obs_delay_ticks: must be an integer >= 0, got {self.obs_delay_ticks!r}"
-            )
-        object.__setattr__(self, "obstacles", tuple(self.obstacles))
-        object.__setattr__(self, "waypoints", tuple(self.waypoints))
-        times = [w.time for w in self.waypoints]
-        if any(b < a for a, b in zip(times, times[1:])):
-            raise ConfigError("waypoints: times must be non-decreasing")
-        if self.spawn.positions is not None and len(self.spawn.positions) != self.agent_count:
-            raise ConfigError(
-                f"spawn.positions: expected {self.agent_count} entries, "
-                f"got {len(self.spawn.positions)}"
-            )
-        # The cost params carry the scenario obstacles so controllers see them.
-        if tuple(self.cost.obstacles) != self.obstacles:
-            object.__setattr__(self, "cost", replace(self.cost, obstacles=self.obstacles))
-
-    @property
-    def steps_per_tick(self) -> int:
-        return round(self.control_period / self.physics_dt)
-
-    @property
-    def tick_count(self) -> int:
-        return math.floor(self.duration / self.control_period + 1e-9)
+class DivergenceError(Exception):
+    """The plant state of an agent stopped being finite during a rollout."""
 
 
 # --- RNG streams -------------------------------------------------------------
@@ -174,7 +55,7 @@ _PURPOSE_OBSERVE = 1
 
 def _stream(seed: int, purpose: int, tick: int, agent: int) -> np.random.Generator:
     # Counter-based: distinct (purpose, tick, agent) words give disjoint
-    # streams regardless of draw order or thread scheduling.
+    # streams regardless of draw order.
     key = [seed & _MASK64, _KEY_SALT]
     counter = [0, purpose, tick & _MASK64, agent & _MASK64]
     return np.random.Generator(np.random.Philox(counter=counter, key=key))
@@ -306,27 +187,18 @@ class Simulation:
     """Mutable world advancing one control tick at a time.
 
     Per-agent control decisions within a tick are pure functions of that
-    agent's observation snapshot, so they may run on a thread pool; the
-    trace is identical for any worker count.
+    agent's observation snapshot, so their evaluation order does not change
+    the trace.
     """
 
-    def __init__(self, cfg: ScenarioConfig, workers: int = 1):
-        if workers < 1:
-            raise ValueError(f"workers must be >= 1, got {workers}")
+    def __init__(self, cfg: ScenarioConfig):
         self.cfg = cfg
-        self.workers = workers
         positions = _spawn_positions(cfg)
         self.states = [
             PlantState(position=Vec3.from_array(positions[i])) for i in range(cfg.agent_count)
         ]
         self.tick_index = 0
         self._position_history: list[np.ndarray] = []
-        self._pool = ThreadPoolExecutor(max_workers=workers) if workers > 1 else None
-
-    def close(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown()
-            self._pool = None
 
     def _active_target(self, now: float) -> Vec3 | None:
         target = None
@@ -338,7 +210,11 @@ class Simulation:
         return target
 
     def tick(self) -> TickRecord:
-        """Observe, decide, record, then integrate physics for one control period."""
+        """Observe, decide, record, then integrate physics for one control period.
+
+        Raises DivergenceError, naming the tick, agent and state field, when
+        an agent's plant state stops being finite.
+        """
         cfg = self.cfg
         k = self.tick_index
         now = k * cfg.control_period
@@ -349,16 +225,11 @@ class Simulation:
         target = self._active_target(now)
         params = replace(cfg.cost, target=target)
         basis = self._position_history[max(0, k - cfg.obs_delay_ticks)]
-
-        def work(agent: int) -> _Decision:
+        decisions = []
+        for agent in range(cfg.agent_count):
             rng = observation_stream(cfg.seed, k, agent)
             obs = observe(basis, agent, cfg.noise_sigma, cfg.r_h, rng)
-            return _decide(agent, obs, params, cfg.controller)
-
-        if self._pool is not None:
-            decisions = list(self._pool.map(work, range(cfg.agent_count)))
-        else:
-            decisions = [work(i) for i in range(cfg.agent_count)]
+            decisions.append(_decide(agent, obs, params, cfg.controller))
 
         record = TickRecord(
             index=k,
@@ -384,21 +255,23 @@ class Simulation:
                     tilt = pid_xy_tilt(state, (sp.x, sp.y), llc, dt)
                 else:
                     tilt = explicit_xy_tilt(state, (sp.x, sp.y), llc)
-                self.states[i] = integrate_plant(state, tilt, sp.z, dt, llc.z_time_constant)
+                try:
+                    self.states[i] = integrate_plant(state, tilt, sp.z, dt, llc.z_time_constant)
+                except ValueError as exc:  # the new state is not finite
+                    raise DivergenceError(f"tick {k} (t={now:g} s), agent {i}: {exc}") from None
 
         self.tick_index = k + 1
         return record
 
     def run(self) -> Trace:
         records = tuple(self.tick() for _ in range(self.cfg.tick_count))
-        self.close()
         return Trace(config=self.cfg, records=records)
 
 
-def run_scenario(cfg: ScenarioConfig, workers: int = 1) -> Trace:
+def run_scenario(cfg: ScenarioConfig) -> Trace:
     """Full deterministic rollout; identical (cfg, seed) gives a bit-identical
-    Trace for any worker count."""
-    return Simulation(cfg, workers=workers).run()
+    Trace."""
+    return Simulation(cfg).run()
 
 
 # --- observation replay ------------------------------------------------------
@@ -416,283 +289,6 @@ def tick_observation(trace: Trace, tick_index: int, agent: int) -> list[tuple[in
 def tick_cost_params(trace: Trace, tick_index: int) -> CostParams:
     """Cost params (with the tick's active target) used at a control tick."""
     return replace(trace.config.cost, target=trace.records[tick_index].target)
-
-
-# --- scenario JSON -----------------------------------------------------------
-
-
-def _check_keys(obj: dict, allowed: Iterable[str], path: str) -> None:
-    unknown = set(obj) - set(allowed)
-    if unknown:
-        raise ConfigError(f"{path}: unknown key(s) {sorted(unknown)}")
-
-
-def _require(obj: dict, key: str, path: str):
-    if key not in obj:
-        raise ConfigError(f"{path}.{key}: required field missing")
-    return obj[key]
-
-
-def _number(value, path: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{path}: must be a number, got {value!r}")
-    if not math.isfinite(value):
-        raise ConfigError(f"{path}: must be finite, got {value!r}")
-    return float(value)
-
-
-def _integer(value, path: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{path}: must be an integer, got {value!r}")
-    return value
-
-
-def _boolean(value, path: str) -> bool:
-    if not isinstance(value, bool):
-        raise ConfigError(f"{path}: must be true or false, got {value!r}")
-    return value
-
-
-def _vec3(value, path: str) -> Vec3:
-    if not (isinstance(value, list) and len(value) == 3):
-        raise ConfigError(f"{path}: must be a [x, y, z] list, got {value!r}")
-    return Vec3(*(_number(c, f"{path}[{i}]") for i, c in enumerate(value)))
-
-
-def _radius(value, path: str) -> float:
-    if value is None or (isinstance(value, str) and value.lower() in ("inf", "infinity")):
-        return math.inf
-    return _number(value, path)
-
-
-def _parse_spawn(value, path: str) -> SpawnSpec:
-    if not isinstance(value, dict):
-        raise ConfigError(f"{path}: must be an object")
-    _check_keys(value, ("positions", "box_min", "box_max", "min_spacing"), path)
-    positions = None
-    if "positions" in value:
-        raw = value["positions"]
-        if not isinstance(raw, list) or not raw:
-            raise ConfigError(f"{path}.positions: must be a non-empty list")
-        positions = tuple(_vec3(p, f"{path}.positions[{i}]") for i, p in enumerate(raw))
-    box_min = _vec3(value["box_min"], f"{path}.box_min") if "box_min" in value else None
-    box_max = _vec3(value["box_max"], f"{path}.box_max") if "box_max" in value else None
-    spacing = _number(value.get("min_spacing", 0.4), f"{path}.min_spacing")
-    try:
-        return SpawnSpec(positions=positions, box_min=box_min, box_max=box_max, min_spacing=spacing)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-
-
-def _parse_obstacles(value, path: str) -> tuple[Obstacle, ...]:
-    if not isinstance(value, list):
-        raise ConfigError(f"{path}: must be a list")
-    out = []
-    for i, item in enumerate(value):
-        ipath = f"{path}[{i}]"
-        if not isinstance(item, dict):
-            raise ConfigError(f"{ipath}: must be an object")
-        _check_keys(item, ("x", "y", "radius"), ipath)
-        try:
-            out.append(
-                Obstacle(
-                    x=_number(_require(item, "x", ipath), f"{ipath}.x"),
-                    y=_number(_require(item, "y", ipath), f"{ipath}.y"),
-                    radius=_number(_require(item, "radius", ipath), f"{ipath}.radius"),
-                )
-            )
-        except ValueError as exc:
-            if isinstance(exc, ConfigError):
-                raise
-            raise ConfigError(f"{ipath}: {exc}") from None
-    return tuple(out)
-
-
-def _parse_waypoints(value, path: str) -> tuple[Waypoint, ...]:
-    if not isinstance(value, list):
-        raise ConfigError(f"{path}: must be a list")
-    out = []
-    for i, item in enumerate(value):
-        ipath = f"{path}[{i}]"
-        if not isinstance(item, dict):
-            raise ConfigError(f"{ipath}: must be an object")
-        _check_keys(item, ("time", "target"), ipath)
-        out.append(
-            Waypoint(
-                time=_number(_require(item, "time", ipath), f"{ipath}.time"),
-                target=_vec3(_require(item, "target", ipath), f"{ipath}.target"),
-            )
-        )
-    return tuple(out)
-
-
-def _parse_cost(value, path: str) -> CostParams:
-    if not isinstance(value, dict):
-        raise ConfigError(f"{path}: must be an object")
-    _check_keys(value, ("w_coh", "w_sep", "w_tar", "w_obs", "r_drone", "zero_hat"), path)
-    try:
-        return CostParams(
-            w_coh=_number(_require(value, "w_coh", path), f"{path}.w_coh"),
-            w_sep=_number(_require(value, "w_sep", path), f"{path}.w_sep"),
-            w_tar=_number(_require(value, "w_tar", path), f"{path}.w_tar"),
-            w_obs=_number(_require(value, "w_obs", path), f"{path}.w_obs"),
-            r_drone=_number(value.get("r_drone", 0.0), f"{path}.r_drone"),
-            zero_hat=_number(value.get("zero_hat", 1e-6), f"{path}.zero_hat"),
-        )
-    except ValueError as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError(f"{path}: {exc}") from None
-
-
-def _parse_controller(value, path: str) -> ControllerConfig:
-    if not isinstance(value, dict):
-        raise ConfigError(f"{path}: must be an object")
-    _check_keys(value, ("kind", "epsilon", "n_star", "pfc_gain", "dynamic_n"), path)
-    kind = _require(value, "kind", path)
-    if kind not in ("SPC", "PFC"):
-        raise ConfigError(f"{path}.kind: must be 'SPC' or 'PFC', got {kind!r}")
-    try:
-        return ControllerConfig(
-            kind=kind,
-            epsilon=_number(value.get("epsilon", 0.06), f"{path}.epsilon"),
-            n_star=_integer(value.get("n_star", 5), f"{path}.n_star"),
-            pfc_gain=_number(value.get("pfc_gain", 0.007), f"{path}.pfc_gain"),
-            dynamic_n=_boolean(value.get("dynamic_n", True), f"{path}.dynamic_n"),
-        )
-    except ValueError as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError(f"{path}: {exc}") from None
-
-
-def _parse_llc(value, path: str) -> LLCConfig:
-    if not isinstance(value, dict):
-        raise ConfigError(f"{path}: must be an object")
-    allowed = ("family", "k_v", "k_p", "k_i", "tilt_min", "tilt_max", "t_delta", "z_time_constant")
-    _check_keys(value, allowed, path)
-    family = _require(value, "family", path)
-    if family not in ("A", "B"):
-        raise ConfigError(f"{path}.family: must be 'A' or 'B', got {family!r}")
-    kwargs = {"family": family}
-    for name in allowed[1:]:
-        if name in value:
-            kwargs[name] = _number(value[name], f"{path}.{name}")
-    try:
-        return LLCConfig(**kwargs)
-    except ValueError as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError(f"{path}: {exc}") from None
-
-
-_TOP_KEYS = (
-    "agent_count",
-    "spawn",
-    "obstacles",
-    "waypoints",
-    "cost",
-    "controller",
-    "llc",
-    "r_h",
-    "noise_sigma",
-    "physics_dt",
-    "control_period",
-    "duration",
-    "seed",
-    "formation_time",
-    "obs_delay_ticks",
-)
-
-
-def parse_scenario(data: dict) -> ScenarioConfig:
-    """Validate a JSON-shaped dict against the scenario schema.
-
-    Raises ConfigError naming the offending field; unknown keys at any level
-    are rejected.
-    """
-    if not isinstance(data, dict):
-        raise ConfigError(f"scenario: must be a JSON object, got {type(data).__name__}")
-    _check_keys(data, _TOP_KEYS, "scenario")
-    return ScenarioConfig(
-        agent_count=_integer(_require(data, "agent_count", "scenario"), "agent_count"),
-        spawn=_parse_spawn(_require(data, "spawn", "scenario"), "spawn"),
-        obstacles=_parse_obstacles(data.get("obstacles", []), "obstacles"),
-        waypoints=_parse_waypoints(data.get("waypoints", []), "waypoints"),
-        cost=_parse_cost(_require(data, "cost", "scenario"), "cost"),
-        controller=_parse_controller(_require(data, "controller", "scenario"), "controller"),
-        llc=_parse_llc(_require(data, "llc", "scenario"), "llc"),
-        r_h=_radius(_require(data, "r_h", "scenario"), "r_h"),
-        noise_sigma=_number(_require(data, "noise_sigma", "scenario"), "noise_sigma"),
-        physics_dt=_number(_require(data, "physics_dt", "scenario"), "physics_dt"),
-        control_period=_number(_require(data, "control_period", "scenario"), "control_period"),
-        duration=_number(_require(data, "duration", "scenario"), "duration"),
-        seed=_integer(_require(data, "seed", "scenario"), "seed"),
-        formation_time=_number(data.get("formation_time", 10.0), "formation_time"),
-        obs_delay_ticks=_integer(data.get("obs_delay_ticks", 0), "obs_delay_ticks"),
-    )
-
-
-def load_scenario(path: str | Path) -> ScenarioConfig:
-    """Read and validate a scenario JSON file."""
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise ConfigError(f"scenario file {path}: {exc}") from None
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"scenario file {path}: invalid JSON ({exc})") from None
-    return parse_scenario(data)
-
-
-def scenario_to_dict(cfg: ScenarioConfig) -> dict:
-    """JSON-shaped echo of a config; parse_scenario() round-trips it."""
-    spawn: dict = {"min_spacing": cfg.spawn.min_spacing}
-    if cfg.spawn.positions is not None:
-        spawn["positions"] = [list(p) for p in cfg.spawn.positions]
-    else:
-        spawn["box_min"] = list(cfg.spawn.box_min)
-        spawn["box_max"] = list(cfg.spawn.box_max)
-    return {
-        "agent_count": cfg.agent_count,
-        "spawn": spawn,
-        "obstacles": [{"x": o.x, "y": o.y, "radius": o.radius} for o in cfg.obstacles],
-        "waypoints": [{"time": w.time, "target": list(w.target)} for w in cfg.waypoints],
-        "cost": {
-            "w_coh": cfg.cost.w_coh,
-            "w_sep": cfg.cost.w_sep,
-            "w_tar": cfg.cost.w_tar,
-            "w_obs": cfg.cost.w_obs,
-            "r_drone": cfg.cost.r_drone,
-            "zero_hat": cfg.cost.zero_hat,
-        },
-        "controller": {
-            "kind": cfg.controller.kind,
-            "epsilon": cfg.controller.epsilon,
-            "n_star": cfg.controller.n_star,
-            "pfc_gain": cfg.controller.pfc_gain,
-            "dynamic_n": cfg.controller.dynamic_n,
-        },
-        "llc": {
-            "family": cfg.llc.family,
-            "k_v": cfg.llc.k_v,
-            "k_p": cfg.llc.k_p,
-            "k_i": cfg.llc.k_i,
-            "tilt_min": cfg.llc.tilt_min,
-            "tilt_max": cfg.llc.tilt_max,
-            "t_delta": cfg.llc.t_delta,
-            "z_time_constant": cfg.llc.z_time_constant,
-        },
-        "r_h": "inf" if math.isinf(cfg.r_h) else cfg.r_h,
-        "noise_sigma": cfg.noise_sigma,
-        "physics_dt": cfg.physics_dt,
-        "control_period": cfg.control_period,
-        "duration": cfg.duration,
-        "seed": cfg.seed,
-        "formation_time": cfg.formation_time,
-        "obs_delay_ticks": cfg.obs_delay_ticks,
-    }
 
 
 # --- trace output ------------------------------------------------------------

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Literal
 
 import numpy as np
 
@@ -23,6 +24,7 @@ from .model import Vec3
 __all__ = [
     "GRAVITY",
     "PlantState",
+    "LLCFamily",
     "LLCConfig",
     "StepResponseMetrics",
     "pid_xy_tilt",
@@ -33,6 +35,8 @@ __all__ = [
 ]
 
 GRAVITY = 9.81  # m/s^2
+
+LLCFamily = Literal["A", "B"]
 
 
 @dataclass
@@ -48,7 +52,8 @@ class PlantState:
         if not self.mass > 0.0:
             raise ValueError(f"mass must be positive, got {self.mass}")
         if not (self.position.is_finite() and self.velocity.is_finite()):
-            raise ValueError("plant state must be finite")
+            name = "position" if not self.position.is_finite() else "velocity"
+            raise ValueError(f"plant {name} must be finite, got {getattr(self, name)}")
 
 
 @dataclass(frozen=True)
@@ -60,7 +65,7 @@ class LLCConfig:
     in well under half family A's time while overshooting roughly 50% more.
     """
 
-    family: str
+    family: LLCFamily
     k_v: float = 1.4
     k_p: float = 0.08
     k_i: float = 0.01

@@ -16,13 +16,14 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import IO, Iterable, Sequence
 
 import numpy as np
 
-from .engine import ScenarioConfig, Trace
+from .config import ScenarioConfig
+from .engine import Trace
 from .model import Obstacle, Vec3
 
 __all__ = [
@@ -223,11 +224,7 @@ def summary_to_dict(summary: RunSummary) -> dict:
             "seed": summary.seed,
         },
         "window": {"start_time": summary.window_start, "sample_count": summary.sample_count},
-        "thresholds": {
-            "dist_thr": summary.thresholds.dist_thr,
-            "comp_thr": summary.thresholds.comp_thr,
-            "clear_thr": summary.thresholds.clear_thr,
-        },
+        "thresholds": asdict(summary.thresholds),
         "metrics": {
             "dist_min": summary.dist_min,
             "comp_max": summary.comp_max,

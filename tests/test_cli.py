@@ -7,6 +7,7 @@ import json
 
 import pytest
 
+from flockspc import hardware_scenario, scenario_to_dict
 from flockspc.cli import main
 
 TWO_AGENT_SCENARIO = {
@@ -116,6 +117,26 @@ def test_simulate_extra_formats(tmp_path):
     assert len(lines) == 2
 
 
+def test_simulate_huge_control_period_exits_2(tmp_path, capsys):
+    data = scenario_to_dict(hardware_scenario())
+    data["control_period"] = 1e308
+    sc = _write(tmp_path, "sc.json", data)
+    assert main(["simulate", "--scenario", sc, "--out", str(tmp_path / "o")]) == 2
+    assert "control_period" in capsys.readouterr().err
+
+
+def test_simulate_diverging_plant_exits_4(tmp_path, capsys):
+    # z_time_constant well below physics_dt makes the explicit z update unstable
+    data = scenario_to_dict(hardware_scenario())
+    data["llc"]["z_time_constant"] = 0.004
+    sc = _write(tmp_path, "sc.json", data)
+    assert main(["simulate", "--scenario", sc, "--out", str(tmp_path / "o")]) == 4
+    err = capsys.readouterr().err
+    assert "diverged" in err and "tick " in err and "agent " in err, err
+    assert "Traceback" not in err
+    assert not (tmp_path / "o" / "trace.csv").exists()
+
+
 SWEEP_SMALL = {
     "flock_sizes": [2, 3],
     "obstacle_scenarios": ["none"],
@@ -150,6 +171,23 @@ def test_sweep_parallel_matches_serial(tmp_path, monkeypatch):
             == (tmp_path / "par" / "table.md").read_bytes())
     for p in (tmp_path / "serial").glob("run_*.json"):
         assert p.read_bytes() == (tmp_path / "par" / p.name).read_bytes()
+
+
+def test_sweep_layout_given_as_obstacle_count(tmp_path, monkeypatch):
+    monkeypatch.setenv("FLOCKSPC_THREADS", "1")
+    data = dict(SWEEP_SMALL, obstacle_scenarios=[0], flock_sizes=[2], llc_families=["A"], seeds=[0])
+    sw = _write(tmp_path, "sweep.json", data)
+    assert main(["sweep", "--sweep", sw, "--out", str(tmp_path / "o")]) == 0
+    assert (tmp_path / "o" / "run_d2_none_SPC_A_s0.json").exists()
+
+
+def test_sweep_field_errors_exit_2(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("FLOCKSPC_THREADS", "1")
+    for key, value in (("controllers", ["MPC"]), ("flock_sizes", [0]), ("duration", "long"),
+                       ("seeds", [True]), ("noise_sigma", -0.1)):
+        sw = _write(tmp_path, "sweep.json", dict(SWEEP_SMALL, **{key: value}))
+        assert main(["sweep", "--sweep", sw, "--out", str(tmp_path / "o")]) == 2
+        assert key in capsys.readouterr().err, key
 
 
 def test_sweep_empty_seed_list_exits_2(tmp_path, capsys):

@@ -1,0 +1,179 @@
+"""Scenario schema walker tests: seeded round-trip property over random
+configs, and a seeded fuzz of malformed scenario dicts."""
+
+from __future__ import annotations
+
+import copy
+import json
+import math
+
+import numpy as np
+import pytest
+
+from flockspc import (
+    ConfigError,
+    ControllerConfig,
+    CostParams,
+    LLCConfig,
+    Obstacle,
+    ScenarioConfig,
+    SpawnSpec,
+    Vec3,
+    Waypoint,
+    hardware_scenario,
+    parse_scenario,
+    scenario_to_dict,
+)
+
+
+def _vec(rng, lo=-3.0, hi=3.0) -> Vec3:
+    return Vec3(*(float(v) for v in rng.uniform(lo, hi, size=3)))
+
+
+def _random_scenario(rng) -> ScenarioConfig:
+    agent_count = int(rng.integers(1, 8))
+    if rng.random() < 0.5:
+        spawn = SpawnSpec(positions=tuple(_vec(rng) for _ in range(agent_count)),
+                          min_spacing=float(rng.uniform(0.0, 1.0)))
+    else:
+        lo = _vec(rng, -3.0, 0.0)
+        spawn = SpawnSpec(box_min=lo, box_max=lo + _vec(rng, 0.1, 3.0),
+                          min_spacing=float(rng.uniform(0.0, 0.5)))
+    times = np.sort(rng.uniform(0.0, 20.0, size=int(rng.integers(0, 4))))
+    physics_dt = float(rng.choice([0.001, 0.005, 0.01]))
+    control_period = physics_dt * int(rng.integers(1, 20))
+    duration = control_period * int(rng.integers(1, 500))
+    kind = str(rng.choice(["SPC", "PFC"]))
+    return ScenarioConfig(
+        agent_count=agent_count,
+        spawn=spawn,
+        obstacles=tuple(Obstacle(float(x), float(y), float(r)) for x, y, r in
+                        rng.uniform([-5, -5, 0.05], [5, 5, 0.5], size=(int(rng.integers(0, 12)), 3))),
+        waypoints=tuple(Waypoint(float(t), _vec(rng)) for t in times),
+        cost=CostParams(*(float(w) for w in rng.uniform(0.0, 200.0, size=4)),
+                        r_drone=float(rng.uniform(0.0, 0.1)),
+                        zero_hat=float(rng.uniform(1e-9, 1e-3))),
+        controller=ControllerConfig(kind=kind, epsilon=float(rng.uniform(0.01, 0.1)),
+                                    n_star=int(rng.integers(1, 8)),
+                                    pfc_gain=float(rng.uniform(0.001, 0.01)),
+                                    dynamic_n=bool(rng.random() < 0.5)),
+        llc=LLCConfig(family=str(rng.choice(["A", "B"])), k_v=float(rng.uniform(0, 2)),
+                      k_p=float(rng.uniform(0, 0.2)), k_i=float(rng.uniform(0, 0.05)),
+                      tilt_min=float(rng.uniform(-0.5, -0.1)), tilt_max=float(rng.uniform(0.1, 0.5)),
+                      t_delta=float(rng.uniform(0.1, 1.0)),
+                      z_time_constant=float(rng.uniform(0.1, 1.0))),
+        r_h=math.inf if rng.random() < 0.3 else float(rng.uniform(0.1, 3.0)),
+        noise_sigma=float(rng.uniform(0.0, 0.2)),
+        physics_dt=physics_dt,
+        control_period=control_period,
+        duration=duration,
+        seed=int(rng.integers(0, 2**63)),
+        formation_time=float(rng.uniform(0.0, duration)) if rng.random() < 0.8 else 0.0,
+        obs_delay_ticks=int(rng.integers(0, 4)),
+    )
+
+
+def test_random_scenarios_round_trip_through_json():
+    rng = np.random.default_rng(2024)
+    seen = set()
+    for i in range(300):
+        cfg = _random_scenario(rng)
+        again = parse_scenario(json.loads(json.dumps(scenario_to_dict(cfg))))
+        assert again == cfg, f"case {i}: {cfg} did not round-trip"
+        seen.add((cfg.spawn.positions is None, len(cfg.obstacles) > 0, bool(cfg.waypoints),
+                  math.isinf(cfg.r_h), cfg.controller.kind, cfg.llc.family))
+    for axis, values in enumerate([(True, False), (True, False), (True, False), (True, False),
+                                   ("SPC", "PFC"), ("A", "B")]):
+        assert {s[axis] for s in seen} == set(values), f"generator missed a case on axis {axis}"
+
+
+def test_echo_of_cost_leaves_out_engine_fields():
+    cfg = hardware_scenario()
+    echoed = scenario_to_dict(cfg)
+    assert set(echoed["cost"]) == {"w_coh", "w_sep", "w_tar", "w_obs", "r_drone", "zero_hat"}
+    assert "positions" not in echoed["spawn"]
+    assert scenario_to_dict(parse_scenario(echoed)) == echoed
+
+
+_BAD_VALUES = [None, True, "x", "inf", 1e308, -1e308, float("nan"), float("inf"), 10**400,
+               -1, 0, [], [1.0, 2.0], {}, {"x": 1}, [[]]]
+
+
+def _paths(node, prefix=()):
+    """Every (container path, key) inside a JSON-shaped value."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, value in items:
+        yield prefix, key
+        if isinstance(value, (dict, list)) and value:
+            yield from _paths(value, prefix + (key,))
+
+
+def _mutate(data: dict, rng) -> dict:
+    data = copy.deepcopy(data)
+    for _ in range(int(rng.integers(1, 4))):
+        targets = list(_paths(data))
+        prefix, key = targets[int(rng.integers(len(targets)))]
+        parent = data
+        for step in prefix:
+            parent = parent[step]
+        action = int(rng.integers(5))
+        if action == 0:
+            parent[key] = _BAD_VALUES[int(rng.integers(len(_BAD_VALUES)))]
+        elif action == 1 and isinstance(parent, dict):
+            del parent[key]
+        elif action == 2 and isinstance(parent, dict):
+            parent[f"unknown_{key}"] = 1.0
+        elif action == 3:
+            parent[key] = [parent[key]]  # one level too deep
+        elif action == 4 and isinstance(parent[key], (dict, list)):
+            parent[key] = type(parent[key])()  # emptied
+    return data
+
+
+def test_fuzzed_scenarios_raise_only_config_error():
+    base = scenario_to_dict(hardware_scenario())
+    base["obstacles"] = [{"x": 2.0, "y": 0.5, "radius": 0.15}]
+    rng = np.random.default_rng(7)
+    rejected = 0
+    for i in range(2000):
+        data = _mutate(base, rng)
+        try:
+            parse_scenario(data)
+        except ConfigError:
+            rejected += 1
+        except Exception as exc:  # noqa: BLE001 - the point of the test
+            pytest.fail(f"case {i}: {type(exc).__name__}: {exc} for {data!r}")
+    assert rejected > 1500, f"only {rejected} of 2000 mutations were rejected"
+
+
+def test_huge_control_period_is_a_config_error():
+    data = scenario_to_dict(hardware_scenario())
+    data["control_period"] = 1e308
+    with pytest.raises(ConfigError, match="control_period"):
+        parse_scenario(data)
+    data = scenario_to_dict(hardware_scenario())
+    data["duration"] = 1e308
+    with pytest.raises(ConfigError, match="duration"):
+        parse_scenario(data)
+
+
+@pytest.mark.parametrize("mutation, field", [
+    (lambda d: d.update(spawn={"positions": []}), "spawn.positions"),
+    (lambda d: d["spawn"].update(box_min=[0, 0]), "spawn.box_min"),
+    (lambda d: d["waypoints"][1].update(target=[0, "y", 0]), "waypoints[1].target[1]"),
+    (lambda d: d["llc"].update(family="C"), "llc.family"),
+    (lambda d: d["llc"].update(k_p="big"), "llc.k_p"),
+    (lambda d: d["controller"].update(n_star=2.5), "controller.n_star"),
+    (lambda d: d["controller"].update(dynamic_n=1), "controller.dynamic_n"),
+    (lambda d: d.update(obstacles=[{"x": 1.0, "y": 0.0}]), "obstacles[0].radius"),
+    (lambda d: d.update(obstacles=[{"x": 1.0, "y": 0.0, "radius": -1.0}]), "obstacles[0]"),
+    (lambda d: d.update(r_h="far"), "r_h"),
+    (lambda d: d.update(seed=1.5), "seed"),
+    (lambda d: d.update(cost=[1, 2]), "cost"),
+])
+def test_errors_name_the_json_path(mutation, field):
+    data = scenario_to_dict(hardware_scenario())
+    mutation(data)
+    with pytest.raises(ConfigError) as exc:
+        parse_scenario(data)
+    assert str(exc.value).startswith(field), str(exc.value)

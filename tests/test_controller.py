@@ -221,3 +221,24 @@ def test_controller_config_validation():
     with pytest.raises(ValueError):
         pfc_setpoint(Vec3(0, 0, 1), [Vec3(1, 0, 1)], TWO_DRONE,
                      ControllerConfig(kind="SPC"))
+
+
+def test_spc_setpoint_holds_when_no_candidate_cost_is_finite():
+    # 0.1 * (5e154)^2 overflows to inf at every candidate while the gradient
+    # (1e154 along x) is still finite.
+    p = Vec3(5e154, 0.0, 1.0)
+    params = CostParams(w_coh=0.0, w_sep=0.0, w_tar=0.1, w_obs=0.0, target=Vec3(0.0, 0.0, 1.0))
+    cfg = ControllerConfig(kind="SPC", epsilon=0.06, n_star=3)
+    with np.errstate(over="ignore"):
+        assert math.isfinite(evaluate_gradient(p, [], params).total.norm())
+        assert spc_setpoint(p, [], params, cfg).position == p
+
+
+def test_spc_setpoint_holds_on_nan_gradient():
+    # cohesion pushes +inf and the target term -inf along x: the sum is NaN
+    p = Vec3(1e10, 0.0, 1.0)
+    params = CostParams(w_coh=1e300, w_sep=0.0, w_tar=1e300, w_obs=0.0, target=Vec3(1e20, 0.0, 1.0))
+    cfg = ControllerConfig(kind="SPC", epsilon=0.06, n_star=3)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert math.isnan(evaluate_gradient(p, [Vec3(0.0, 0.0, 1.0)], params).total.x)
+        assert spc_setpoint(p, [Vec3(0.0, 0.0, 1.0)], params, cfg).position == p

@@ -25,6 +25,8 @@ from flockspc import (
     parse_scenario,
     run_scenario,
     scenario_to_dict,
+    spc_setpoint,
+    tick_cost_params,
     tick_observation,
     write_trace_csv,
 )
@@ -164,15 +166,25 @@ def test_same_seed_reproduces_different_seed_diverges():
     assert not np.array_equal(a.records[-1].positions, c.records[-1].positions)
 
 
-def test_worker_count_does_not_change_results():
+def test_reverse_order_replay_reproduces_setpoints():
+    # Each decision is a pure function of its own replayable snapshot, so
+    # evaluating the agents (and ticks) in reverse order changes no bit.
     cfg = _scenario(agent_count=4, noise_sigma=0.1, duration=3.0, formation_time=1.0,
+                    cost=CostParams(w_coh=20.0, w_sep=9.0, w_tar=150.0, w_obs=0.0),
+                    waypoints=(Waypoint(0.0, Vec3(0.5, 0.0, 1.4)),),
                     spawn=SpawnSpec(box_min=Vec3(-1, -1, 1.0), box_max=Vec3(1, 1, 1.8)))
-    t1 = run_scenario(cfg, workers=1)
-    t4 = run_scenario(cfg, workers=4)
-    for r1, r4 in zip(t1.records, t4.records):
-        assert np.array_equal(r1.positions, r4.positions)
-        assert np.array_equal(r1.setpoints, r4.setpoints)
-        assert np.array_equal(r1.costs, r4.costs)
+    trace = run_scenario(cfg)
+    for k in reversed(range(len(trace.records))):
+        params = tick_cost_params(trace, k)
+        for agent in reversed(range(cfg.agent_count)):
+            obs = tick_observation(trace, k, agent)
+            p_self = next(p for j, p in obs if j == agent)
+            rows = [tuple(p) for j, p in obs if j != agent]
+            neighbors = np.array(rows, dtype=float) if rows else np.empty((0, 3))
+            setpoint = spc_setpoint(p_self, neighbors, params, cfg.controller).position
+            assert tuple(setpoint) == tuple(trace.records[k].setpoints[agent]), (
+                f"tick {k} agent {agent}: replayed setpoint {setpoint} differs from "
+                f"recorded {tuple(trace.records[k].setpoints[agent])}")
 
 
 def test_trace_shape_and_monotone_time():
