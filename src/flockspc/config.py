@@ -119,9 +119,12 @@ class ScenarioConfig:
         ticks = self.duration / self.control_period
         if not (self.duration >= self.control_period and math.isfinite(ticks)):
             raise ConfigError(f"duration: must cover a finite tick count >= 1, got {self.duration}")
-        if not (0.0 <= self.formation_time < self.duration):
+        # metrics.aggregate reads the ticks at or after formation_time.
+        last_tick = (self.tick_count - 1) * self.control_period
+        if not (0.0 <= self.formation_time <= last_tick):
             raise ConfigError(
-                f"formation_time: must be in [0, duration), got {self.formation_time}"
+                f"formation_time: must be in [0, {last_tick!r}] (the last tick time) so the "
+                f"aggregation window holds a tick, got {self.formation_time}"
             )
         if not (isinstance(self.obs_delay_ticks, int) and self.obs_delay_ticks >= 0):
             raise ConfigError(

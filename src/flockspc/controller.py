@@ -11,11 +11,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Literal, Sequence
+from typing import Literal
 
 import numpy as np
 
-from .model import CostParams, Vec3, evaluate_cost, evaluate_gradient
+from .model import CostBreakdown, CostParams, Neighbors, Vec3, evaluate_gradient
+from .model import _breakdown, _cost_terms, _cost_totals, _neighbor_array, _position_array
 
 __all__ = [
     "ControllerKind",
@@ -62,9 +63,12 @@ class ControllerConfig:
 
 @dataclass(frozen=True)
 class Setpoint:
-    """Next reference position handed to the low-level controller."""
+    """Next reference position handed to the low-level controller, with the
+    cost breakdown and gradient norm at the agent's own observed position."""
 
     position: Vec3
+    cost: CostBreakdown
+    grad_norm: float
 
 
 def dynamic_lookahead_count(n_star: int, dist_to_target: float) -> int:
@@ -81,24 +85,21 @@ def dynamic_lookahead_count(n_star: int, dist_to_target: float) -> int:
     return math.ceil(n_star * factor)
 
 
-def build_candidate_set(
-    p_i: Vec3,
-    gradient: Vec3,
-    epsilon: float,
-    n: int,
-) -> list[Vec3]:
-    """Candidate m (m = 1..n) sits at p_i - m * epsilon * gradient / ||gradient||."""
+def _candidate_ladder(p: np.ndarray, gradient: Vec3, epsilon: float, n: int) -> np.ndarray:
+    """(n, 3) array whose row m - 1 is p - m * epsilon * gradient / ||gradient||."""
     if n < 1:
         raise ValueError(f"candidate count must be >= 1, got {n}")
     norm = gradient.norm()
     if norm == 0.0:
         raise ValueError("cannot build candidates from a zero gradient")
-    step = Vec3(
-        -epsilon * gradient.x / norm,
-        -epsilon * gradient.y / norm,
-        -epsilon * gradient.z / norm,
-    )
-    return [Vec3(p_i.x + m * step.x, p_i.y + m * step.y, p_i.z + m * step.z) for m in range(1, n + 1)]
+    step = -epsilon * np.array((gradient.x, gradient.y, gradient.z)) / norm
+    return p + np.arange(1.0, n + 1.0)[:, None] * step
+
+
+def build_candidate_set(p_i: Vec3, gradient: Vec3, epsilon: float, n: int) -> list[Vec3]:
+    """Candidate m (m = 1..n) sits at p_i - m * epsilon * gradient / ||gradient||."""
+    ladder = _candidate_ladder(np.array(tuple(p_i), dtype=float), gradient, epsilon, n)
+    return [Vec3(*row) for row in ladder.tolist()]
 
 
 def _candidate_count(cfg: ControllerConfig, p_i: Vec3, params: CostParams) -> int:
@@ -108,49 +109,44 @@ def _candidate_count(cfg: ControllerConfig, p_i: Vec3, params: CostParams) -> in
 
 
 def spc_setpoint(
-    p_i: Vec3,
-    neighbors: Iterable[Vec3] | np.ndarray | Sequence[Sequence[float]],
-    params: CostParams,
-    cfg: ControllerConfig,
+    p_i: Vec3, neighbors: Neighbors, params: CostParams, cfg: ControllerConfig
 ) -> Setpoint:
     """Pick the candidate with minimal cost; hold position on a flat gradient.
 
-    Ties are broken toward the nearest candidate (smallest m).  The candidate
-    costs are evaluated against the same frozen snapshot that produced the
-    gradient; neighbor motion during the step is ignored.  The agent also
-    holds when the gradient norm is not finite (no usable direction) and when
-    no candidate has a finite cost.
+    Ties are broken toward the nearest candidate (smallest m).  The agent's
+    own position and every candidate are scored in one batch against the
+    same frozen snapshot that produced the gradient; neighbor motion during
+    the step is ignored.  The agent also holds when the gradient norm is not
+    finite (no usable direction) and when no candidate has a finite cost.
     """
     if cfg.kind != "SPC":
         raise ValueError(f"spc_setpoint requires kind='SPC', got {cfg.kind!r}")
-    gradient = evaluate_gradient(p_i, neighbors, params).total
-    if not HOLD_GRADIENT_NORM <= gradient.norm() < math.inf:  # NaN holds too
-        return Setpoint(position=p_i)
-    n = _candidate_count(cfg, p_i, params)
-    best = p_i
-    best_cost = math.inf
-    for candidate in build_candidate_set(p_i, gradient, cfg.epsilon, n):
-        cost = evaluate_cost(candidate, neighbors, params).total
+    p = _position_array(p_i)
+    nbr = _neighbor_array(neighbors)
+    gradient = evaluate_gradient(p, nbr, params).total
+    norm = gradient.norm()
+    points = p[None]  # row 0 is the agent itself, rows 1..n the candidates
+    if HOLD_GRADIENT_NORM <= norm < math.inf:  # a NaN norm holds too
+        n = _candidate_count(cfg, p_i, params)
+        points = np.vstack((p, _candidate_ladder(p, gradient, cfg.epsilon, n)))
+    terms = _cost_terms(points, nbr, params)
+    best, best_cost = 0, math.inf
+    for m, cost in enumerate(_cost_totals(terms).tolist()[1:], start=1):
         if cost < best_cost:
-            best = candidate
-            best_cost = cost
-    return Setpoint(position=best)
+            best, best_cost = m, cost
+    position = Vec3(*points[best].tolist()) if best else p_i
+    return Setpoint(position, _breakdown(terms[0].tolist()), norm)
 
 
 def pfc_setpoint(
-    p_i: Vec3,
-    neighbors: Iterable[Vec3] | np.ndarray | Sequence[Sequence[float]],
-    params: CostParams,
-    cfg: ControllerConfig,
+    p_i: Vec3, neighbors: Neighbors, params: CostParams, cfg: ControllerConfig
 ) -> Setpoint:
     """Step along the full unnormalized gradient: p_i - pfc_gain * grad c(p_i)."""
     if cfg.kind != "PFC":
         raise ValueError(f"pfc_setpoint requires kind='PFC', got {cfg.kind!r}")
-    gradient = evaluate_gradient(p_i, neighbors, params).total
-    return Setpoint(
-        position=Vec3(
-            p_i.x - cfg.pfc_gain * gradient.x,
-            p_i.y - cfg.pfc_gain * gradient.y,
-            p_i.z - cfg.pfc_gain * gradient.z,
-        )
-    )
+    p = _position_array(p_i)
+    nbr = _neighbor_array(neighbors)
+    g = evaluate_gradient(p, nbr, params).total
+    gain = cfg.pfc_gain
+    position = Vec3(p_i.x - gain * g.x, p_i.y - gain * g.y, p_i.z - gain * g.z)
+    return Setpoint(position, _breakdown(_cost_terms(p[None], nbr, params)[0].tolist()), g.norm())

@@ -16,14 +16,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import IO, NamedTuple, Sequence
+from typing import IO, Sequence
 
 import numpy as np
 
 from .config import ConfigError, ScenarioConfig
-from .controller import ControllerConfig, pfc_setpoint, spc_setpoint
+from .controller import ControllerConfig, Setpoint, pfc_setpoint, spc_setpoint
 from .llc import PlantState, explicit_xy_tilt, integrate_plant, pid_xy_tilt
-from .model import CostBreakdown, CostParams, Vec3, evaluate_cost, evaluate_gradient
+from .model import CostParams, Vec3
 
 __all__ = [
     "DivergenceError",
@@ -136,14 +136,9 @@ class Trace:
         return self.config.agent_count
 
 
-class _Decision(NamedTuple):
-    observed_self: Vec3
-    setpoint: Vec3
-    cost: CostBreakdown
-    grad_norm: float
-
-
-def _decide(agent: int, obs: list[tuple[int, Vec3]], params: CostParams, ctrl: ControllerConfig) -> _Decision:
+def _decide(
+    agent: int, obs: list[tuple[int, Vec3]], params: CostParams, ctrl: ControllerConfig
+) -> tuple[Vec3, Setpoint]:
     self_pos = None
     rows = []
     for j, p in obs:
@@ -152,13 +147,8 @@ def _decide(agent: int, obs: list[tuple[int, Vec3]], params: CostParams, ctrl: C
         else:
             rows.append((p.x, p.y, p.z))
     neighbors = np.array(rows, dtype=float) if rows else np.empty((0, 3))
-    cost = evaluate_cost(self_pos, neighbors, params)
-    grad = evaluate_gradient(self_pos, neighbors, params).total
-    if ctrl.kind == "SPC":
-        setpoint = spc_setpoint(self_pos, neighbors, params, ctrl).position
-    else:
-        setpoint = pfc_setpoint(self_pos, neighbors, params, ctrl).position
-    return _Decision(self_pos, setpoint, cost, grad.norm())
+    setpoint_fn = spc_setpoint if ctrl.kind == "SPC" else pfc_setpoint
+    return self_pos, setpoint_fn(self_pos, neighbors, params, ctrl)
 
 
 def _spawn_positions(cfg: ScenarioConfig) -> np.ndarray:
@@ -225,29 +215,30 @@ class Simulation:
         target = self._active_target(now)
         params = replace(cfg.cost, target=target)
         basis = self._position_history[max(0, k - cfg.obs_delay_ticks)]
-        decisions = []
+        observed, decisions = [], []
         for agent in range(cfg.agent_count):
             rng = observation_stream(cfg.seed, k, agent)
             obs = observe(basis, agent, cfg.noise_sigma, cfg.r_h, rng)
-            decisions.append(_decide(agent, obs, params, cfg.controller))
+            self_pos, decision = _decide(agent, obs, params, cfg.controller)
+            observed.append(tuple(self_pos))
+            decisions.append(decision)
 
+        setpoints = [d.position for d in decisions]
+        costs = [d.cost for d in decisions]
         record = TickRecord(
             index=k,
             time=now,
             target=target,
             positions=positions,
             velocities=velocities,
-            observed_self=np.array([tuple(d.observed_self) for d in decisions]),
-            setpoints=np.array([tuple(d.setpoint) for d in decisions]),
-            costs=np.array(
-                [(d.cost.total, d.cost.coh, d.cost.sep, d.cost.tar, d.cost.obs) for d in decisions]
-            ),
+            observed_self=np.array(observed),
+            setpoints=np.array([tuple(sp) for sp in setpoints]),
+            costs=np.array([(c.total, c.coh, c.sep, c.tar, c.obs) for c in costs]),
             grad_norms=np.array([d.grad_norm for d in decisions]),
         )
 
         llc = cfg.llc
         dt = cfg.physics_dt
-        setpoints = [d.setpoint for d in decisions]
         for _ in range(cfg.steps_per_tick):
             for i, state in enumerate(self.states):
                 sp = setpoints[i]

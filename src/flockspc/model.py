@@ -71,6 +71,11 @@ class Vec3:
         return cls(float(a[0]), float(a[1]), float(a[2]))
 
 
+# What the cost functions accept for a position and for a neighborhood.
+Point = Vec3 | Sequence[float]
+Neighbors = Iterable[Vec3] | np.ndarray | Sequence[Sequence[float]]
+
+
 @dataclass(frozen=True)
 class Obstacle:
     """Infinitely tall cylinder: center (x, y) on the ground plane, radius in metres."""
@@ -126,6 +131,10 @@ class CostParams:
         radii = np.array([o.radius for o in self.obstacles], dtype=float)
         return centers, radii
 
+    @cached_property
+    def _target_array(self) -> np.ndarray:
+        return np.array(tuple(self.target), dtype=float)
+
 
 @dataclass(frozen=True)
 class CostBreakdown:
@@ -152,7 +161,7 @@ class CostGradient:
 _ZERO = Vec3(0.0, 0.0, 0.0)
 
 
-def _position_array(p: Vec3 | Sequence[float]) -> np.ndarray:
+def _position_array(p: Point) -> np.ndarray:
     a = np.asarray(tuple(p) if isinstance(p, Vec3) else p, dtype=float)
     if a.shape != (3,):
         raise ValueError(f"position must have 3 components, got shape {a.shape}")
@@ -161,7 +170,7 @@ def _position_array(p: Vec3 | Sequence[float]) -> np.ndarray:
     return a
 
 
-def _neighbor_array(neighbors: Iterable[Vec3] | np.ndarray) -> np.ndarray:
+def _neighbor_array(neighbors: Neighbors) -> np.ndarray:
     if isinstance(neighbors, np.ndarray):
         a = neighbors.astype(float, copy=False)
     else:
@@ -175,51 +184,60 @@ def _neighbor_array(neighbors: Iterable[Vec3] | np.ndarray) -> np.ndarray:
     return a
 
 
-def evaluate_cost(
-    p_i: Vec3 | Sequence[float],
-    neighbors: Iterable[Vec3] | np.ndarray,
-    params: CostParams,
-) -> CostBreakdown:
+def _cost_terms(points: np.ndarray, nbr: np.ndarray, params: CostParams) -> np.ndarray:
+    """The four cost terms at each row of points (m, 3) against one frozen
+    neighborhood nbr (h, 3): an (m, 4) array with columns coh, sep, tar, obs.
+
+    Every per-point sum runs along the last axis, so each row repeats the
+    single-point arithmetic bit for bit whatever m is.  Inputs are trusted.
+    """
+    h = nbr.shape[0]
+    terms = np.zeros((points.shape[0], 4))
+
+    if h > 0:
+        diff = points[:, None, :] - nbr
+        d2 = diff[..., 0] ** 2 + diff[..., 1] ** 2 + diff[..., 2] ** 2
+        if params.w_coh > 0.0:
+            terms[:, 0] = params.w_coh * d2.sum(axis=1) / h
+        if params.w_sep > 0.0:
+            gap = np.maximum(np.sqrt(d2) - 2.0 * params.r_drone, params.zero_hat)
+            terms[:, 1] = params.w_sep * (1.0 / gap**2).sum(axis=1) / h
+
+    if params.w_tar > 0.0 and params.target is not None:
+        centroid = (points + nbr.sum(axis=0)) / (h + 1) if h > 0 else points
+        terms[:, 2] = params.w_tar * ((params._target_array - centroid) ** 2).sum(axis=1)
+
+    k = len(params.obstacles)
+    if params.w_obs > 0.0 and k > 0:
+        centers, radii = params._obstacle_arrays
+        dxy = np.hypot(points[:, 0, None] - centers[:, 0], points[:, 1, None] - centers[:, 1])
+        clearance = np.maximum(dxy - radii - params.r_drone, params.zero_hat)
+        terms[:, 3] = params.w_obs * (1.0 / clearance**2).sum(axis=1) / k
+
+    return terms
+
+
+def _cost_totals(terms: np.ndarray) -> np.ndarray:
+    # Added left to right, like the scalar coh + sep + tar + obs.
+    return terms[:, 0] + terms[:, 1] + terms[:, 2] + terms[:, 3]
+
+
+def _breakdown(row: Sequence[float]) -> CostBreakdown:
+    coh, sep, tar, obs = row
+    return CostBreakdown(coh=coh, sep=sep, tar=tar, obs=obs, total=coh + sep + tar + obs)
+
+
+def evaluate_cost(p_i: Point, neighbors: Neighbors, params: CostParams) -> CostBreakdown:
     """Evaluate the four cost terms at position p_i against a frozen neighborhood.
 
     Terms with zero weight, an empty neighborhood, no target, or no obstacles
     contribute exactly 0.  Raises ValueError on non-finite inputs.
     """
     p = _position_array(p_i)
-    nbr = _neighbor_array(neighbors)
-    h = nbr.shape[0]
-
-    coh = sep = tar = obs = 0.0
-
-    if h > 0:
-        diff = p - nbr
-        d2 = diff[:, 0] ** 2 + diff[:, 1] ** 2 + diff[:, 2] ** 2
-        if params.w_coh > 0.0:
-            coh = params.w_coh * float(d2.sum()) / h
-        if params.w_sep > 0.0:
-            gap = np.maximum(np.sqrt(d2) - 2.0 * params.r_drone, params.zero_hat)
-            sep = params.w_sep * float((1.0 / gap**2).sum()) / h
-
-    if params.w_tar > 0.0 and params.target is not None:
-        centroid = (p + nbr.sum(axis=0)) / (h + 1) if h > 0 else p
-        t = np.array(tuple(params.target), dtype=float)
-        tar = params.w_tar * float(((t - centroid) ** 2).sum())
-
-    k = len(params.obstacles)
-    if params.w_obs > 0.0 and k > 0:
-        centers, radii = params._obstacle_arrays
-        dxy = np.hypot(p[0] - centers[:, 0], p[1] - centers[:, 1])
-        clearance = np.maximum(dxy - radii - params.r_drone, params.zero_hat)
-        obs = params.w_obs * float((1.0 / clearance**2).sum()) / k
-
-    return CostBreakdown(coh=coh, sep=sep, tar=tar, obs=obs, total=coh + sep + tar + obs)
+    return _breakdown(_cost_terms(p[None], _neighbor_array(neighbors), params)[0].tolist())
 
 
-def evaluate_gradient(
-    p_i: Vec3 | Sequence[float],
-    neighbors: Iterable[Vec3] | np.ndarray,
-    params: CostParams,
-) -> CostGradient:
+def evaluate_gradient(p_i: Point, neighbors: Neighbors, params: CostParams) -> CostGradient:
     """Analytical gradient of evaluate_cost with respect to p_i.
 
     Closed forms per term (u denotes the unit vector from the neighbor or
@@ -258,8 +276,7 @@ def evaluate_gradient(
 
     if params.w_tar > 0.0 and params.target is not None:
         centroid = (p + nbr.sum(axis=0)) / (h + 1) if h > 0 else p
-        t = np.array(tuple(params.target), dtype=float)
-        g_tar = Vec3.from_array((2.0 * params.w_tar / (h + 1)) * (centroid - t))
+        g_tar = Vec3.from_array((2.0 * params.w_tar / (h + 1)) * (centroid - params._target_array))
 
     k = len(params.obstacles)
     if params.w_obs > 0.0 and k > 0:
@@ -279,28 +296,19 @@ def evaluate_gradient(
 
 
 def finite_difference_gradient(
-    p_i: Vec3 | Sequence[float],
-    neighbors: Iterable[Vec3] | np.ndarray,
-    params: CostParams,
-    h: float = 1e-6,
+    p_i: Point, neighbors: Neighbors, params: CostParams, h: float = 1e-6
 ) -> Vec3:
     """Central-difference gradient of the total cost, the numerical oracle
     for evaluate_gradient.  Accurate only when p_i is well clear (>> h) of
     the clamp boundaries, where the cost is smooth.
     """
-    if not h > 0.0:
-        raise ValueError(f"step h must be positive, got {h}")
+    if not (h > 0.0 and math.isfinite(h)):
+        raise ValueError(f"step h must be positive and finite, got {h}")
     p = _position_array(p_i)
-    out = np.empty(3)
-    for axis in range(3):
-        hi = p.copy()
-        lo = p.copy()
-        hi[axis] += h
-        lo[axis] -= h
-        c_hi = evaluate_cost(hi, neighbors, params).total
-        c_lo = evaluate_cost(lo, neighbors, params).total
-        out[axis] = (c_hi - c_lo) / (2.0 * h)
-    return Vec3.from_array(out)
+    shifts = np.eye(3) * h  # rows p + h e_i, then p - h e_i, scored in one batch
+    points = np.vstack((p + shifts, p - shifts))
+    costs = _cost_totals(_cost_terms(points, _neighbor_array(neighbors), params))
+    return Vec3.from_array((costs[:3] - costs[3:]) / (2.0 * h))
 
 
 def equilibrium_distance(w_coh: float, w_sep: float, r_drone: float = 0.0) -> float:

@@ -125,6 +125,18 @@ def test_simulate_huge_control_period_exits_2(tmp_path, capsys):
     assert "control_period" in capsys.readouterr().err
 
 
+def test_simulate_formation_time_after_last_tick_exits_2(tmp_path, capsys):
+    # ticks end at t = 0.9, so a window starting at 0.95 would hold no tick
+    data = scenario_to_dict(hardware_scenario())
+    data["duration"] = 1.0
+    data["formation_time"] = 0.95
+    sc = _write(tmp_path, "sc.json", data)
+    assert main(["simulate", "--scenario", sc, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "formation_time" in err and "Traceback" not in err, err
+    assert not (tmp_path / "o").exists()
+
+
 def test_simulate_diverging_plant_exits_4(tmp_path, capsys):
     # z_time_constant well below physics_dt makes the explicit z update unstable
     data = scenario_to_dict(hardware_scenario())

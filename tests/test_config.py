@@ -42,7 +42,9 @@ def _random_scenario(rng) -> ScenarioConfig:
     times = np.sort(rng.uniform(0.0, 20.0, size=int(rng.integers(0, 4))))
     physics_dt = float(rng.choice([0.001, 0.005, 0.01]))
     control_period = physics_dt * int(rng.integers(1, 20))
-    duration = control_period * int(rng.integers(1, 500))
+    ticks = int(rng.integers(1, 500))
+    duration = control_period * ticks
+    last_tick = (ticks - 1) * control_period
     kind = str(rng.choice(["SPC", "PFC"]))
     return ScenarioConfig(
         agent_count=agent_count,
@@ -68,7 +70,7 @@ def _random_scenario(rng) -> ScenarioConfig:
         control_period=control_period,
         duration=duration,
         seed=int(rng.integers(0, 2**63)),
-        formation_time=float(rng.uniform(0.0, duration)) if rng.random() < 0.8 else 0.0,
+        formation_time=float(rng.uniform(0.0, 1.0)) * last_tick if rng.random() < 0.8 else 0.0,
         obs_delay_ticks=int(rng.integers(0, 4)),
     )
 

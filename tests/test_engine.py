@@ -23,6 +23,7 @@ from flockspc import (
     observation_stream,
     observe,
     parse_scenario,
+    pfc_setpoint,
     run_scenario,
     scenario_to_dict,
     spc_setpoint,
@@ -185,6 +186,31 @@ def test_reverse_order_replay_reproduces_setpoints():
             assert tuple(setpoint) == tuple(trace.records[k].setpoints[agent]), (
                 f"tick {k} agent {agent}: replayed setpoint {setpoint} differs from "
                 f"recorded {tuple(trace.records[k].setpoints[agent])}")
+
+
+def test_pfc_replay_reproduces_setpoints():
+    # The PFC counterpart: every recorded setpoint of a noisy rollout is the
+    # bit-exact result of pfc_setpoint on the replayed snapshot.
+    cfg = _scenario(agent_count=4, noise_sigma=0.1, duration=3.0, formation_time=1.0,
+                    cost=CostParams(w_coh=20.0, w_sep=9.0, w_tar=150.0, w_obs=0.0),
+                    controller=ControllerConfig(kind="PFC", pfc_gain=0.007),
+                    waypoints=(Waypoint(0.0, Vec3(0.5, 0.0, 1.4)),),
+                    spawn=SpawnSpec(box_min=Vec3(-1, -1, 1.0), box_max=Vec3(1, 1, 1.8)))
+    trace = run_scenario(cfg)
+    for k, rec in enumerate(trace.records):
+        params = tick_cost_params(trace, k)
+        for agent in range(cfg.agent_count):
+            obs = tick_observation(trace, k, agent)
+            p_self = next(p for j, p in obs if j == agent)
+            rows = [tuple(p) for j, p in obs if j != agent]
+            neighbors = np.array(rows, dtype=float) if rows else np.empty((0, 3))
+            sp = pfc_setpoint(p_self, neighbors, params, cfg.controller)
+            assert tuple(sp.position) == tuple(rec.setpoints[agent]), (
+                f"tick {k} agent {agent}: replayed setpoint {sp.position} differs from "
+                f"recorded {tuple(rec.setpoints[agent])}")
+            c = sp.cost
+            assert (c.total, c.coh, c.sep, c.tar, c.obs, sp.grad_norm) == (
+                *rec.costs[agent].tolist(), float(rec.grad_norms[agent]))
 
 
 def test_trace_shape_and_monotone_time():

@@ -9,14 +9,18 @@ import numpy as np
 import pytest
 
 from flockspc import (
+    ControllerConfig,
     CostParams,
     Obstacle,
     Vec3,
+    dynamic_lookahead_count,
     equilibrium_distance,
     evaluate_cost,
     evaluate_gradient,
     finite_difference_gradient,
+    spc_setpoint,
 )
+from flockspc.model import _cost_terms, _cost_totals
 
 
 def _close(a: float, b: float, tol: float = 1e-9) -> bool:
@@ -292,3 +296,101 @@ def test_breakdown_total_is_sum_of_terms():
         s = br.coh + br.sep + br.tar + br.obs
         assert abs(br.total - s) <= 1e-12 * max(1.0, abs(s))
         assert br.coh >= 0 and br.sep >= 0 and br.tar >= 0 and br.obs >= 0
+
+
+# --- batched kernel vs. the scalar cost ---------------------------------------
+
+
+def _scalar_cost(p, nbr, params):
+    """The single-point cost as it was written before the batched kernel,
+    kept verbatim as the bit-level reference: (coh, sep, tar, obs, total)."""
+    h = nbr.shape[0]
+    coh = sep = tar = obs = 0.0
+    if h > 0:
+        diff = p - nbr
+        d2 = diff[:, 0] ** 2 + diff[:, 1] ** 2 + diff[:, 2] ** 2
+        if params.w_coh > 0.0:
+            coh = params.w_coh * float(d2.sum()) / h
+        if params.w_sep > 0.0:
+            gap = np.maximum(np.sqrt(d2) - 2.0 * params.r_drone, params.zero_hat)
+            sep = params.w_sep * float((1.0 / gap**2).sum()) / h
+    if params.w_tar > 0.0 and params.target is not None:
+        centroid = (p + nbr.sum(axis=0)) / (h + 1) if h > 0 else p
+        t = np.array(tuple(params.target), dtype=float)
+        tar = params.w_tar * float(((t - centroid) ** 2).sum())
+    k = len(params.obstacles)
+    if params.w_obs > 0.0 and k > 0:
+        centers = np.array([(o.x, o.y) for o in params.obstacles], dtype=float)
+        radii = np.array([o.radius for o in params.obstacles], dtype=float)
+        dxy = np.hypot(p[0] - centers[:, 0], p[1] - centers[:, 1])
+        clearance = np.maximum(dxy - radii - params.r_drone, params.zero_hat)
+        obs = params.w_obs * float((1.0 / clearance**2).sum()) / k
+    return coh, sep, tar, obs, coh + sep + tar + obs
+
+
+def _scalar_spc_choice(p_i, nbr, params, cfg):
+    """The per-candidate SPC loop as it was written before the batched
+    kernel: Vec3 candidates, one scalar cost each, first minimum wins."""
+    gradient = evaluate_gradient(p_i, nbr, params).total
+    norm = gradient.norm()
+    if not 1e-9 <= norm < math.inf:
+        return p_i
+    n = cfg.n_star
+    if cfg.dynamic_n and params.target is not None:
+        n = dynamic_lookahead_count(cfg.n_star, (p_i - params.target).norm())
+    step = Vec3(-cfg.epsilon * gradient.x / norm, -cfg.epsilon * gradient.y / norm,
+                -cfg.epsilon * gradient.z / norm)
+    best, best_cost = p_i, math.inf
+    for m in range(1, n + 1):
+        candidate = Vec3(p_i.x + m * step.x, p_i.y + m * step.y, p_i.z + m * step.z)
+        cost = _scalar_cost(np.array(tuple(candidate)), nbr, params)[4]
+        if cost < best_cost:
+            best, best_cost = candidate, cost
+    return best
+
+
+def _kernel_case(rng, i):
+    """Seeded random snapshot; the case index cycles through the edge cases."""
+    h = (0, 1, 3, 7, 8, 9, 16, 29)[i % 8]
+    p = rng.uniform(-3.0, 3.0, size=3)
+    nbr = p + rng.normal(0.0, (0.05, 0.5, 2.0)[i % 3], size=(h, 3))
+    if h and i % 5 == 0:
+        nbr[rng.integers(h)] = p  # a neighbour that coincides with the point
+    weights = rng.uniform(0.1, 200.0, size=4)
+    weights[rng.uniform(size=4) < 0.2] = 0.0
+    obstacles = ()
+    if i % 2:
+        xy = rng.uniform(-3.0, 3.0, size=(11, 2))
+        if i % 7 == 1:
+            xy[0] = p[:2]  # the point sits inside an obstacle
+        obstacles = tuple(Obstacle(float(x), float(y), float(r))
+                          for (x, y), r in zip(xy, rng.uniform(0.05, 0.6, size=11)))
+    params = CostParams(
+        *weights.tolist(),
+        r_drone=float(rng.choice((0.0, 0.07, 0.3))),  # 0.3 puts near neighbours in the clamp
+        zero_hat=float(rng.choice((1e-6, 0.05))),
+        target=None if i % 4 == 3 else Vec3(*rng.uniform(-4.0, 4.0, size=3)),
+        obstacles=obstacles,
+    )
+    return p, nbr, params
+
+
+def test_cost_kernel_is_bit_identical_to_scalar_reference():
+    rng = np.random.default_rng(31)
+    for i in range(3000):
+        p, nbr, params = _kernel_case(rng, i)
+        points = np.vstack((p, p + rng.normal(0.0, 0.3, size=(int(rng.integers(0, 16)), 3))))
+        terms = _cost_terms(points, nbr, params)
+        totals = _cost_totals(terms)
+        for row, point in enumerate(points):
+            want = _scalar_cost(point, nbr, params)
+            got = (*terms[row].tolist(), float(totals[row]))
+            assert got == want, f"case {i} row {row}: {got} != {want}"
+        br = evaluate_cost(p, nbr, params)
+        assert (br.coh, br.sep, br.tar, br.obs, br.total) == _scalar_cost(p, nbr, params)
+
+        cfg = ControllerConfig(kind="SPC", epsilon=float(rng.uniform(0.01, 0.3)),
+                               n_star=int(rng.integers(1, 6)), dynamic_n=bool(i % 3))
+        p_i = Vec3(*p.tolist())
+        sp = spc_setpoint(p_i, nbr, params, cfg)
+        assert sp.position == _scalar_spc_choice(p_i, nbr, params, cfg), f"case {i}"
