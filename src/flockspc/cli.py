@@ -85,13 +85,12 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         # A diverging plant overflows before it stops being finite; the
         # DivergenceError below reports it, so numpy's warnings add nothing.
         with np.errstate(over="ignore", invalid="ignore"):
-            trace = run_scenario(cfg)
-        thresholds = thresholds_for_scenario(cfg)
-        summary = aggregate(trace, thresholds)
-    except ValueError as exc:  # ConfigError included
+            trace = run_scenario(cfg)  # spawn placement can still fail with a ConfigError
+    except ConfigError as exc:  # any other error is a fault, not the user's config
         return _fail(str(exc))
     except DivergenceError as exc:
         return _fail(f"rollout diverged at {exc}", EXIT_DIVERGED)
+    summary = aggregate(trace, thresholds_for_scenario(cfg))
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

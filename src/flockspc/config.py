@@ -43,6 +43,11 @@ class ConfigError(ValueError):
     """Scenario or sweep configuration problem; message names the field."""
 
 
+# More physics steps per control tick than this is taken for a mistyped
+# physics_dt: every step is a Python-level plant update per agent.
+MAX_STEPS_PER_TICK = 10_000
+
+
 @dataclass(frozen=True)
 class SpawnSpec:
     """Initial placement: either explicit positions or a uniform random box
@@ -116,6 +121,11 @@ class ScenarioConfig:
                 "control_period: must be an integer multiple of physics_dt, "
                 f"got {self.control_period} / {self.physics_dt}"
             )
+        if self.steps_per_tick > MAX_STEPS_PER_TICK:
+            raise ConfigError(
+                f"physics_dt: gives {self.steps_per_tick} physics steps per control period, "
+                f"more than {MAX_STEPS_PER_TICK}, got {self.physics_dt}"
+            )
         ticks = self.duration / self.control_period
         if not (self.duration >= self.control_period and math.isfinite(ticks)):
             raise ConfigError(f"duration: must cover a finite tick count >= 1, got {self.duration}")
@@ -140,6 +150,17 @@ class ScenarioConfig:
                 f"spawn.positions: expected {self.agent_count} entries, "
                 f"got {len(self.spawn.positions)}"
             )
+        spawn = self.spawn
+        if spawn.positions is None and spawn.min_spacing > 0.0:
+            # Balls of radius r = min_spacing / 2 around the agents are disjoint and lie
+            # in the box grown by r (volumes are divided per axis, so none overflows).
+            r = spawn.min_spacing / 2.0
+            grown = [(hi - lo) / r + 2.0 for lo, hi in zip(spawn.box_min, spawn.box_max)]
+            if self.agent_count > grown[0] * grown[1] * grown[2] / (4.0 / 3.0 * math.pi):
+                raise ConfigError(
+                    f"spawn.min_spacing: {self.agent_count} agents cannot be placed "
+                    f"{spawn.min_spacing} m apart in the spawn box"
+                )
         # The cost params carry the scenario obstacles so controllers see them.
         if tuple(self.cost.obstacles) != self.obstacles:
             object.__setattr__(self, "cost", replace(self.cost, obstacles=self.obstacles))

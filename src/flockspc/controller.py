@@ -15,8 +15,8 @@ from typing import Literal
 
 import numpy as np
 
-from .model import CostBreakdown, CostParams, Neighbors, Vec3, evaluate_gradient
-from .model import _breakdown, _cost_terms, _cost_totals, _neighbor_array, _position_array
+from .model import CostBreakdown, CostParams, Neighbors, Point, Vec3
+from .model import _cost_terms, _cost_totals, _gradient, _neighbor_array, _position_array
 
 __all__ = [
     "ControllerKind",
@@ -85,27 +85,66 @@ def dynamic_lookahead_count(n_star: int, dist_to_target: float) -> int:
     return math.ceil(n_star * factor)
 
 
-def _candidate_ladder(p: np.ndarray, gradient: Vec3, epsilon: float, n: int) -> np.ndarray:
+def _norm(v: np.ndarray) -> float:
+    x, y, z = v.tolist()
+    return math.sqrt(x * x + y * y + z * z)
+
+
+def _candidate_ladder(p: np.ndarray, gradient: np.ndarray, epsilon: float, n: int) -> np.ndarray:
     """(n, 3) array whose row m - 1 is p - m * epsilon * gradient / ||gradient||."""
     if n < 1:
         raise ValueError(f"candidate count must be >= 1, got {n}")
-    norm = gradient.norm()
+    norm = _norm(gradient)
     if norm == 0.0:
         raise ValueError("cannot build candidates from a zero gradient")
-    step = -epsilon * np.array((gradient.x, gradient.y, gradient.z)) / norm
+    step = -epsilon * gradient / norm
     return p + np.arange(1.0, n + 1.0)[:, None] * step
 
 
 def build_candidate_set(p_i: Vec3, gradient: Vec3, epsilon: float, n: int) -> list[Vec3]:
     """Candidate m (m = 1..n) sits at p_i - m * epsilon * gradient / ||gradient||."""
-    ladder = _candidate_ladder(np.array(tuple(p_i), dtype=float), gradient, epsilon, n)
-    return [Vec3(*row) for row in ladder.tolist()]
+    p, g = np.array(tuple(p_i), dtype=float), np.array(tuple(gradient), dtype=float)
+    return [Vec3(*row) for row in _candidate_ladder(p, g, epsilon, n).tolist()]
 
 
-def _candidate_count(cfg: ControllerConfig, p_i: Vec3, params: CostParams) -> int:
-    if cfg.dynamic_n and params.target is not None:
-        return dynamic_lookahead_count(cfg.n_star, (p_i - params.target).norm())
-    return cfg.n_star
+def _decide(p: np.ndarray, nbr: np.ndarray, params: CostParams, cfg: ControllerConfig,
+            setpoint: np.ndarray, cost: np.ndarray) -> float:
+    """The SPC or PFC decision at p (3,) against nbr (h, 3) on trusted arrays:
+    writes the setpoint into setpoint (3,) and the self cost row (total, coh,
+    sep, tar, obs) into cost (5,), and returns the gradient norm."""
+    gradient = _gradient(p, nbr, params)[4]
+    norm = _norm(gradient)
+    points = p[None]  # row 0 is the agent itself, rows 1..n the SPC candidates
+    if cfg.kind == "SPC" and HOLD_GRADIENT_NORM <= norm < math.inf:  # a NaN norm holds too
+        n = cfg.n_star
+        if cfg.dynamic_n and params.target is not None:
+            (x, y, z), t = p.tolist(), params.target
+            dx, dy, dz = x - t.x, y - t.y, z - t.z
+            n = dynamic_lookahead_count(n, math.sqrt(dx * dx + dy * dy + dz * dz))
+        points = np.concatenate((points, _candidate_ladder(p, gradient, cfg.epsilon, n)))
+    terms = _cost_terms(points, nbr, params)
+    totals = _cost_totals(terms)
+    if cfg.kind == "PFC":
+        setpoint[:] = p - cfg.pfc_gain * gradient
+    else:
+        best, best_cost = 0, math.inf
+        for m, total in enumerate(totals.tolist()[1:], start=1):
+            if total < best_cost:
+                best, best_cost = m, total
+        setpoint[:] = points[best]
+    cost[0] = totals[0]
+    cost[1:] = terms[0]
+    return norm
+
+
+def _setpoint(p_i: Point, neighbors: Neighbors, params: CostParams, cfg: ControllerConfig,
+              kind: ControllerKind) -> Setpoint:
+    if cfg.kind != kind:
+        raise ValueError(f"{kind.lower()}_setpoint requires kind={kind!r}, got {cfg.kind!r}")
+    setpoint, cost = np.empty(3), np.empty(5)
+    norm = _decide(_position_array(p_i), _neighbor_array(neighbors), params, cfg, setpoint, cost)
+    total, coh, sep, tar, obs = cost.tolist()
+    return Setpoint(Vec3(*setpoint.tolist()), CostBreakdown(coh, sep, tar, obs, total), norm)
 
 
 def spc_setpoint(
@@ -119,34 +158,11 @@ def spc_setpoint(
     the step is ignored.  The agent also holds when the gradient norm is not
     finite (no usable direction) and when no candidate has a finite cost.
     """
-    if cfg.kind != "SPC":
-        raise ValueError(f"spc_setpoint requires kind='SPC', got {cfg.kind!r}")
-    p = _position_array(p_i)
-    nbr = _neighbor_array(neighbors)
-    gradient = evaluate_gradient(p, nbr, params).total
-    norm = gradient.norm()
-    points = p[None]  # row 0 is the agent itself, rows 1..n the candidates
-    if HOLD_GRADIENT_NORM <= norm < math.inf:  # a NaN norm holds too
-        n = _candidate_count(cfg, p_i, params)
-        points = np.vstack((p, _candidate_ladder(p, gradient, cfg.epsilon, n)))
-    terms = _cost_terms(points, nbr, params)
-    best, best_cost = 0, math.inf
-    for m, cost in enumerate(_cost_totals(terms).tolist()[1:], start=1):
-        if cost < best_cost:
-            best, best_cost = m, cost
-    position = Vec3(*points[best].tolist()) if best else p_i
-    return Setpoint(position, _breakdown(terms[0].tolist()), norm)
+    return _setpoint(p_i, neighbors, params, cfg, "SPC")
 
 
 def pfc_setpoint(
     p_i: Vec3, neighbors: Neighbors, params: CostParams, cfg: ControllerConfig
 ) -> Setpoint:
     """Step along the full unnormalized gradient: p_i - pfc_gain * grad c(p_i)."""
-    if cfg.kind != "PFC":
-        raise ValueError(f"pfc_setpoint requires kind='PFC', got {cfg.kind!r}")
-    p = _position_array(p_i)
-    nbr = _neighbor_array(neighbors)
-    g = evaluate_gradient(p, nbr, params).total
-    gain = cfg.pfc_gain
-    position = Vec3(p_i.x - gain * g.x, p_i.y - gain * g.y, p_i.z - gain * g.z)
-    return Setpoint(position, _breakdown(_cost_terms(p[None], nbr, params)[0].tolist()), g.norm())
+    return _setpoint(p_i, neighbors, params, cfg, "PFC")

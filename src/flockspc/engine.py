@@ -21,8 +21,8 @@ from typing import IO, Sequence
 import numpy as np
 
 from .config import ConfigError, ScenarioConfig
-from .controller import ControllerConfig, Setpoint, pfc_setpoint, spc_setpoint
-from .llc import PlantState, explicit_xy_tilt, integrate_plant, pid_xy_tilt
+from .controller import _decide
+from .llc import PlantState, _fly
 from .model import CostParams, Vec3
 
 __all__ = [
@@ -48,7 +48,10 @@ class DivergenceError(Exception):
 # --- RNG streams -------------------------------------------------------------
 
 _MASK64 = (1 << 64) - 1
-_KEY_SALT = 0x9E3779B97F4A7C15
+# Second key word.  Keys used to be passed as a Python list, which numpy
+# rounded through float64 whenever seed < 2**63, so this is the salt every
+# stream was drawn with; seeds below 2**53 keep their streams.
+_KEY_SALT = 0x9E3779B97F4A8000
 _PURPOSE_SPAWN = 0
 _PURPOSE_OBSERVE = 1
 
@@ -56,8 +59,8 @@ _PURPOSE_OBSERVE = 1
 def _stream(seed: int, purpose: int, tick: int, agent: int) -> np.random.Generator:
     # Counter-based: distinct (purpose, tick, agent) words give disjoint
     # streams regardless of draw order.
-    key = [seed & _MASK64, _KEY_SALT]
-    counter = [0, purpose, tick & _MASK64, agent & _MASK64]
+    key = np.array([seed & _MASK64, _KEY_SALT], dtype=np.uint64)
+    counter = np.array([0, purpose, tick & _MASK64, agent & _MASK64], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(counter=counter, key=key))
 
 
@@ -72,6 +75,17 @@ def spawn_stream(seed: int) -> np.random.Generator:
 
 
 # --- observation -------------------------------------------------------------
+
+
+def _snapshot(pos: np.ndarray, agent: int, sigma: float, r_h: float, rng) -> tuple:
+    """Noisy positions (n, 3) of all agents and the (n,) mask of those strictly
+    within r_h of agent's true position, agent excluded.  Inputs are trusted;
+    the generator rng is only drawn from when sigma > 0."""
+    noisy = pos + rng.normal(0.0, sigma, size=pos.shape) if sigma > 0.0 else pos
+    delta = pos - pos[agent]
+    near = np.sqrt(delta[:, 0] ** 2 + delta[:, 1] ** 2 + delta[:, 2] ** 2) < r_h
+    near[agent] = False
+    return noisy, near
 
 
 def observe(
@@ -89,21 +103,13 @@ def observe(
     """
     if sigma < 0.0:
         raise ValueError(f"sigma must be >= 0, got {sigma}")
-    if isinstance(true_positions, np.ndarray):
-        pos = true_positions.astype(float, copy=False)
-    else:
-        pos = np.array([tuple(p) for p in true_positions], dtype=float)
+    pos = np.array([tuple(p) for p in true_positions], dtype=float)
     n = pos.shape[0]
     if not 0 <= agent < n:
         raise ValueError(f"agent index {agent} out of range for {n} agents")
-    noisy = pos + rng.normal(0.0, sigma, size=(n, 3)) if sigma > 0.0 else pos
-    delta = pos - pos[agent]
-    dist = np.sqrt(delta[:, 0] ** 2 + delta[:, 1] ** 2 + delta[:, 2] ** 2)
-    out: list[tuple[int, Vec3]] = []
-    for j in range(n):
-        if j == agent or dist[j] < r_h:
-            out.append((j, Vec3(float(noisy[j, 0]), float(noisy[j, 1]), float(noisy[j, 2]))))
-    return out
+    noisy, seen = _snapshot(pos, agent, sigma, r_h, rng)
+    seen[agent] = True
+    return [(j, Vec3(*noisy[j].tolist())) for j in np.flatnonzero(seen).tolist()]
 
 
 # --- rollout -----------------------------------------------------------------
@@ -136,21 +142,6 @@ class Trace:
         return self.config.agent_count
 
 
-def _decide(
-    agent: int, obs: list[tuple[int, Vec3]], params: CostParams, ctrl: ControllerConfig
-) -> tuple[Vec3, Setpoint]:
-    self_pos = None
-    rows = []
-    for j, p in obs:
-        if j == agent:
-            self_pos = p
-        else:
-            rows.append((p.x, p.y, p.z))
-    neighbors = np.array(rows, dtype=float) if rows else np.empty((0, 3))
-    setpoint_fn = spc_setpoint if ctrl.kind == "SPC" else pfc_setpoint
-    return self_pos, setpoint_fn(self_pos, neighbors, params, ctrl)
-
-
 def _spawn_positions(cfg: ScenarioConfig) -> np.ndarray:
     spawn = cfg.spawn
     if spawn.positions is not None:
@@ -173,6 +164,29 @@ def _spawn_positions(cfg: ScenarioConfig) -> np.ndarray:
     return np.array(placed)
 
 
+def _advance(state: np.ndarray, sp: np.ndarray, cfg: ScenarioConfig, when: str) -> np.ndarray:
+    """The (n, 8) state rows after one control period of LLC + plant steps
+    toward the setpoints sp (n, 3).  Raises DivergenceError, prefixed by
+    `when`, for the first physics step's first agent whose state is not finite."""
+    llc, dt, steps = cfg.llc, cfg.physics_dt, cfg.steps_per_tick
+    rows, refs = state.tolist(), sp.tolist()
+    for row, ref in zip(rows, refs):
+        _fly(row, ref, llc, llc.z_time_constant, dt, steps)
+    new_state = np.array(rows)
+    if not np.isfinite(new_state[:, :6]).all():
+        # A value that stops being finite stays so: replaying one step at a
+        # time finds where the first one did.
+        rows = state.tolist()
+        for _ in range(steps):
+            for i, (row, ref) in enumerate(zip(rows, refs)):
+                _fly(row, ref, llc, llc.z_time_constant, dt, 1)
+                try:
+                    PlantState(Vec3(*row[:3]), Vec3(*row[3:6]))  # checks finiteness
+                except ValueError as exc:
+                    raise DivergenceError(f"{when}, agent {i}: {exc}") from None
+    return new_state
+
+
 class Simulation:
     """Mutable world advancing one control tick at a time.
 
@@ -183,12 +197,16 @@ class Simulation:
 
     def __init__(self, cfg: ScenarioConfig):
         self.cfg = cfg
-        positions = _spawn_positions(cfg)
-        self.states = [
-            PlantState(position=Vec3.from_array(positions[i])) for i in range(cfg.agent_count)
-        ]
+        # One row per agent: position, velocity, then family A's integrator.
+        self._state = np.zeros((cfg.agent_count, 8))
+        self._state[:, :3] = _spawn_positions(cfg)
+        if not np.isfinite(self._state).all():  # PlantState names the first bad one
+            for row in self._state.tolist():
+                PlantState(Vec3(*row[:3]))
         self.tick_index = 0
         self._position_history: list[np.ndarray] = []
+        self._rng: np.random.Generator | None = None  # observation noise, built on first use
+        self._rng_state: dict = {}
 
     def _active_target(self, now: float) -> Vec3 | None:
         target = None
@@ -199,6 +217,17 @@ class Simulation:
                 break
         return target
 
+    def _observation_stream(self, tick: int, agent: int) -> np.random.Generator:
+        """observation_stream(seed, tick, agent): the same draws from one
+        generator re-keyed per call, about five times cheaper than a new one."""
+        if self._rng is None:
+            self._rng = observation_stream(self.cfg.seed, 0, 0)
+            self._rng_state = self._rng.bit_generator.state  # counter, key, empty buffer
+        counter = self._rng_state["state"]["counter"]
+        counter[2], counter[3] = tick & _MASK64, agent & _MASK64
+        self._rng.bit_generator.state = self._rng_state
+        return self._rng
+
     def tick(self) -> TickRecord:
         """Observe, decide, record, then integrate physics for one control period.
 
@@ -208,49 +237,29 @@ class Simulation:
         cfg = self.cfg
         k = self.tick_index
         now = k * cfg.control_period
-        positions = np.array([tuple(s.position) for s in self.states])
-        velocities = np.array([tuple(s.velocity) for s in self.states])
+        state = self._state
+        positions = state[:, :3].copy()
         self._position_history.append(positions)
 
         target = self._active_target(now)
         params = replace(cfg.cost, target=target)
         basis = self._position_history[max(0, k - cfg.obs_delay_ticks)]
-        observed, decisions = [], []
-        for agent in range(cfg.agent_count):
-            rng = observation_stream(cfg.seed, k, agent)
-            obs = observe(basis, agent, cfg.noise_sigma, cfg.r_h, rng)
-            self_pos, decision = _decide(agent, obs, params, cfg.controller)
-            observed.append(tuple(self_pos))
-            decisions.append(decision)
+        n, sigma, r_h, ctrl = cfg.agent_count, cfg.noise_sigma, cfg.r_h, cfg.controller
+        observed, setpoints = np.empty((n, 3)), np.empty((n, 3))
+        costs, grad_norms = np.empty((n, 5)), np.empty(n)
+        for agent in range(n):
+            rng = self._observation_stream(k, agent) if sigma > 0.0 else None
+            noisy, near = _snapshot(basis, agent, sigma, r_h, rng)
+            p = observed[agent] = noisy[agent]
+            grad_norms[agent] = _decide(
+                p, noisy[near], params, ctrl, setpoints[agent], costs[agent])
 
-        setpoints = [d.position for d in decisions]
-        costs = [d.cost for d in decisions]
         record = TickRecord(
-            index=k,
-            time=now,
-            target=target,
-            positions=positions,
-            velocities=velocities,
-            observed_self=np.array(observed),
-            setpoints=np.array([tuple(sp) for sp in setpoints]),
-            costs=np.array([(c.total, c.coh, c.sep, c.tar, c.obs) for c in costs]),
-            grad_norms=np.array([d.grad_norm for d in decisions]),
+            index=k, time=now, target=target, positions=positions,
+            velocities=state[:, 3:6].copy(), observed_self=observed,
+            setpoints=setpoints, costs=costs, grad_norms=grad_norms,
         )
-
-        llc = cfg.llc
-        dt = cfg.physics_dt
-        for _ in range(cfg.steps_per_tick):
-            for i, state in enumerate(self.states):
-                sp = setpoints[i]
-                if llc.family == "A":
-                    tilt = pid_xy_tilt(state, (sp.x, sp.y), llc, dt)
-                else:
-                    tilt = explicit_xy_tilt(state, (sp.x, sp.y), llc)
-                try:
-                    self.states[i] = integrate_plant(state, tilt, sp.z, dt, llc.z_time_constant)
-                except ValueError as exc:  # the new state is not finite
-                    raise DivergenceError(f"tick {k} (t={now:g} s), agent {i}: {exc}") from None
-
+        self._state = _advance(state, setpoints, cfg, f"tick {k} (t={now:g} s)")
         self.tick_index = k + 1
         return record
 
@@ -285,26 +294,8 @@ def tick_cost_params(trace: Trace, tick_index: int) -> CostParams:
 # --- trace output ------------------------------------------------------------
 
 TRACE_COLUMNS = (
-    "time_s",
-    "agent",
-    "px",
-    "py",
-    "pz",
-    "vx",
-    "vy",
-    "vz",
-    "ox",
-    "oy",
-    "oz",
-    "spx",
-    "spy",
-    "spz",
-    "cost_total",
-    "cost_coh",
-    "cost_sep",
-    "cost_tar",
-    "cost_obs",
-    "grad_norm",
+    "time_s", "agent", "px", "py", "pz", "vx", "vy", "vz", "ox", "oy", "oz", "spx", "spy", "spz",
+    "cost_total", "cost_coh", "cost_sep", "cost_tar", "cost_obs", "grad_norm",
 )
 
 
@@ -317,18 +308,10 @@ def write_trace_csv(trace: Trace, dest: str | Path | IO[str]) -> None:
         fh.write(",".join(TRACE_COLUMNS) + "\n")
         for rec in trace.records:
             t = repr(float(rec.time))
-            for i in range(trace.agent_count):
-                values = [
-                    t,
-                    str(i),
-                    *(repr(float(v)) for v in rec.positions[i]),
-                    *(repr(float(v)) for v in rec.velocities[i]),
-                    *(repr(float(v)) for v in rec.observed_self[i]),
-                    *(repr(float(v)) for v in rec.setpoints[i]),
-                    *(repr(float(v)) for v in rec.costs[i]),
-                    repr(float(rec.grad_norms[i])),
-                ]
-                fh.write(",".join(values) + "\n")
+            columns = (rec.positions, rec.velocities, rec.observed_self, rec.setpoints, rec.costs)
+            rows = np.hstack((*columns, rec.grad_norms[:, None]), dtype=float).tolist()
+            for i, row in enumerate(rows):
+                fh.write(f"{t},{i},{','.join(map(repr, row))}\n")
     finally:
         if own:
             fh.close()

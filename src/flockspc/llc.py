@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from math import atan, tan
 from typing import Literal
 
 import numpy as np
@@ -104,8 +105,46 @@ class StepResponseMetrics:
     settled: bool
 
 
-def _clamp(value: float, lo: float, hi: float) -> float:
-    return lo if value < lo else hi if value > hi else value
+def _fly(row: list[float], ref: tuple, cfg: LLCConfig | None, z_time_constant: float,
+         dt: float, steps: int) -> tuple[float, float]:
+    """Advance the float state row [px, py, pz, vx, vy, vz, ix, iy] in place by
+    `steps` LLC + plant steps of dt toward ref (x, y, z); return the last
+    tilts.  With cfg None there is no LLC and ref is (tilt_x, tilt_y, z_ref).
+    The simulator and every function below run this loop; it validates nothing.
+    """
+    px, py, pz, vx, vy, vz, ix, iy = row
+    rx, ry, rz = ref
+    tx, ty = rx, ry
+    tau, tau2 = z_time_constant, z_time_constant**2
+    family = None if cfg is None else cfg.family
+    if family is not None:
+        lo, hi, k_v, k_p, k_i, t_delta = (
+            cfg.tilt_min, cfg.tilt_max, cfg.k_v, cfg.k_p, cfg.k_i, cfg.t_delta)
+        t_delta2 = t_delta**2 if family == "B" else None
+    for _ in range(steps):
+        if family == "A":  # anti-windup: a clamped axis keeps its old integral
+            e = (rx - px) - k_v * vx
+            i_new = ix + e * dt
+            raw = k_p * e + k_i * i_new
+            tx = lo if raw < lo else hi if raw > hi else raw
+            if tx == raw:
+                ix = i_new
+            e = (ry - py) - k_v * vy
+            i_new = iy + e * dt
+            raw = k_p * e + k_i * i_new
+            ty = lo if raw < lo else hi if raw > hi else raw
+            if ty == raw:
+                iy = i_new
+        elif family == "B":
+            tx = atan((((rx - px) - vx * t_delta) / t_delta2) / GRAVITY)
+            tx = lo if tx < lo else hi if tx > hi else tx
+            ty = atan((((ry - py) - vy * t_delta) / t_delta2) / GRAVITY)
+            ty = lo if ty < lo else hi if ty > hi else ty
+        az = (rz - pz) / tau2 - 2.0 * vz / tau
+        vx, vy, vz = vx + GRAVITY * tan(tx) * dt, vy + GRAVITY * tan(ty) * dt, vz + az * dt
+        px, py, pz = px + vx * dt, py + vy * dt, pz + vz * dt
+    row[:] = (px, py, pz, vx, vy, vz, ix, iy)
+    return (tx, ty)
 
 
 def pid_xy_tilt(
@@ -124,20 +163,11 @@ def pid_xy_tilt(
         raise ValueError(f"pid_xy_tilt requires family 'A', got {cfg.family!r}")
     if not dt > 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
-    pos = (state.position.x, state.position.y)
-    vel = (state.velocity.x, state.velocity.y)
-    tilts = [0.0, 0.0]
-    integ = list(state.integrator_xy)
-    for axis in range(2):
-        e = (ref_xy[axis] - pos[axis]) - cfg.k_v * vel[axis]
-        integ_new = integ[axis] + e * dt
-        raw = cfg.k_p * e + cfg.k_i * integ_new
-        clamped = _clamp(raw, cfg.tilt_min, cfg.tilt_max)
-        if clamped == raw:
-            integ[axis] = integ_new
-        tilts[axis] = clamped
-    state.integrator_xy = (integ[0], integ[1])
-    return (tilts[0], tilts[1])
+    row = [*state.position, *state.velocity, *state.integrator_xy]
+    # Only the tilts and the integrator are kept, so any time constant will do.
+    tilts = _fly(row, (ref_xy[0], ref_xy[1], 0.0), cfg, 1.0, dt, 1)
+    state.integrator_xy = (row[6], row[7])
+    return tilts
 
 
 def explicit_xy_tilt(
@@ -153,14 +183,8 @@ def explicit_xy_tilt(
     """
     if cfg.family != "B":
         raise ValueError(f"explicit_xy_tilt requires family 'B', got {cfg.family!r}")
-    pos = (state.position.x, state.position.y)
-    vel = (state.velocity.x, state.velocity.y)
-    tilts = [0.0, 0.0]
-    for axis in range(2):
-        e = ref_xy[axis] - pos[axis]
-        accel = (e - vel[axis] * cfg.t_delta) / cfg.t_delta**2
-        tilts[axis] = _clamp(math.atan(accel / GRAVITY), cfg.tilt_min, cfg.tilt_max)
-    return (tilts[0], tilts[1])
+    row = [*state.position, *state.velocity, *state.integrator_xy]
+    return _fly(row, (ref_xy[0], ref_xy[1], 0.0), cfg, 1.0, 1.0, 1)  # only the tilts are kept
 
 
 def integrate_plant(
@@ -181,22 +205,9 @@ def integrate_plant(
         raise ValueError(f"dt must be positive, got {dt}")
     if not z_time_constant > 0.0:
         raise ValueError(f"z_time_constant must be positive, got {z_time_constant}")
-    ax = GRAVITY * math.tan(tilt_xy[0])
-    ay = GRAVITY * math.tan(tilt_xy[1])
-    az = (z_ref - state.position.z) / z_time_constant**2 - 2.0 * state.velocity.z / z_time_constant
-    vx = state.velocity.x + ax * dt
-    vy = state.velocity.y + ay * dt
-    vz = state.velocity.z + az * dt
-    return PlantState(
-        position=Vec3(
-            state.position.x + vx * dt,
-            state.position.y + vy * dt,
-            state.position.z + vz * dt,
-        ),
-        velocity=Vec3(vx, vy, vz),
-        integrator_xy=state.integrator_xy,
-        mass=state.mass,
-    )
+    row = [*state.position, *state.velocity, *state.integrator_xy]
+    _fly(row, (tilt_xy[0], tilt_xy[1], z_ref), None, z_time_constant, dt, 1)
+    return PlantState(Vec3(*row[:3]), Vec3(*row[3:6]), state.integrator_xy, state.mass)
 
 
 def step_trajectory(
@@ -214,18 +225,15 @@ def step_trajectory(
         raise ValueError(f"step must be >= 0, got {step}")
     if not (duration > 0.0 and dt > 0.0):
         raise ValueError("duration and dt must be positive")
-    state = PlantState(position=Vec3(0.0, 0.0, 0.0))
-    ref = (step, 0.0)
+    row = [0.0] * 8
+    ref = (step, 0.0, 0.0)
     steps = round(duration / dt)
     rows = np.empty((steps + 1, 4))
     rows[0] = (0.0, 0.0, 0.0, 0.0)
     for i in range(1, steps + 1):
-        if cfg.family == "A":
-            tilt = pid_xy_tilt(state, ref, cfg, dt)
-        else:
-            tilt = explicit_xy_tilt(state, ref, cfg)
-        state = integrate_plant(state, tilt, 0.0, dt, cfg.z_time_constant)
-        rows[i] = (i * dt, state.position.x, state.velocity.x, tilt[0])
+        tilt_x, _ = _fly(row, ref, cfg, cfg.z_time_constant, dt, 1)
+        PlantState(Vec3(*row[:3]), Vec3(*row[3:6]))  # raises once a value is not finite
+        rows[i] = (i * dt, row[0], row[3], tilt_x)
     return rows
 
 

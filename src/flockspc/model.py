@@ -66,10 +66,6 @@ class Vec3:
     def is_finite(self) -> bool:
         return math.isfinite(self.x) and math.isfinite(self.y) and math.isfinite(self.z)
 
-    @classmethod
-    def from_array(cls, a: Sequence[float]) -> "Vec3":
-        return cls(float(a[0]), float(a[1]), float(a[2]))
-
 
 # What the cost functions accept for a position and for a neighborhood.
 Point = Vec3 | Sequence[float]
@@ -158,7 +154,8 @@ class CostGradient:
     total: Vec3
 
 
-_ZERO = Vec3(0.0, 0.0, 0.0)
+_ZERO = np.zeros(3)
+_ZERO.flags.writeable = False
 
 
 def _position_array(p: Point) -> np.ndarray:
@@ -222,11 +219,6 @@ def _cost_totals(terms: np.ndarray) -> np.ndarray:
     return terms[:, 0] + terms[:, 1] + terms[:, 2] + terms[:, 3]
 
 
-def _breakdown(row: Sequence[float]) -> CostBreakdown:
-    coh, sep, tar, obs = row
-    return CostBreakdown(coh=coh, sep=sep, tar=tar, obs=obs, total=coh + sep + tar + obs)
-
-
 def evaluate_cost(p_i: Point, neighbors: Neighbors, params: CostParams) -> CostBreakdown:
     """Evaluate the four cost terms at position p_i against a frozen neighborhood.
 
@@ -234,7 +226,44 @@ def evaluate_cost(p_i: Point, neighbors: Neighbors, params: CostParams) -> CostB
     contribute exactly 0.  Raises ValueError on non-finite inputs.
     """
     p = _position_array(p_i)
-    return _breakdown(_cost_terms(p[None], _neighbor_array(neighbors), params)[0].tolist())
+    coh, sep, tar, obs = _cost_terms(p[None], _neighbor_array(neighbors), params)[0].tolist()
+    return CostBreakdown(coh=coh, sep=sep, tar=tar, obs=obs, total=coh + sep + tar + obs)
+
+
+def _gradient(p: np.ndarray, nbr: np.ndarray, params: CostParams) -> tuple[np.ndarray, ...]:
+    """Gradient at p (3,) against nbr (h, 3) as (3,) arrays coh, sep, tar, obs
+    and their left-to-right sum total; an absent term is a shared zero
+    array.  Inputs are trusted."""
+    h = nbr.shape[0]
+    g_coh = g_sep = g_tar = g_obs = _ZERO
+
+    if h > 0:
+        diff = p - nbr  # rows point from each neighbor toward p_i
+        d = np.sqrt(diff[:, 0] ** 2 + diff[:, 1] ** 2 + diff[:, 2] ** 2)
+        if params.w_coh > 0.0:
+            g_coh = 2.0 * params.w_coh * (p - nbr.mean(axis=0))
+        if params.w_sep > 0.0:
+            unit = diff / np.where(d > 0.0, d, 1.0)[:, None]
+            unit[d == 0.0] = (1.0, 0.0, 0.0)
+            gap3 = np.maximum(d - 2.0 * params.r_drone, params.zero_hat) ** 3
+            g_sep = -(2.0 * params.w_sep / h) * (unit / gap3[:, None]).sum(axis=0)
+
+    if params.w_tar > 0.0 and params.target is not None:
+        centroid = (p + nbr.sum(axis=0)) / (h + 1) if h > 0 else p
+        g_tar = (2.0 * params.w_tar / (h + 1)) * (centroid - params._target_array)
+
+    k = len(params.obstacles)
+    if params.w_obs > 0.0 and k > 0:
+        centers, radii = params._obstacle_arrays
+        dvec = np.stack([p[0] - centers[:, 0], p[1] - centers[:, 1]], axis=1)
+        dxy = np.hypot(dvec[:, 0], dvec[:, 1])
+        unit2 = dvec / np.where(dxy > 0.0, dxy, 1.0)[:, None]
+        unit2[dxy == 0.0] = (1.0, 0.0)
+        gap3 = np.maximum(dxy - radii - params.r_drone, params.zero_hat) ** 3
+        g_obs = np.zeros(3)
+        g_obs[:2] = -(2.0 * params.w_obs / k) * (unit2 / gap3[:, None]).sum(axis=0)
+
+    return g_coh, g_sep, g_tar, g_obs, g_coh + g_sep + g_tar + g_obs
 
 
 def evaluate_gradient(p_i: Point, neighbors: Neighbors, params: CostParams) -> CostGradient:
@@ -253,46 +282,8 @@ def evaluate_gradient(p_i: Point, neighbors: Neighbors, params: CostParams) -> C
     cost clamp; at exactly coincident points the direction is undefined and a
     deterministic repulsion along +x is emitted (gradient along -x).
     """
-    p = _position_array(p_i)
-    nbr = _neighbor_array(neighbors)
-    h = nbr.shape[0]
-
-    g_coh = g_sep = g_tar = g_obs = _ZERO
-
-    if h > 0:
-        diff = p - nbr  # rows point from each neighbor toward p_i
-        d = np.sqrt(diff[:, 0] ** 2 + diff[:, 1] ** 2 + diff[:, 2] ** 2)
-        if params.w_coh > 0.0:
-            g_coh = Vec3.from_array(2.0 * params.w_coh * (p - nbr.mean(axis=0)))
-        if params.w_sep > 0.0:
-            unit = np.empty_like(diff)
-            safe = d > 0.0
-            unit[safe] = diff[safe] / d[safe, None]
-            unit[~safe] = (1.0, 0.0, 0.0)
-            gap3 = np.maximum(d - 2.0 * params.r_drone, params.zero_hat) ** 3
-            g_sep = Vec3.from_array(
-                -(2.0 * params.w_sep / h) * (unit / gap3[:, None]).sum(axis=0)
-            )
-
-    if params.w_tar > 0.0 and params.target is not None:
-        centroid = (p + nbr.sum(axis=0)) / (h + 1) if h > 0 else p
-        g_tar = Vec3.from_array((2.0 * params.w_tar / (h + 1)) * (centroid - params._target_array))
-
-    k = len(params.obstacles)
-    if params.w_obs > 0.0 and k > 0:
-        centers, radii = params._obstacle_arrays
-        dvec = np.stack([p[0] - centers[:, 0], p[1] - centers[:, 1]], axis=1)
-        dxy = np.hypot(dvec[:, 0], dvec[:, 1])
-        unit2 = np.empty_like(dvec)
-        safe = dxy > 0.0
-        unit2[safe] = dvec[safe] / dxy[safe, None]
-        unit2[~safe] = (1.0, 0.0)
-        gap3 = np.maximum(dxy - radii - params.r_drone, params.zero_hat) ** 3
-        gxy = -(2.0 * params.w_obs / k) * (unit2 / gap3[:, None]).sum(axis=0)
-        g_obs = Vec3(float(gxy[0]), float(gxy[1]), 0.0)
-
-    total = g_coh + g_sep + g_tar + g_obs
-    return CostGradient(coh=g_coh, sep=g_sep, tar=g_tar, obs=g_obs, total=total)
+    terms = _gradient(_position_array(p_i), _neighbor_array(neighbors), params)
+    return CostGradient(*(Vec3(*g.tolist()) for g in terms))
 
 
 def finite_difference_gradient(
@@ -308,7 +299,7 @@ def finite_difference_gradient(
     shifts = np.eye(3) * h  # rows p + h e_i, then p - h e_i, scored in one batch
     points = np.vstack((p + shifts, p - shifts))
     costs = _cost_totals(_cost_terms(points, _neighbor_array(neighbors), params))
-    return Vec3.from_array((costs[:3] - costs[3:]) / (2.0 * h))
+    return Vec3(*((costs[:3] - costs[3:]) / (2.0 * h)).tolist())
 
 
 def equilibrium_distance(w_coh: float, w_sep: float, r_drone: float = 0.0) -> float:

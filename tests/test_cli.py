@@ -137,6 +137,32 @@ def test_simulate_formation_time_after_last_tick_exits_2(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("field, value, named", [
+    ("physics_dt", 1e-300, "physics_dt"),  # about 1e299 physics steps per tick
+    ("agent_count", 10**12, "spawn.min_spacing"),  # cannot fit in the spawn box
+])
+def test_simulate_scenario_that_cannot_finish_exits_2(tmp_path, capsys, field, value, named):
+    data = scenario_to_dict(hardware_scenario())
+    data[field] = value
+    sc = _write(tmp_path, "sc.json", data)
+    assert main(["simulate", "--scenario", sc, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert named in err and "Traceback" not in err, err
+    assert not (tmp_path / "o").exists()
+
+
+def test_simulate_rollout_fault_is_not_a_config_error(tmp_path, monkeypatch):
+    # Only a ConfigError is the scenario's fault; any other error in the
+    # rollout propagates instead of being reported as exit 2.
+    def broken(cfg):
+        raise ValueError("fault inside the rollout")
+
+    monkeypatch.setattr("flockspc.cli.run_scenario", broken)
+    sc = _write(tmp_path, "sc.json", TWO_AGENT_SCENARIO)
+    with pytest.raises(ValueError, match="fault inside the rollout"):
+        main(["simulate", "--scenario", sc, "--out", str(tmp_path / "o")])
+
+
 def test_simulate_diverging_plant_exits_4(tmp_path, capsys):
     # z_time_constant well below physics_dt makes the explicit z update unstable
     data = scenario_to_dict(hardware_scenario())

@@ -15,6 +15,7 @@ from flockspc import (
     CostParams,
     LLCConfig,
     ScenarioConfig,
+    Simulation,
     SpawnSpec,
     Vec3,
     Waypoint,
@@ -26,11 +27,13 @@ from flockspc import (
     pfc_setpoint,
     run_scenario,
     scenario_to_dict,
+    spawn_stream,
     spc_setpoint,
     tick_cost_params,
     tick_observation,
     write_trace_csv,
 )
+from flockspc.engine import _snapshot
 
 DEFAULT_COST = CostParams(w_coh=20.0, w_sep=9.0, w_tar=0.0, w_obs=0.0)
 
@@ -99,6 +102,37 @@ def test_observe_deterministic_per_key():
     c = observe(pos, 1, 0.1, math.inf, observation_stream(3, 18, 1))
     assert a == b, "same (seed, tick, agent) must reproduce identical noise"
     assert a != c, "different tick should give different noise"
+
+
+def test_seeds_past_2_53_get_their_own_streams():
+    # numpy used to read the key list through float64, so these two collided.
+    for seed in (2**53, 2**62 + 7, 2**64 - 2):
+        a = observation_stream(seed, 3, 1).normal(size=3)
+        b = observation_stream(seed + 1, 3, 1).normal(size=3)
+        assert not np.array_equal(a, b), f"seeds {seed} and {seed + 1} share a stream"
+        assert not np.array_equal(spawn_stream(seed).uniform(size=3),
+                                  spawn_stream(seed + 1).uniform(size=3))
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 30])
+def test_array_snapshot_equals_observe(n):
+    # The simulator's snapshot (re-keyed noise generator, neighbour mask)
+    # must give observe()'s snapshot row for row, whatever order it is asked in.
+    rng = np.random.default_rng(n)
+    pos = rng.uniform(-1.5, 1.5, size=(n, 3))
+    for sigma in (0.0, 0.1):
+        for r_h in (0.9, math.inf):
+            sim = Simulation(_scenario(agent_count=n, noise_sigma=sigma, r_h=r_h, seed=n + 40,
+                                       spawn=SpawnSpec(positions=tuple(Vec3(*p) for p in pos))))
+            keys = [(tick, agent) for tick in (0, 1, 5, 2**40) for agent in range(n)]
+            for idx in rng.permutation(len(keys)):
+                tick, agent = keys[idx]
+                want = observe(pos, agent, sigma, r_h, observation_stream(n + 40, tick, agent))
+                stream = sim._observation_stream(tick, agent)
+                noisy, near = _snapshot(pos, agent, sigma, r_h, stream)
+                assert (agent, Vec3(*noisy[agent].tolist())) in want
+                got = [(j, Vec3(*noisy[j].tolist())) for j in np.flatnonzero(near).tolist()]
+                assert got == [(j, p) for j, p in want if j != agent], (sigma, r_h, tick, agent)
 
 
 def test_single_agent_holds_position():

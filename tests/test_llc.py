@@ -1,16 +1,22 @@
 """Low-level controller and plant tests: tilt laws for both families,
-stopping-distance kinematics, and step-response metrics."""
+stopping-distance kinematics, step-response metrics, and the float plant
+loop against the PlantState code it replaced."""
 
 from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 
 from flockspc import (
     GRAVITY,
+    ControllerConfig,
+    CostParams,
     LLCConfig,
     PlantState,
+    ScenarioConfig,
+    SpawnSpec,
     Vec3,
     explicit_xy_tilt,
     integrate_plant,
@@ -18,6 +24,8 @@ from flockspc import (
     step_response,
     step_trajectory,
 )
+from flockspc.engine import DivergenceError, _advance
+from flockspc.llc import _fly
 
 
 def test_pid_clamps_large_error():
@@ -235,3 +243,179 @@ def test_llc_config_validation():
         LLCConfig(family="B", t_delta=0.0)
     with pytest.raises(ValueError):
         LLCConfig(family="A", k_p=-1.0)
+
+
+# --- the float plant loop vs. the PlantState code it replaced ------------------
+
+
+def _ref_clamp(value, lo, hi):
+    return lo if value < lo else hi if value > hi else value
+
+
+def _ref_pid(state, ref_xy, cfg, dt):
+    """pid_xy_tilt as it was written before the float loop: the bit-level reference."""
+    pos = (state.position.x, state.position.y)
+    vel = (state.velocity.x, state.velocity.y)
+    tilts = [0.0, 0.0]
+    integ = list(state.integrator_xy)
+    for axis in range(2):
+        e = (ref_xy[axis] - pos[axis]) - cfg.k_v * vel[axis]
+        integ_new = integ[axis] + e * dt
+        raw = cfg.k_p * e + cfg.k_i * integ_new
+        clamped = _ref_clamp(raw, cfg.tilt_min, cfg.tilt_max)
+        if clamped == raw:
+            integ[axis] = integ_new
+        tilts[axis] = clamped
+    state.integrator_xy = (integ[0], integ[1])
+    return (tilts[0], tilts[1])
+
+
+def _ref_explicit(state, ref_xy, cfg):
+    """explicit_xy_tilt as it was written before the float loop: the bit-level reference."""
+    pos = (state.position.x, state.position.y)
+    vel = (state.velocity.x, state.velocity.y)
+    tilts = [0.0, 0.0]
+    for axis in range(2):
+        e = ref_xy[axis] - pos[axis]
+        accel = (e - vel[axis] * cfg.t_delta) / cfg.t_delta**2
+        tilts[axis] = _ref_clamp(math.atan(accel / GRAVITY), cfg.tilt_min, cfg.tilt_max)
+    return (tilts[0], tilts[1])
+
+
+def _ref_integrate(state, tilt_xy, z_ref, dt, z_time_constant=0.4):
+    """integrate_plant as it was written before the float loop: the bit-level reference."""
+    ax = GRAVITY * math.tan(tilt_xy[0])
+    ay = GRAVITY * math.tan(tilt_xy[1])
+    az = (z_ref - state.position.z) / z_time_constant**2 - 2.0 * state.velocity.z / z_time_constant
+    vx = state.velocity.x + ax * dt
+    vy = state.velocity.y + ay * dt
+    vz = state.velocity.z + az * dt
+    return PlantState(
+        position=Vec3(state.position.x + vx * dt, state.position.y + vy * dt,
+                      state.position.z + vz * dt),
+        velocity=Vec3(vx, vy, vz),
+        integrator_xy=state.integrator_xy,
+        mass=state.mass,
+    )
+
+
+def _ref_steps(state, ref, cfg, dt, steps):
+    """The old engine's physics loop for one agent: returns (state, tilt)."""
+    for _ in range(steps):
+        if cfg.family == "A":
+            tilt = _ref_pid(state, ref[:2], cfg, dt)
+        else:
+            tilt = _ref_explicit(state, ref[:2], cfg)
+        state = _ref_integrate(state, tilt, ref[2], dt, cfg.z_time_constant)
+    return state, tilt
+
+
+def _random_llc(rng, family):
+    # Large gains and narrow limits make clamping (and so the anti-windup
+    # hold) common; small ones keep plenty of unclamped steps.
+    return LLCConfig(family=family, k_v=float(rng.uniform(0.0, 2.0)),
+                     k_p=float(rng.choice((0.01, 0.08, 5.0))), k_i=float(rng.uniform(0.0, 2.0)),
+                     tilt_min=float(rng.uniform(-0.5, -0.05)),
+                     tilt_max=float(rng.uniform(0.05, 0.5)),
+                     t_delta=float(rng.uniform(0.05, 1.0)),
+                     z_time_constant=float(rng.uniform(0.05, 1.0)))
+
+
+def _random_state(rng):
+    return PlantState(position=Vec3(*rng.uniform(-3.0, 3.0, size=3).tolist()),
+                      velocity=Vec3(*rng.uniform(-3.0, 3.0, size=3).tolist()),
+                      integrator_xy=tuple(rng.uniform(-1.0, 1.0, size=2).tolist()))
+
+
+def test_float_plant_loop_is_bit_identical_to_plantstate_reference():
+    rng = np.random.default_rng(17)
+    clamped = held = 0
+    for i in range(2000):
+        cfg = _random_llc(rng, "AB"[i % 2])
+        dt = float(rng.choice((0.001, 0.01)))
+        steps = (1, 10)[i % 4 // 2]
+        state = _random_state(rng)
+        ref = tuple(rng.uniform(-4.0, 4.0, size=3).tolist())
+        row = [*state.position, *state.velocity, *state.integrator_xy]
+        start_integrator = state.integrator_xy
+        want, want_tilt = _ref_steps(state, ref, cfg, dt, steps)
+        tilt = _fly(row, ref, cfg, cfg.z_time_constant, dt, steps)
+        expect = [*want.position, *want.velocity, *want.integrator_xy]
+        assert [v.hex() for v in row] == [v.hex() for v in expect], f"case {i}"
+        assert tilt == want_tilt, f"case {i}: tilt {tilt} != {want_tilt}"
+        clamped += any(t in (cfg.tilt_min, cfg.tilt_max) for t in tilt)
+        # one step of family A with one axis clamped keeps that axis's integral
+        held += steps == 1 and cfg.family == "A" and any(
+            t in (cfg.tilt_min, cfg.tilt_max) and a == b
+            for t, a, b in zip(tilt, want.integrator_xy, start_integrator))
+
+        # The public wrappers are one step of the same loop.
+        st = _random_state(rng)
+        ref_st = PlantState(st.position, st.velocity, st.integrator_xy)
+        if cfg.family == "A":
+            assert pid_xy_tilt(st, ref[:2], cfg, dt) == _ref_pid(ref_st, ref[:2], cfg, dt)
+            assert st.integrator_xy == ref_st.integrator_xy
+        else:
+            assert explicit_xy_tilt(st, ref[:2], cfg) == _ref_explicit(ref_st, ref[:2], cfg)
+        assert integrate_plant(st, tilt, ref[2], dt, cfg.z_time_constant) == _ref_integrate(
+            ref_st, tilt, ref[2], dt, cfg.z_time_constant)
+    print(f"{clamped} cases with a clamped tilt, {held} with an integral held")
+    assert clamped > 200 and held > 20, (clamped, held)
+
+
+@pytest.mark.parametrize("family", ["A", "B"])
+def test_step_trajectory_matches_plantstate_reference(family):
+    cfg = LLCConfig(family=family)
+    rows = step_trajectory(cfg, 1.0, duration=2.0, dt=0.001)
+    state = PlantState(position=Vec3(0.0, 0.0, 0.0))
+    for i in range(1, rows.shape[0]):
+        state, tilt = _ref_steps(state, (1.0, 0.0, 0.0), cfg, 0.001, 1)
+        assert tuple(rows[i]) == (i * 0.001, state.position.x, state.velocity.x, tilt[0])
+
+
+def _divergence_config(family, n):
+    return ScenarioConfig(
+        agent_count=n, spawn=SpawnSpec(positions=tuple(Vec3(i, 0.0, 1.0) for i in range(n))),
+        cost=CostParams(w_coh=1.0, w_sep=1.0, w_tar=0.0, w_obs=0.0),
+        controller=ControllerConfig(kind="SPC"),
+        llc=LLCConfig(family=family, z_time_constant=0.004),  # unstable at dt 0.01
+        r_h=math.inf, noise_sigma=0.0, physics_dt=0.01, control_period=0.1,
+        duration=1.0, seed=0, formation_time=0.0)
+
+
+def test_divergence_names_first_step_then_lowest_agent_like_the_reference():
+    # The z loop is unstable at this time constant and grows by a roughly
+    # fixed factor per step, so each agent's start height picks the physics
+    # step at which it overflows.
+    rng = np.random.default_rng(23)
+    diverged_at = set()
+    for case in range(120):
+        family, n = "AB"[case % 2], int(rng.integers(1, 7))
+        cfg = _divergence_config(family, n)
+        state = np.zeros((n, 8))
+        state[:, :6] = rng.uniform(-2.0, 2.0, size=(n, 6))
+        state[:, 2] = 10.0 ** rng.uniform(280.0, 308.0, size=n) * rng.choice((-1.0, 1.0), size=n)
+        setpoints = rng.uniform(-2.0, 2.0, size=(n, 3))
+
+        states = [PlantState(Vec3(*r[:3]), Vec3(*r[3:6]), (r[6], r[7])) for r in state.tolist()]
+        expect = None
+        for step in range(cfg.steps_per_tick):
+            for i, st in enumerate(states):
+                try:
+                    states[i], _ = _ref_steps(st, tuple(setpoints[i].tolist()), cfg.llc, 0.01, 1)
+                except ValueError as exc:
+                    expect = f"tick 7 (t=0.7 s), agent {i}: {exc}"
+                    break
+            if expect:
+                diverged_at.add((step, i))
+                break
+        try:
+            new_state = _advance(state, setpoints, cfg, "tick 7 (t=0.7 s)")
+        except DivergenceError as exc:
+            assert str(exc) == expect, f"case {case}"
+        else:
+            assert expect is None, f"case {case}: no divergence, expected {expect}"
+            want = [[*s.position, *s.velocity, *s.integrator_xy] for s in states]
+            assert new_state.tolist() == want, f"case {case}"
+    print(f"diverged at {len(diverged_at)} distinct (step, agent) pairs")
+    assert len({step for step, _ in diverged_at}) >= 5 and len({i for _, i in diverged_at}) >= 3

@@ -20,7 +20,7 @@ from flockspc import (
     finite_difference_gradient,
     spc_setpoint,
 )
-from flockspc.model import _cost_terms, _cost_totals
+from flockspc.model import _cost_terms, _cost_totals, _gradient
 
 
 def _close(a: float, b: float, tol: float = 1e-9) -> bool:
@@ -328,10 +328,48 @@ def _scalar_cost(p, nbr, params):
     return coh, sep, tar, obs, coh + sep + tar + obs
 
 
+def _scalar_gradient(p, nbr, params):
+    """The gradient as it was written before the array core, kept verbatim
+    as the bit-level reference: Vec3 terms (coh, sep, tar, obs, total)."""
+    zero = Vec3(0.0, 0.0, 0.0)
+    h = nbr.shape[0]
+    g_coh = g_sep = g_tar = g_obs = zero
+    if h > 0:
+        diff = p - nbr
+        d = np.sqrt(diff[:, 0] ** 2 + diff[:, 1] ** 2 + diff[:, 2] ** 2)
+        if params.w_coh > 0.0:
+            g_coh = Vec3(*(2.0 * params.w_coh * (p - nbr.mean(axis=0))).tolist())
+        if params.w_sep > 0.0:
+            unit = np.empty_like(diff)
+            safe = d > 0.0
+            unit[safe] = diff[safe] / d[safe, None]
+            unit[~safe] = (1.0, 0.0, 0.0)
+            gap3 = np.maximum(d - 2.0 * params.r_drone, params.zero_hat) ** 3
+            g_sep = Vec3(*(-(2.0 * params.w_sep / h) * (unit / gap3[:, None]).sum(axis=0)).tolist())
+    if params.w_tar > 0.0 and params.target is not None:
+        centroid = (p + nbr.sum(axis=0)) / (h + 1) if h > 0 else p
+        t = np.array(tuple(params.target), dtype=float)
+        g_tar = Vec3(*((2.0 * params.w_tar / (h + 1)) * (centroid - t)).tolist())
+    k = len(params.obstacles)
+    if params.w_obs > 0.0 and k > 0:
+        centers = np.array([(o.x, o.y) for o in params.obstacles], dtype=float)
+        radii = np.array([o.radius for o in params.obstacles], dtype=float)
+        dvec = np.stack([p[0] - centers[:, 0], p[1] - centers[:, 1]], axis=1)
+        dxy = np.hypot(dvec[:, 0], dvec[:, 1])
+        unit2 = np.empty_like(dvec)
+        safe = dxy > 0.0
+        unit2[safe] = dvec[safe] / dxy[safe, None]
+        unit2[~safe] = (1.0, 0.0)
+        gap3 = np.maximum(dxy - radii - params.r_drone, params.zero_hat) ** 3
+        gxy = -(2.0 * params.w_obs / k) * (unit2 / gap3[:, None]).sum(axis=0)
+        g_obs = Vec3(float(gxy[0]), float(gxy[1]), 0.0)
+    return g_coh, g_sep, g_tar, g_obs, g_coh + g_sep + g_tar + g_obs
+
+
 def _scalar_spc_choice(p_i, nbr, params, cfg):
     """The per-candidate SPC loop as it was written before the batched
     kernel: Vec3 candidates, one scalar cost each, first minimum wins."""
-    gradient = evaluate_gradient(p_i, nbr, params).total
+    gradient = _scalar_gradient(np.array(tuple(p_i)), nbr, params)[4]
     norm = gradient.norm()
     if not 1e-9 <= norm < math.inf:
         return p_i
@@ -394,3 +432,20 @@ def test_cost_kernel_is_bit_identical_to_scalar_reference():
         p_i = Vec3(*p.tolist())
         sp = spc_setpoint(p_i, nbr, params, cfg)
         assert sp.position == _scalar_spc_choice(p_i, nbr, params, cfg), f"case {i}"
+
+
+def test_gradient_core_is_bit_identical_to_scalar_reference():
+    # Same generator as the cost kernel test, including coincident
+    # neighbours, points inside an obstacle and the clamp region.
+    rng = np.random.default_rng(31)
+    for i in range(3000):
+        p, nbr, params = _kernel_case(rng, i)
+        want = _hex(_scalar_gradient(p, nbr, params))
+        assert _hex(_gradient(p, nbr, params)) == want, f"case {i}"
+        g = evaluate_gradient(Vec3(*p.tolist()), nbr, params)
+        assert _hex((g.coh, g.sep, g.tar, g.obs, g.total)) == want, f"case {i}"
+
+
+def _hex(vectors) -> list[str]:
+    # float.hex tells -0.0 from 0.0, which == does not
+    return [float(v).hex() for vec in vectors for v in vec]
