@@ -11,12 +11,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Literal
+from typing import Literal, NamedTuple
 
 import numpy as np
 
-from .model import CostBreakdown, CostParams, Neighbors, Point, Vec3
-from .model import _cost_terms, _cost_totals, _gradient, _neighbor_array, _position_array
+from .model import CostBreakdown, CostParams, Neighbors, Point, Vec3, _Neighborhoods
+from .model import _cost_terms, _cost_totals, _gradient, _one_neighborhood, _position_array
 
 __all__ = [
     "ControllerKind",
@@ -71,6 +71,12 @@ class Setpoint:
     grad_norm: float
 
 
+def _lookahead_counts(n_star: int, dist_to_target: np.ndarray) -> np.ndarray:
+    # fmax, like Python's max(1.0, nan), turns a NaN distance into 1.0.
+    factor = np.fmax(1.0, np.minimum(1.5 * (dist_to_target + 0.5), 3.0))
+    return np.ceil(n_star * factor).astype(np.int32)
+
+
 def dynamic_lookahead_count(n_star: int, dist_to_target: float) -> int:
     """Candidate count N = ceil(n_star * max(1, min(1.5 * (dist + 0.5), 3))).
 
@@ -81,70 +87,93 @@ def dynamic_lookahead_count(n_star: int, dist_to_target: float) -> int:
         raise ValueError(f"n_star must be >= 1, got {n_star}")
     if dist_to_target < 0.0:
         raise ValueError(f"dist_to_target must be >= 0, got {dist_to_target}")
-    factor = max(1.0, min(1.5 * (dist_to_target + 0.5), 3.0))
-    return math.ceil(n_star * factor)
+    return int(_lookahead_counts(n_star, np.array([dist_to_target]))[0])
 
 
-def _norm(v: np.ndarray) -> float:
-    x, y, z = v.tolist()
-    return math.sqrt(x * x + y * y + z * z)
+def _norms(v: np.ndarray) -> np.ndarray:
+    # Row norms of v (n, 3), summed x, y, z like the scalar formula.
+    return np.sqrt(v[:, 0] * v[:, 0] + v[:, 1] * v[:, 1] + v[:, 2] * v[:, 2])
 
 
-def _candidate_ladder(p: np.ndarray, gradient: np.ndarray, epsilon: float, n: int) -> np.ndarray:
-    """(n, 3) array whose row m - 1 is p - m * epsilon * gradient / ||gradient||."""
-    if n < 1:
-        raise ValueError(f"candidate count must be >= 1, got {n}")
-    norm = _norm(gradient)
-    if norm == 0.0:
-        raise ValueError("cannot build candidates from a zero gradient")
-    step = -epsilon * gradient / norm
-    return p + np.arange(1.0, n + 1.0)[:, None] * step
+def _ladders(p: np.ndarray, gradient: np.ndarray, norm: np.ndarray, epsilon: float,
+             n: int) -> np.ndarray:
+    """(g, n, 3) candidate ladders: row m - 1 of ladder i is
+    p[i] - m * epsilon * gradient[i] / norm[i]."""
+    step = -epsilon * gradient / norm[:, None]
+    return p[:, None] + np.arange(1.0, n + 1.0)[:, None] * step[:, None]
 
 
 def build_candidate_set(p_i: Vec3, gradient: Vec3, epsilon: float, n: int) -> list[Vec3]:
     """Candidate m (m = 1..n) sits at p_i - m * epsilon * gradient / ||gradient||."""
-    p, g = np.array(tuple(p_i), dtype=float), np.array(tuple(gradient), dtype=float)
-    return [Vec3(*row) for row in _candidate_ladder(p, g, epsilon, n).tolist()]
+    if n < 1:
+        raise ValueError(f"candidate count must be >= 1, got {n}")
+    p, g = np.array([tuple(p_i)], dtype=float), np.array([tuple(gradient)], dtype=float)
+    norm = _norms(g)
+    if norm[0] == 0.0:
+        raise ValueError("cannot build candidates from a zero gradient")
+    return [Vec3(*row) for row in _ladders(p, g, norm, epsilon, n)[0].tolist()]
 
 
-def _decide(p: np.ndarray, nbr: np.ndarray, params: CostParams, cfg: ControllerConfig,
-            setpoint: np.ndarray, cost: np.ndarray) -> float:
-    """The SPC or PFC decision at p (3,) against nbr (h, 3) on trusted arrays:
-    writes the setpoint into setpoint (3,) and the self cost row (total, coh,
-    sep, tar, obs) into cost (5,), and returns the gradient norm."""
-    gradient = _gradient(p, nbr, params)[4]
-    norm = _norm(gradient)
-    points = p[None]  # row 0 is the agent itself, rows 1..n the SPC candidates
-    if cfg.kind == "SPC" and HOLD_GRADIENT_NORM <= norm < math.inf:  # a NaN norm holds too
-        n = cfg.n_star
+class _Decisions(NamedTuple):
+    """The decisions of a batch of n agents: setpoints (n, 3), the self cost
+    rows (n, 5) with columns total, coh, sep, tar, obs, the gradient norms
+    (n,), the candidate counts (n,) and the chosen candidate m (n,), 0 when
+    the agent holds (always 0 for PFC)."""
+
+    setpoints: np.ndarray
+    costs: np.ndarray
+    grad_norms: np.ndarray
+    n_candidates: np.ndarray
+    chosen_m: np.ndarray
+
+
+def _decide(p: np.ndarray, hoods: _Neighborhoods, params: CostParams,
+            cfg: ControllerConfig) -> _Decisions:
+    """The SPC or PFC decisions of n agents at their own observed positions
+    p (n, 3) against their neighbourhoods, in one pass on trusted arrays.
+
+    SPC ladders are padded to the batch's longest; a padded row, like the
+    ladder of an agent that holds, is scored but never chosen.  Rows are
+    independent, so each agent's decision repeats its batch-of-1 bits.
+    """
+    n = p.shape[0]
+    gradient = _gradient(p, hoods, params)[4]
+    norm = _norms(gradient)
+    moves, counts = np.zeros(n, dtype=bool), np.zeros(n, dtype=np.int32)
+    if cfg.kind == "SPC":
+        moves = (HOLD_GRADIENT_NORM <= norm) & (norm < math.inf)  # a NaN norm holds too
+        counts[moves] = cfg.n_star
         if cfg.dynamic_n and params.target is not None:
-            (x, y, z), t = p.tolist(), params.target
-            dx, dy, dz = x - t.x, y - t.y, z - t.z
-            n = dynamic_lookahead_count(n, math.sqrt(dx * dx + dy * dy + dz * dz))
-        points = np.concatenate((points, _candidate_ladder(p, gradient, cfg.epsilon, n)))
-    terms = _cost_terms(points, nbr, params)
+            counts[moves] = _lookahead_counts(cfg.n_star, _norms(p[moves] - params._target_array))
+    longest = int(counts.max())
+    points = np.repeat(p[:, None], 1 + longest, axis=1)  # row 0 is the agent itself
+    points[moves, 1:] = _ladders(p[moves], gradient[moves], norm[moves], cfg.epsilon, longest)
+    terms = _cost_terms(points, hoods, params)
     totals = _cost_totals(terms)
+
     if cfg.kind == "PFC":
-        setpoint[:] = p - cfg.pfc_gain * gradient
+        setpoints, chosen = p - cfg.pfc_gain * gradient, np.zeros(n, dtype=np.int32)
     else:
-        best, best_cost = 0, math.inf
-        for m, total in enumerate(totals.tolist()[1:], start=1):
-            if total < best_cost:
-                best, best_cost = m, total
-        setpoint[:] = points[best]
-    cost[0] = totals[0]
-    cost[1:] = terms[0]
-    return norm
+        # Row 0 (hold) counts as infinitely costly, so argmin picks the first
+        # minimum of the agent's own finite candidate costs, or holds.
+        m = np.arange(1 + longest)
+        own = (m > 0) & (m <= counts[:, None]) & (totals < math.inf)
+        chosen = np.where(own, totals, math.inf).argmin(axis=1).astype(np.int32)
+        setpoints = points[np.arange(n), chosen]
+    costs = np.empty((n, 5))
+    costs[:, 0] = totals[:, 0]
+    costs[:, 1:] = terms[:, 0]
+    return _Decisions(setpoints, costs, norm, counts, chosen)
 
 
 def _setpoint(p_i: Point, neighbors: Neighbors, params: CostParams, cfg: ControllerConfig,
               kind: ControllerKind) -> Setpoint:
     if cfg.kind != kind:
         raise ValueError(f"{kind.lower()}_setpoint requires kind={kind!r}, got {cfg.kind!r}")
-    setpoint, cost = np.empty(3), np.empty(5)
-    norm = _decide(_position_array(p_i), _neighbor_array(neighbors), params, cfg, setpoint, cost)
-    total, coh, sep, tar, obs = cost.tolist()
-    return Setpoint(Vec3(*setpoint.tolist()), CostBreakdown(coh, sep, tar, obs, total), norm)
+    d = _decide(_position_array(p_i)[None], _one_neighborhood(neighbors), params, cfg)
+    total, coh, sep, tar, obs = d.costs[0].tolist()
+    return Setpoint(Vec3(*d.setpoints[0].tolist()), CostBreakdown(coh, sep, tar, obs, total),
+                    float(d.grad_norms[0]))
 
 
 def spc_setpoint(

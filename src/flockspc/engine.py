@@ -14,16 +14,17 @@ finite ends the rollout with a DivergenceError.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import IO, Sequence
+from typing import IO, Iterable, Sequence
 
 import numpy as np
 
-from .config import ConfigError, ScenarioConfig
+from .config import ConfigError, ScenarioConfig, Waypoint
 from .controller import _decide
 from .llc import PlantState, _fly
-from .model import CostParams, Vec3
+from .model import CostParams, Vec3, _neighborhoods
 
 __all__ = [
     "DivergenceError",
@@ -77,15 +78,27 @@ def spawn_stream(seed: int) -> np.random.Generator:
 # --- observation -------------------------------------------------------------
 
 
-def _snapshot(pos: np.ndarray, agent: int, sigma: float, r_h: float, rng) -> tuple:
-    """Noisy positions (n, 3) of all agents and the (n,) mask of those strictly
-    within r_h of agent's true position, agent excluded.  Inputs are trusted;
-    the generator rng is only drawn from when sigma > 0."""
-    noisy = pos + rng.normal(0.0, sigma, size=pos.shape) if sigma > 0.0 else pos
-    delta = pos - pos[agent]
-    near = np.sqrt(delta[:, 0] ** 2 + delta[:, 1] ** 2 + delta[:, 2] ** 2) < r_h
-    near[agent] = False
-    return noisy, near
+def _snapshot(pos: np.ndarray, agents: np.ndarray, sigma: float, r_h: float,
+              rngs: Iterable[np.random.Generator]) -> tuple[np.ndarray, np.ndarray]:
+    """What each of the observing agents (a,) sees of the true positions
+    pos (n, 3): its noisy positions (a, n, 3) of all agents, drawn as one
+    (n, 3) batch from its own generator in rngs (read only when sigma > 0),
+    and the (a, n) mask of the agents strictly within r_h of its true
+    position, itself excluded.  Inputs are trusted."""
+    shape = (agents.shape[0],) + pos.shape
+    if sigma > 0.0:
+        seen = np.empty(shape)
+        for row, rng in zip(seen, rngs):
+            row[:] = rng.normal(0.0, sigma, size=pos.shape)
+        seen += pos  # noise + pos is pos + noise bit for bit
+    else:
+        seen = np.broadcast_to(pos, shape)
+    d2 = (pos[:, 0] - pos[agents, 0, None]) ** 2  # summed x, y, z in place
+    d2 += (pos[:, 1] - pos[agents, 1, None]) ** 2
+    d2 += (pos[:, 2] - pos[agents, 2, None]) ** 2
+    near = np.sqrt(d2, out=d2) < r_h
+    near[np.arange(agents.shape[0]), agents] = False
+    return seen, near
 
 
 def observe(
@@ -107,9 +120,9 @@ def observe(
     n = pos.shape[0]
     if not 0 <= agent < n:
         raise ValueError(f"agent index {agent} out of range for {n} agents")
-    noisy, seen = _snapshot(pos, agent, sigma, r_h, rng)
-    seen[agent] = True
-    return [(j, Vec3(*noisy[j].tolist())) for j in np.flatnonzero(seen).tolist()]
+    noisy, seen = _snapshot(pos, np.array([agent]), sigma, r_h, [rng])
+    seen[0, agent] = True
+    return [(j, Vec3(*noisy[0, j].tolist())) for j in np.flatnonzero(seen[0]).tolist()]
 
 
 # --- rollout -----------------------------------------------------------------
@@ -128,6 +141,10 @@ class TickRecord:
     setpoints: np.ndarray  # (n, 3)
     costs: np.ndarray  # (n, 5) columns: total, coh, sep, tar, obs
     grad_norms: np.ndarray  # (n,)
+    # Decision diagnostics, kept out of the trace CSV:
+    n_neighbors: np.ndarray  # (n,) int, neighbours each agent observed
+    n_candidates: np.ndarray  # (n,) int, SPC candidates scored (0 when holding and for PFC)
+    chosen_m: np.ndarray  # (n,) int, chosen candidate m, 0 = hold (always 0 for PFC)
 
 
 @dataclass(frozen=True)
@@ -149,11 +166,12 @@ def _spawn_positions(cfg: ScenarioConfig) -> np.ndarray:
     rng = spawn_stream(cfg.seed)
     lo = np.array(tuple(spawn.box_min), dtype=float)
     hi = np.array(tuple(spawn.box_max), dtype=float)
-    placed: list[np.ndarray] = []
+    placed: list[list[float]] = []
     for i in range(cfg.agent_count):
         for _ in range(10_000):
-            p = rng.uniform(lo, hi)
-            if all(float(np.linalg.norm(p - q)) >= spawn.min_spacing for q in placed):
+            px, py, pz = p = rng.uniform(lo, hi).tolist()
+            if all(math.sqrt((x - px) * (x - px) + (y - py) * (y - py) + (z - pz) * (z - pz))
+                   >= spawn.min_spacing for x, y, z in placed):
                 placed.append(p)
                 break
         else:
@@ -207,15 +225,21 @@ class Simulation:
         self._position_history: list[np.ndarray] = []
         self._rng: np.random.Generator | None = None  # observation noise, built on first use
         self._rng_state: dict = {}
+        self._params: dict[Waypoint | None, CostParams] = {}
 
-    def _active_target(self, now: float) -> Vec3 | None:
-        target = None
+    def _active_params(self, now: float) -> CostParams:
+        """Cost params with the target of the waypoint active at `now`, built
+        once per waypoint so their cached obstacle and target arrays last
+        the whole run."""
+        active = None
         for wp in self.cfg.waypoints:
-            if wp.time <= now + 1e-9:
-                target = wp.target
-            else:
+            if wp.time > now + 1e-9:
                 break
-        return target
+            active = wp
+        if active not in self._params:
+            target = None if active is None else active.target
+            self._params[active] = replace(self.cfg.cost, target=target)
+        return self._params[active]
 
     def _observation_stream(self, tick: int, agent: int) -> np.random.Generator:
         """observation_stream(seed, tick, agent): the same draws from one
@@ -241,25 +265,23 @@ class Simulation:
         positions = state[:, :3].copy()
         self._position_history.append(positions)
 
-        target = self._active_target(now)
-        params = replace(cfg.cost, target=target)
+        params = self._active_params(now)
         basis = self._position_history[max(0, k - cfg.obs_delay_ticks)]
-        n, sigma, r_h, ctrl = cfg.agent_count, cfg.noise_sigma, cfg.r_h, cfg.controller
-        observed, setpoints = np.empty((n, 3)), np.empty((n, 3))
-        costs, grad_norms = np.empty((n, 5)), np.empty(n)
-        for agent in range(n):
-            rng = self._observation_stream(k, agent) if sigma > 0.0 else None
-            noisy, near = _snapshot(basis, agent, sigma, r_h, rng)
-            p = observed[agent] = noisy[agent]
-            grad_norms[agent] = _decide(
-                p, noisy[near], params, ctrl, setpoints[agent], costs[agent])
+        agents = np.arange(cfg.agent_count)
+        rngs = (self._observation_stream(k, agent) for agent in agents.tolist())
+        seen, near = _snapshot(basis, agents, cfg.noise_sigma, cfg.r_h, rngs)
+        observed = seen[agents, agents]
+        hoods = _neighborhoods(seen, near)
+        decisions = _decide(observed, hoods, params, cfg.controller)
 
         record = TickRecord(
-            index=k, time=now, target=target, positions=positions,
+            index=k, time=now, target=params.target, positions=positions,
             velocities=state[:, 3:6].copy(), observed_self=observed,
-            setpoints=setpoints, costs=costs, grad_norms=grad_norms,
+            setpoints=decisions.setpoints, costs=decisions.costs,
+            grad_norms=decisions.grad_norms, n_neighbors=hoods.counts,
+            n_candidates=decisions.n_candidates, chosen_m=decisions.chosen_m,
         )
-        self._state = _advance(state, setpoints, cfg, f"tick {k} (t={now:g} s)")
+        self._state = _advance(state, decisions.setpoints, cfg, f"tick {k} (t={now:g} s)")
         self.tick_index = k + 1
         return record
 

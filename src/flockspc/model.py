@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -154,10 +154,6 @@ class CostGradient:
     total: Vec3
 
 
-_ZERO = np.zeros(3)
-_ZERO.flags.writeable = False
-
-
 def _position_array(p: Point) -> np.ndarray:
     a = np.asarray(tuple(p) if isinstance(p, Vec3) else p, dtype=float)
     if a.shape != (3,):
@@ -181,42 +177,90 @@ def _neighbor_array(neighbors: Neighbors) -> np.ndarray:
     return a
 
 
-def _cost_terms(points: np.ndarray, nbr: np.ndarray, params: CostParams) -> np.ndarray:
-    """The four cost terms at each row of points (m, 3) against one frozen
-    neighborhood nbr (h, 3): an (m, 4) array with columns coh, sep, tar, obs.
+class _Neighborhoods(NamedTuple):
+    """The frozen neighbourhoods of a batch of n agents, grouped by size.
 
-    Every per-point sum runs along the last axis, so each row repeats the
-    single-point arithmetic bit for bit whatever m is.  Inputs are trusted.
+    groups holds one (rows, nbr) pair per neighbour count h > 0: rows (g,)
+    indexes the agents with h neighbours and nbr (g, h, 3) holds those
+    neighbours in observation order.  No neighbour set is padded, so every
+    sum along the neighbour axis has the length it has for a single agent
+    and repeats its bits.  counts (n,) and sums (n, 3) are each agent's
+    neighbour count and neighbour sum (0 when it has none).
     """
-    h = nbr.shape[0]
-    terms = np.zeros((points.shape[0], 4))
 
-    if h > 0:
-        diff = points[:, None, :] - nbr
-        d2 = diff[..., 0] ** 2 + diff[..., 1] ** 2 + diff[..., 2] ** 2
-        if params.w_coh > 0.0:
-            terms[:, 0] = params.w_coh * d2.sum(axis=1) / h
-        if params.w_sep > 0.0:
-            gap = np.maximum(np.sqrt(d2) - 2.0 * params.r_drone, params.zero_hat)
-            terms[:, 1] = params.w_sep * (1.0 / gap**2).sum(axis=1) / h
+    groups: list[tuple[np.ndarray, np.ndarray]]
+    counts: np.ndarray
+    sums: np.ndarray
+
+
+def _neighborhoods(seen: np.ndarray, near: np.ndarray) -> _Neighborhoods:
+    """Group a batch by neighbour count: agent i's neighbours are the rows
+    seen[i, near[i]] of its own view seen[i] (n', 3), in row order."""
+    counts = near.sum(axis=1, dtype=np.int32)
+    sums = np.zeros((counts.shape[0], 3))
+    groups = []
+    for h in sorted(set(counts.tolist()) - {0}):
+        rows = np.flatnonzero(counts == h)
+        owner, col = np.nonzero(near[rows])
+        nbr = seen[rows[owner], col].reshape(rows.shape[0], h, 3)
+        sums[rows] = nbr.sum(axis=1)
+        groups.append((rows, nbr))
+    return _Neighborhoods(groups, counts, sums)
+
+
+def _one_neighborhood(neighbors: Neighbors) -> _Neighborhoods:
+    """A batch of one agent with the given neighbours, validated."""
+    nbr = _neighbor_array(neighbors)
+    return _neighborhoods(nbr[None], np.ones((1, nbr.shape[0]), dtype=bool))
+
+
+def _centroids(points: np.ndarray, hoods: _Neighborhoods) -> np.ndarray:
+    # Centroid of {point} u H for every point (n, m, 3); the point itself
+    # when agent i has no neighbours.
+    h = hoods.counts[:, None, None]
+    return np.where(h > 0, (points + hoods.sums[:, None]) / (h + 1), points)
+
+
+def _cost_terms(points: np.ndarray, hoods: _Neighborhoods, params: CostParams) -> np.ndarray:
+    """The four cost terms at each point of points (n, m, 3), row i scored
+    against agent i's neighbourhood: an (n, m, 4) array with columns coh,
+    sep, tar, obs.
+
+    Every per-point sum runs along the last axis over the unpadded
+    neighbours or obstacles, so each point repeats the single-point
+    arithmetic bit for bit whatever n, m and the grouping are.  Inputs are
+    trusted.
+    """
+    terms = np.zeros(points.shape[:2] + (4,))
+
+    if params.w_coh > 0.0 or params.w_sep > 0.0:
+        for rows, nbr in hoods.groups:
+            h = nbr.shape[1]
+            diff = points[rows][:, :, None] - nbr[:, None]
+            d2 = diff[..., 0] ** 2 + diff[..., 1] ** 2 + diff[..., 2] ** 2
+            if params.w_coh > 0.0:
+                terms[rows, :, 0] = params.w_coh * d2.sum(axis=2) / h
+            if params.w_sep > 0.0:
+                gap = np.maximum(np.sqrt(d2) - 2.0 * params.r_drone, params.zero_hat)
+                terms[rows, :, 1] = params.w_sep * (1.0 / gap**2).sum(axis=2) / h
 
     if params.w_tar > 0.0 and params.target is not None:
-        centroid = (points + nbr.sum(axis=0)) / (h + 1) if h > 0 else points
-        terms[:, 2] = params.w_tar * ((params._target_array - centroid) ** 2).sum(axis=1)
+        centroid = _centroids(points, hoods)
+        terms[..., 2] = params.w_tar * ((params._target_array - centroid) ** 2).sum(axis=2)
 
     k = len(params.obstacles)
     if params.w_obs > 0.0 and k > 0:
         centers, radii = params._obstacle_arrays
-        dxy = np.hypot(points[:, 0, None] - centers[:, 0], points[:, 1, None] - centers[:, 1])
+        dxy = np.hypot(points[..., 0, None] - centers[:, 0], points[..., 1, None] - centers[:, 1])
         clearance = np.maximum(dxy - radii - params.r_drone, params.zero_hat)
-        terms[:, 3] = params.w_obs * (1.0 / clearance**2).sum(axis=1) / k
+        terms[..., 3] = params.w_obs * (1.0 / clearance**2).sum(axis=2) / k
 
     return terms
 
 
 def _cost_totals(terms: np.ndarray) -> np.ndarray:
     # Added left to right, like the scalar coh + sep + tar + obs.
-    return terms[:, 0] + terms[:, 1] + terms[:, 2] + terms[:, 3]
+    return terms[..., 0] + terms[..., 1] + terms[..., 2] + terms[..., 3]
 
 
 def evaluate_cost(p_i: Point, neighbors: Neighbors, params: CostParams) -> CostBreakdown:
@@ -226,44 +270,49 @@ def evaluate_cost(p_i: Point, neighbors: Neighbors, params: CostParams) -> CostB
     contribute exactly 0.  Raises ValueError on non-finite inputs.
     """
     p = _position_array(p_i)
-    coh, sep, tar, obs = _cost_terms(p[None], _neighbor_array(neighbors), params)[0].tolist()
+    terms = _cost_terms(p[None, None], _one_neighborhood(neighbors), params)
+    coh, sep, tar, obs = terms[0, 0].tolist()
     return CostBreakdown(coh=coh, sep=sep, tar=tar, obs=obs, total=coh + sep + tar + obs)
 
 
-def _gradient(p: np.ndarray, nbr: np.ndarray, params: CostParams) -> tuple[np.ndarray, ...]:
-    """Gradient at p (3,) against nbr (h, 3) as (3,) arrays coh, sep, tar, obs
-    and their left-to-right sum total; an absent term is a shared zero
-    array.  Inputs are trusted."""
-    h = nbr.shape[0]
-    g_coh = g_sep = g_tar = g_obs = _ZERO
+def _gradient(p: np.ndarray, hoods: _Neighborhoods, params: CostParams) -> np.ndarray:
+    """Gradient at each agent's position p (n, 3) against its neighbourhood:
+    a (5, n, 3) array of the terms coh, sep, tar, obs and their
+    left-to-right sum total; an absent term is 0.  Every sum runs over the
+    unpadded neighbours or obstacles of one agent.  Inputs are trusted."""
+    grad = np.zeros((5,) + p.shape)
 
-    if h > 0:
-        diff = p - nbr  # rows point from each neighbor toward p_i
-        d = np.sqrt(diff[:, 0] ** 2 + diff[:, 1] ** 2 + diff[:, 2] ** 2)
-        if params.w_coh > 0.0:
-            g_coh = 2.0 * params.w_coh * (p - nbr.mean(axis=0))
-        if params.w_sep > 0.0:
-            unit = diff / np.where(d > 0.0, d, 1.0)[:, None]
-            unit[d == 0.0] = (1.0, 0.0, 0.0)
-            gap3 = np.maximum(d - 2.0 * params.r_drone, params.zero_hat) ** 3
-            g_sep = -(2.0 * params.w_sep / h) * (unit / gap3[:, None]).sum(axis=0)
+    if params.w_coh > 0.0 or params.w_sep > 0.0:
+        for rows, nbr in hoods.groups:
+            h = nbr.shape[1]
+            p_g = p[rows]
+            if params.w_coh > 0.0:
+                grad[0, rows] = 2.0 * params.w_coh * (p_g - hoods.sums[rows] / h)
+            if params.w_sep > 0.0:
+                diff = p_g[:, None] - nbr  # rows point from each neighbor toward p_i
+                d = np.sqrt(diff[..., 0] ** 2 + diff[..., 1] ** 2 + diff[..., 2] ** 2)
+                unit = diff / np.where(d > 0.0, d, 1.0)[..., None]
+                unit[d == 0.0] = (1.0, 0.0, 0.0)
+                gap3 = np.maximum(d - 2.0 * params.r_drone, params.zero_hat) ** 3
+                grad[1, rows] = -(2.0 * params.w_sep / h) * (unit / gap3[..., None]).sum(axis=1)
 
     if params.w_tar > 0.0 and params.target is not None:
-        centroid = (p + nbr.sum(axis=0)) / (h + 1) if h > 0 else p
-        g_tar = (2.0 * params.w_tar / (h + 1)) * (centroid - params._target_array)
+        centroid = _centroids(p[:, None], hoods)[:, 0]
+        scale = 2.0 * params.w_tar / (hoods.counts + 1)
+        grad[2] = scale[:, None] * (centroid - params._target_array)
 
     k = len(params.obstacles)
     if params.w_obs > 0.0 and k > 0:
         centers, radii = params._obstacle_arrays
-        dvec = np.stack([p[0] - centers[:, 0], p[1] - centers[:, 1]], axis=1)
-        dxy = np.hypot(dvec[:, 0], dvec[:, 1])
-        unit2 = dvec / np.where(dxy > 0.0, dxy, 1.0)[:, None]
+        dvec = np.stack([p[:, 0, None] - centers[:, 0], p[:, 1, None] - centers[:, 1]], axis=2)
+        dxy = np.hypot(dvec[..., 0], dvec[..., 1])
+        unit2 = dvec / np.where(dxy > 0.0, dxy, 1.0)[..., None]
         unit2[dxy == 0.0] = (1.0, 0.0)
         gap3 = np.maximum(dxy - radii - params.r_drone, params.zero_hat) ** 3
-        g_obs = np.zeros(3)
-        g_obs[:2] = -(2.0 * params.w_obs / k) * (unit2 / gap3[:, None]).sum(axis=0)
+        grad[3, :, :2] = -(2.0 * params.w_obs / k) * (unit2 / gap3[..., None]).sum(axis=1)
 
-    return g_coh, g_sep, g_tar, g_obs, g_coh + g_sep + g_tar + g_obs
+    grad[4] = grad[0] + grad[1] + grad[2] + grad[3]
+    return grad
 
 
 def evaluate_gradient(p_i: Point, neighbors: Neighbors, params: CostParams) -> CostGradient:
@@ -282,8 +331,8 @@ def evaluate_gradient(p_i: Point, neighbors: Neighbors, params: CostParams) -> C
     cost clamp; at exactly coincident points the direction is undefined and a
     deterministic repulsion along +x is emitted (gradient along -x).
     """
-    terms = _gradient(_position_array(p_i), _neighbor_array(neighbors), params)
-    return CostGradient(*(Vec3(*g.tolist()) for g in terms))
+    terms = _gradient(_position_array(p_i)[None], _one_neighborhood(neighbors), params)
+    return CostGradient(*(Vec3(*g) for g in terms[:, 0].tolist()))
 
 
 def finite_difference_gradient(
@@ -297,8 +346,8 @@ def finite_difference_gradient(
         raise ValueError(f"step h must be positive and finite, got {h}")
     p = _position_array(p_i)
     shifts = np.eye(3) * h  # rows p + h e_i, then p - h e_i, scored in one batch
-    points = np.vstack((p + shifts, p - shifts))
-    costs = _cost_totals(_cost_terms(points, _neighbor_array(neighbors), params))
+    points = np.vstack((p + shifts, p - shifts))[None]
+    costs = _cost_totals(_cost_terms(points, _one_neighborhood(neighbors), params))[0]
     return Vec3(*((costs[:3] - costs[3:]) / (2.0 * h)).tolist())
 
 

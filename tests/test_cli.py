@@ -7,7 +7,7 @@ import json
 
 import pytest
 
-from flockspc import hardware_scenario, scenario_to_dict
+from flockspc import ConfigError, hardware_scenario, parse_scenario, scenario_to_dict
 from flockspc.cli import main
 
 TWO_AGENT_SCENARIO = {
@@ -144,6 +144,10 @@ def test_simulate_formation_time_after_last_tick_exits_2(tmp_path, capsys):
 def test_simulate_scenario_that_cannot_finish_exits_2(tmp_path, capsys, field, value, named):
     data = scenario_to_dict(hardware_scenario())
     data[field] = value
+    # Checked at parse time first: if the check regressed, `simulate` below
+    # would spin in the physics loop or in spawn placement instead of failing.
+    with pytest.raises(ConfigError, match=named):
+        parse_scenario(data)
     sc = _write(tmp_path, "sc.json", data)
     assert main(["simulate", "--scenario", sc, "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err

@@ -28,6 +28,8 @@ def test_dynamic_lookahead_oracles():
     assert dynamic_lookahead_count(5, 10.0) == 15
     assert dynamic_lookahead_count(5, 1.5) == 15  # 1.5*(1.5+0.5) hits the cap exactly
     assert dynamic_lookahead_count(3, 10.0) == 9
+    assert dynamic_lookahead_count(5, math.inf) == 15
+    assert dynamic_lookahead_count(5, math.nan) == 5  # max(1.0, nan) is 1.0
 
 
 def test_dynamic_lookahead_monotone_and_bounded():

@@ -14,12 +14,18 @@ from flockspc import (
     ControllerConfig,
     CostParams,
     LLCConfig,
+    Obstacle,
     ScenarioConfig,
     Simulation,
     SpawnSpec,
     Vec3,
     Waypoint,
+    build_candidate_set,
+    build_scenario,
+    dynamic_lookahead_count,
     equilibrium_distance,
+    evaluate_gradient,
+    hardware_scenario,
     load_scenario,
     observation_stream,
     observe,
@@ -33,7 +39,8 @@ from flockspc import (
     tick_observation,
     write_trace_csv,
 )
-from flockspc.engine import _snapshot
+from flockspc.controller import HOLD_GRADIENT_NORM
+from flockspc.engine import _snapshot, _spawn_positions
 
 DEFAULT_COST = CostParams(w_coh=20.0, w_sep=9.0, w_tar=0.0, w_obs=0.0)
 
@@ -116,23 +123,26 @@ def test_seeds_past_2_53_get_their_own_streams():
 
 @pytest.mark.parametrize("n", [1, 2, 7, 30])
 def test_array_snapshot_equals_observe(n):
-    # The simulator's snapshot (re-keyed noise generator, neighbour mask)
-    # must give observe()'s snapshot row for row, whatever order it is asked in.
+    # The simulator's flock-wide snapshot (one re-keyed noise generator, one
+    # neighbour mask per tick) must give observe()'s snapshot row for row,
+    # whatever order the ticks and agents are asked in.
     rng = np.random.default_rng(n)
     pos = rng.uniform(-1.5, 1.5, size=(n, 3))
+    agents = np.arange(n)
     for sigma in (0.0, 0.1):
         for r_h in (0.9, math.inf):
             sim = Simulation(_scenario(agent_count=n, noise_sigma=sigma, r_h=r_h, seed=n + 40,
                                        spawn=SpawnSpec(positions=tuple(Vec3(*p) for p in pos))))
-            keys = [(tick, agent) for tick in (0, 1, 5, 2**40) for agent in range(n)]
-            for idx in rng.permutation(len(keys)):
-                tick, agent = keys[idx]
-                want = observe(pos, agent, sigma, r_h, observation_stream(n + 40, tick, agent))
-                stream = sim._observation_stream(tick, agent)
-                noisy, near = _snapshot(pos, agent, sigma, r_h, stream)
-                assert (agent, Vec3(*noisy[agent].tolist())) in want
-                got = [(j, Vec3(*noisy[j].tolist())) for j in np.flatnonzero(near).tolist()]
-                assert got == [(j, p) for j, p in want if j != agent], (sigma, r_h, tick, agent)
+            for tick in rng.permutation([0, 1, 5, 2**40]).tolist():
+                streams = (sim._observation_stream(tick, agent) for agent in range(n))
+                seen, near = _snapshot(pos, agents, sigma, r_h, streams)
+                for agent in rng.permutation(n).tolist():
+                    want = observe(pos, agent, sigma, r_h,
+                                   observation_stream(n + 40, tick, agent))
+                    assert (agent, Vec3(*seen[agent, agent].tolist())) in want
+                    got = [(j, Vec3(*seen[agent, j].tolist()))
+                           for j in np.flatnonzero(near[agent]).tolist()]
+                    assert got == [(j, p) for j, p in want if j != agent], (sigma, r_h, tick, agent)
 
 
 def test_single_agent_holds_position():
@@ -179,6 +189,46 @@ def test_box_spawn_respects_min_spacing_and_bounds():
         for j in range(i + 1, 9):
             d = math.dist(pos[i], pos[j])
             assert d >= 0.4, f"spawn spacing {d:.3f} < 0.4 between {i} and {j}"
+
+
+def _reference_spawn_positions(cfg):
+    """Box spawn placement as it was written before the one-pass distance
+    check, kept as the reference: one np.linalg.norm per placed agent per
+    attempt."""
+    spawn = cfg.spawn
+    rng = spawn_stream(cfg.seed)
+    lo = np.array(tuple(spawn.box_min), dtype=float)
+    hi = np.array(tuple(spawn.box_max), dtype=float)
+    placed = []
+    for _ in range(cfg.agent_count):
+        for _ in range(10_000):
+            p = rng.uniform(lo, hi)
+            if all(float(np.linalg.norm(p - q)) >= spawn.min_spacing for q in placed):
+                placed.append(p)
+                break
+        else:
+            raise AssertionError("reference placement failed")
+    return np.array(placed)
+
+
+_SPAWN_CASES = {
+    "eleven_30": lambda seed: build_scenario(30, "eleven", "SPC", "A", seed),
+    "open_100": lambda seed: build_scenario(100, "none", "PFC", "B", seed, duration=20.0),
+    "hardware": hardware_scenario,
+    # Tightly packed, so most draws are rejected.
+    "packed_20": lambda seed: _scenario(
+        agent_count=20, seed=seed,
+        spawn=SpawnSpec(box_min=Vec3(0, 0, 1.0), box_max=Vec3(1, 1, 1.4), min_spacing=0.25)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_SPAWN_CASES))
+def test_box_spawn_matches_reference_loop(case):
+    # Same draws, same accept/reject decisions, same positions.
+    for seed in range(40):
+        cfg = _SPAWN_CASES[case](seed)
+        got = _spawn_positions(cfg)
+        assert got.tobytes() == _reference_spawn_positions(cfg).tobytes(), (case, seed)
 
 
 def test_explicit_spawn_positions_exact():
@@ -245,6 +295,66 @@ def test_pfc_replay_reproduces_setpoints():
             c = sp.cost
             assert (c.total, c.coh, c.sep, c.tar, c.obs, sp.grad_norm) == (
                 *rec.costs[agent].tolist(), float(rec.grad_norms[agent]))
+            assert rec.n_neighbors[agent] == len(rows)
+        assert not rec.n_candidates.any() and not rec.chosen_m.any()
+
+
+def test_decision_diagnostics_match_replay():
+    # Neighbour count, candidate count and chosen candidate (0 = hold) of
+    # every decision of a noisy SPC rollout through an obstacle field,
+    # re-derived from the replayed snapshot with the scalar public API.
+    cfg = _scenario(agent_count=6, noise_sigma=0.1, r_h=0.9, duration=4.0, formation_time=1.0,
+                    cost=CostParams(w_coh=20.0, w_sep=9.0, w_tar=150.0, w_obs=12.0),
+                    obstacles=(Obstacle(1.0, 0.3, 0.15), Obstacle(1.2, -0.4, 0.15)),
+                    waypoints=(Waypoint(0.0, Vec3(0.0, 0.0, 1.4)),
+                               Waypoint(1.0, Vec3(2.5, 0.0, 1.4))),
+                    spawn=SpawnSpec(box_min=Vec3(-1, -1, 1.0), box_max=Vec3(1, 1, 1.8)))
+    ctrl = cfg.controller
+    trace = run_scenario(cfg)
+    seen = {"neighbors": set(), "candidates": set(), "chosen": set()}
+    for k, rec in enumerate(trace.records):
+        params = tick_cost_params(trace, k)
+        for agent in range(cfg.agent_count):
+            obs = tick_observation(trace, k, agent)
+            p_self = next(p for j, p in obs if j == agent)
+            neighbors = [p for j, p in obs if j != agent]
+            sp = spc_setpoint(p_self, neighbors, params, ctrl).position
+            g = evaluate_gradient(p_self, neighbors, params).total
+            n = 0
+            if HOLD_GRADIENT_NORM <= g.norm() < math.inf:
+                n = ctrl.n_star
+                if params.target is not None:
+                    n = dynamic_lookahead_count(n, (p_self - params.target).norm())
+            cands = build_candidate_set(p_self, g, ctrl.epsilon, n) if n else []
+            chosen = next((m for m, q in enumerate(cands, start=1) if q == sp), 0)
+            got = (int(rec.n_neighbors[agent]), int(rec.n_candidates[agent]),
+                   int(rec.chosen_m[agent]))
+            assert got == (len(neighbors), n, chosen), f"tick {k} agent {agent}"
+            seen["neighbors"].add(got[0])
+            seen["candidates"].add(got[1])
+            seen["chosen"].add(got[2])
+    # The rollout exercises varied neighbourhoods, ladder lengths and choices.
+    assert len(seen["neighbors"]) >= 3 and len(seen["candidates"]) >= 2, seen
+    assert len(seen["chosen"]) >= 3, seen
+    for name in ("n_neighbors", "n_candidates", "chosen_m"):
+        assert getattr(trace.records[0], name).dtype.kind == "i"
+
+
+def test_cost_params_built_once_per_waypoint():
+    # One CostParams per active target, reused across ticks, equal to what
+    # tick_cost_params rebuilds for the replay.
+    a, b = Vec3(0.0, 0.0, 1.4), Vec3(1.0, 0.0, 1.4)
+    cfg = _scenario(duration=2.0, formation_time=1.0,
+                    obstacles=(Obstacle(2.0, 0.0, 0.15),),
+                    waypoints=(Waypoint(0.5, a), Waypoint(1.0, b)))
+    sim = Simulation(cfg)
+    trace = sim.run()
+    built = {}
+    for k, rec in enumerate(trace.records):
+        params = sim._active_params(rec.time)
+        assert params == tick_cost_params(trace, k) and params.target == rec.target
+        assert built.setdefault(params.target, params) is params
+    assert list(built) == [None, a, b]
 
 
 def test_trace_shape_and_monotone_time():
@@ -274,7 +384,6 @@ def test_observation_delay_uses_stale_positions():
 
 
 def test_obstacles_are_visible_to_cost():
-    from flockspc import Obstacle
     obstacles = (Obstacle(2.0, 0.0, 0.15),)
     cfg = _scenario(obstacles=obstacles)
     assert cfg.cost.obstacles == obstacles

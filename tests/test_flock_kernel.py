@@ -1,0 +1,158 @@
+"""Flock-wide decision kernel tests.
+
+The simulator scores every agent of a tick in one pass, grouping agents by
+neighbour count.  Every row of that pass must equal the public batch-of-1
+call for the same agent (evaluate_gradient, evaluate_cost, spc_setpoint,
+pfc_setpoint) bit for bit, compared with float.hex so -0.0 and NaN payloads
+count too, and relabelling the agents of a batch must permute its rows
+exactly.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+import pytest
+
+from flockspc import (
+    ControllerConfig,
+    CostParams,
+    Obstacle,
+    Vec3,
+    evaluate_cost,
+    evaluate_gradient,
+    pfc_setpoint,
+    spc_setpoint,
+)
+from flockspc.controller import _decide
+from flockspc.engine import _snapshot
+from flockspc.model import _cost_terms, _gradient, _neighborhoods, _one_neighborhood
+
+CASES = 120
+
+
+def _hex(values) -> list[str]:
+    return [float(v).hex() for v in np.asarray(values, dtype=float).ravel().tolist()]
+
+
+def _params(rng, i, pos):
+    """Cost params cycling through zero weights, no target, obstacles with an
+    agent inside one, the clamp region, a flat and a NaN gradient."""
+    if i % 10 == 9:  # flat: every gradient is exactly 0, every agent holds
+        return CostParams(0.0, 0.0, 0.0, 0.0)
+    if i % 10 == 5:  # cohesion +-inf against target -inf: NaN or inf norms, every agent holds
+        return CostParams(w_coh=1e300, w_sep=0.0, w_tar=1e300, w_obs=0.0,
+                          target=Vec3(1e20, 0.0, 1.0))
+    weights = rng.uniform(0.1, 200.0, size=4)
+    weights[rng.uniform(size=4) < 0.2] = 0.0
+    obstacles = ()
+    if i % 3:
+        xy = rng.uniform(-3.0, 3.0, size=(int(rng.choice((3, 11))), 2))
+        if i % 7 == 1:
+            xy[0] = pos[0, :2]  # agent 0 sits on an obstacle's axis
+        obstacles = tuple(Obstacle(float(x), float(y), float(r))
+                          for (x, y), r in zip(xy, rng.uniform(0.05, 0.6, size=len(xy))))
+    return CostParams(
+        *weights.tolist(),
+        r_drone=float(rng.choice((0.0, 0.07, 0.3))),  # 0.3 clamps neighbours nearer than 0.6
+        zero_hat=float(rng.choice((1e-6, 0.05))),
+        target=None if i % 4 == 3 else Vec3(*rng.uniform(-4.0, 4.0, size=3)),
+        obstacles=obstacles,
+    )
+
+
+def _flock(i):
+    """Seeded flock: n from 1 to 40, finite and infinite r_h, coincident
+    agents, per-agent noisy views; returns (observed, seen, near, params)."""
+    rng = np.random.default_rng(1000 + i)
+    n = 1 + i % 40
+    pos = rng.uniform(-1.0, 1.0, size=(n, 3)) * (0.2, 1.0, 3.0)[i % 3]
+    if i % 10 == 5:
+        pos[:, 0] *= 1e10
+    if n > 2 and i % 5 == 0:
+        pos[1] = pos[0]  # two agents in the same place
+    r_h = math.inf if i % 2 else float(rng.uniform(0.3, 2.5))
+    sigma = (0.0, 0.05)[(i // 2) % 2]
+    agents = np.arange(n)
+    rngs = [np.random.default_rng([i, a]) for a in range(n)]
+    seen, near = _snapshot(pos, agents, sigma, r_h, rngs)
+    return seen[agents, agents], seen, near, _params(rng, i, pos)
+
+
+def _controllers(rng):
+    return (
+        ControllerConfig(kind="SPC", epsilon=float(rng.uniform(0.01, 0.3)),
+                         n_star=int(rng.integers(1, 6)), dynamic_n=True),
+        ControllerConfig(kind="SPC", epsilon=0.06, n_star=int(rng.integers(1, 6)),
+                         dynamic_n=False),
+        ControllerConfig(kind="PFC", pfc_gain=float(rng.uniform(0.001, 0.02))),
+    )
+
+
+def test_cases_reach_the_edges():
+    # The generator covers what the kernel must get right.
+    counts, flat, nan, moved = set(), 0, 0, 0
+    for i in range(CASES):
+        observed, seen, near, params = _flock(i)
+        counts.update(near.sum(axis=1).tolist())
+        with np.errstate(over="ignore", invalid="ignore"):
+            d = _decide(observed, _neighborhoods(seen, near), params, _controllers(
+                np.random.default_rng(i))[0])
+        flat += int((d.grad_norms == 0.0).sum())
+        nan += int(np.isnan(d.grad_norms).sum())
+        moved += int((d.chosen_m > 0).sum())
+    assert 0 in counts and max(counts) >= 17 and len(counts) >= 30, sorted(counts)
+    assert flat > 0 and nan > 0 and moved > 0, (flat, nan, moved)
+
+
+@pytest.mark.parametrize("part", range(4))
+def test_flock_kernel_rows_equal_batch_of_one(part):
+    for i in range(part, CASES, 4):
+        observed, seen, near, params = _flock(i)
+        n = observed.shape[0]
+        hoods = _neighborhoods(seen, near)
+        assert hoods.counts.tolist() == near.sum(axis=1).tolist()
+        rng = np.random.default_rng(i)
+        points = observed[:, None] + rng.normal(0.0, 0.3, size=(n, int(rng.integers(1, 4)), 3))
+        cfgs = _controllers(rng)
+        with np.errstate(over="ignore", invalid="ignore"):
+            grad = _gradient(observed, hoods, params)
+            terms = _cost_terms(points, hoods, params)
+            decisions = [_decide(observed, hoods, params, cfg) for cfg in cfgs]
+            for a in range(n):
+                p, nbr = Vec3(*observed[a].tolist()), seen[a][near[a]]
+                g = evaluate_gradient(p, nbr, params)
+                assert _hex(grad[:, a]) == _hex([tuple(v) for v in g.__dict__.values()]), (i, a)
+                for j, point in enumerate(points[a]):
+                    c = evaluate_cost(point, nbr, params)
+                    assert _hex(terms[a, j]) == _hex((c.coh, c.sep, c.tar, c.obs)), (i, a, j)
+                for cfg, d in zip(cfgs, decisions):
+                    setpoint = spc_setpoint if cfg.kind == "SPC" else pfc_setpoint
+                    sp = setpoint(p, nbr, params, cfg)
+                    c = sp.cost
+                    assert _hex(d.setpoints[a]) == _hex(tuple(sp.position)), (i, a, cfg)
+                    assert _hex(d.costs[a]) == _hex((c.total, c.coh, c.sep, c.tar, c.obs))
+                    assert _hex(d.grad_norms[a]) == _hex(sp.grad_norm)
+                    one = _decide(observed[a:a + 1], _one_neighborhood(nbr), params, cfg)
+                    assert (d.n_candidates[a], d.chosen_m[a]) == (one.n_candidates[0],
+                                                                  one.chosen_m[0]), (i, a, cfg)
+
+
+def test_relabelling_permutes_rows_exactly():
+    # Agent a of the relabelled batch is agent perm[a] of the original, with
+    # the same view of its neighbours: every output row moves with it.
+    for i in range(CASES):
+        observed, seen, near, params = _flock(i)
+        n = observed.shape[0]
+        perm = np.random.default_rng(i).permutation(n)
+        hoods, moved = _neighborhoods(seen, near), _neighborhoods(seen[perm], near[perm])
+        assert moved.counts.tolist() == hoods.counts[perm].tolist()
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert _hex(_gradient(observed[perm], moved, params)) == _hex(
+                _gradient(observed, hoods, params)[:, perm])
+            for cfg in _controllers(np.random.default_rng(i)):
+                want = _decide(observed, hoods, params, cfg)
+                got = _decide(observed[perm], moved, params, cfg)
+                for name, values in want._asdict().items():
+                    assert _hex(getattr(got, name)) == _hex(values[perm]), (i, name, cfg)

@@ -56,7 +56,8 @@ def _trace(frames, obstacles=()) -> Trace:
         records.append(TickRecord(
             index=k, time=t, target=None, positions=arr, velocities=zeros,
             observed_self=arr.copy(), setpoints=arr.copy(),
-            costs=np.zeros((n, 5)), grad_norms=np.zeros(n)))
+            costs=np.zeros((n, 5)), grad_norms=np.zeros(n), n_neighbors=np.zeros(n, int),
+            n_candidates=np.zeros(n, int), chosen_m=np.zeros(n, int)))
     return Trace(config=cfg, records=tuple(records))
 
 

@@ -20,7 +20,7 @@ from flockspc import (
     finite_difference_gradient,
     spc_setpoint,
 )
-from flockspc.model import _cost_terms, _cost_totals, _gradient
+from flockspc.model import _cost_terms, _cost_totals, _gradient, _one_neighborhood
 
 
 def _close(a: float, b: float, tol: float = 1e-9) -> bool:
@@ -418,7 +418,7 @@ def test_cost_kernel_is_bit_identical_to_scalar_reference():
     for i in range(3000):
         p, nbr, params = _kernel_case(rng, i)
         points = np.vstack((p, p + rng.normal(0.0, 0.3, size=(int(rng.integers(0, 16)), 3))))
-        terms = _cost_terms(points, nbr, params)
+        terms = _cost_terms(points[None], _one_neighborhood(nbr), params)[0]
         totals = _cost_totals(terms)
         for row, point in enumerate(points):
             want = _scalar_cost(point, nbr, params)
@@ -441,7 +441,7 @@ def test_gradient_core_is_bit_identical_to_scalar_reference():
     for i in range(3000):
         p, nbr, params = _kernel_case(rng, i)
         want = _hex(_scalar_gradient(p, nbr, params))
-        assert _hex(_gradient(p, nbr, params)) == want, f"case {i}"
+        assert _hex(_gradient(p[None], _one_neighborhood(nbr), params)[:, 0]) == want, f"case {i}"
         g = evaluate_gradient(Vec3(*p.tolist()), nbr, params)
         assert _hex((g.coh, g.sep, g.tar, g.obs, g.total)) == want, f"case {i}"
 
