@@ -18,18 +18,14 @@ from .controller import (
     ControllerConfig,
     Setpoint,
     dynamic_lookahead_count,
-    build_candidate_set,
     spc_setpoint,
     pfc_setpoint,
 )
 from .llc import (
     GRAVITY,
-    PlantState,
     LLCConfig,
     StepResponseMetrics,
-    pid_xy_tilt,
-    explicit_xy_tilt,
-    integrate_plant,
+    fly,
     step_trajectory,
     step_response,
 )

@@ -186,17 +186,15 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_step_response(args: argparse.Namespace) -> int:
-    if args.step < 0:
-        return _fail(f"--step must be >= 0, got {args.step}")
-    try:
+    try:  # step_trajectory names a negative or non-finite --step or --duration
         cfg = LLCConfig(family=args.family)
         metrics = step_response(cfg, args.step, duration=args.duration)
+        rows = step_trajectory(cfg, args.step, duration=args.duration)
     except ValueError as exc:
         return _fail(str(exc))
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    rows = step_trajectory(cfg, args.step, duration=args.duration)
     with open(out / "step_response.csv", "w") as fh:
         fh.write("time_s,position_m,velocity_m_s,tilt_rad\n")
         for t, x, v, tilt in rows:
@@ -224,11 +222,10 @@ def cmd_step_response(args: argparse.Namespace) -> int:
 
 
 def cmd_equilibrium(args: argparse.Namespace) -> int:
-    if args.w_coh <= 0 or args.w_sep <= 0:
-        return _fail(f"weights must be positive, got w_coh={args.w_coh}, w_sep={args.w_sep}")
-    if args.r_drone < 0:
-        return _fail(f"--r-drone must be >= 0, got {args.r_drone}")
-    d_eq = equilibrium_distance(args.w_coh, args.w_sep, args.r_drone)
+    try:  # names a non-finite, non-positive weight or a negative or non-finite radius
+        d_eq = equilibrium_distance(args.w_coh, args.w_sep, args.r_drone)
+    except ValueError as exc:
+        return _fail(str(exc))
     print(f"{d_eq:.5f}")
     if not args.verify:
         return EXIT_OK

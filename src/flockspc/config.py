@@ -64,12 +64,20 @@ class SpawnSpec:
             if boxed:
                 raise ConfigError("spawn: give either positions or a box, not both")
             object.__setattr__(self, "positions", tuple(self.positions))
+            for i, p in enumerate(self.positions):
+                if not all(map(math.isfinite, p)):
+                    raise ConfigError(f"spawn.positions[{i}]: must be finite, got {p}")
         else:
             if self.box_min is None or self.box_max is None:
                 raise ConfigError("spawn: needs positions or both box_min and box_max")
             lo, hi = self.box_min, self.box_max
+            for name, corner in (("box_min", lo), ("box_max", hi)):
+                if not corner.is_finite():
+                    raise ConfigError(f"spawn.{name}: must be finite, got {corner}")
             if not (lo.x < hi.x and lo.y < hi.y and lo.z < hi.z):
                 raise ConfigError("spawn.box_max: must exceed box_min on every axis")
+            if not (hi - lo).is_finite():  # numpy cannot draw from a wider box
+                raise ConfigError(f"spawn.box_max: box extent overflows, got {hi - lo}")
         if not (self.min_spacing >= 0.0 and math.isfinite(self.min_spacing)):
             raise ConfigError(f"spawn.min_spacing: must be >= 0, got {self.min_spacing}")
 

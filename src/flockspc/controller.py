@@ -23,7 +23,6 @@ __all__ = [
     "ControllerConfig",
     "Setpoint",
     "dynamic_lookahead_count",
-    "build_candidate_set",
     "spc_setpoint",
     "pfc_setpoint",
 ]
@@ -97,21 +96,11 @@ def _norms(v: np.ndarray) -> np.ndarray:
 
 def _ladders(p: np.ndarray, gradient: np.ndarray, norm: np.ndarray, epsilon: float,
              n: int) -> np.ndarray:
-    """(g, n, 3) candidate ladders: row m - 1 of ladder i is
-    p[i] - m * epsilon * gradient[i] / norm[i]."""
+    """(g, n, 3) candidate ladders: row m - 1 (m = 1..n) of ladder i is
+    p[i] - m * epsilon * gradient[i] / norm[i], for norm[i] the non-zero
+    norm of gradient[i]."""
     step = -epsilon * gradient / norm[:, None]
     return p[:, None] + np.arange(1.0, n + 1.0)[:, None] * step[:, None]
-
-
-def build_candidate_set(p_i: Vec3, gradient: Vec3, epsilon: float, n: int) -> list[Vec3]:
-    """Candidate m (m = 1..n) sits at p_i - m * epsilon * gradient / ||gradient||."""
-    if n < 1:
-        raise ValueError(f"candidate count must be >= 1, got {n}")
-    p, g = np.array([tuple(p_i)], dtype=float), np.array([tuple(gradient)], dtype=float)
-    norm = _norms(g)
-    if norm[0] == 0.0:
-        raise ValueError("cannot build candidates from a zero gradient")
-    return [Vec3(*row) for row in _ladders(p, g, norm, epsilon, n)[0].tolist()]
 
 
 class _Decisions(NamedTuple):

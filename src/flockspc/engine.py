@@ -23,7 +23,7 @@ import numpy as np
 
 from .config import ConfigError, ScenarioConfig, Waypoint
 from .controller import _decide
-from .llc import PlantState, _fly
+from .llc import _fly, _plant_fault
 from .model import CostParams, Vec3, _neighborhoods
 
 __all__ = [
@@ -188,20 +188,17 @@ def _advance(state: np.ndarray, sp: np.ndarray, cfg: ScenarioConfig, when: str) 
     `when`, for the first physics step's first agent whose state is not finite."""
     llc, dt, steps = cfg.llc, cfg.physics_dt, cfg.steps_per_tick
     rows, refs = state.tolist(), sp.tolist()
-    for row, ref in zip(rows, refs):
-        _fly(row, ref, llc, llc.z_time_constant, dt, steps)
+    _fly(rows, refs, llc, dt, steps)
     new_state = np.array(rows)
     if not np.isfinite(new_state[:, :6]).all():
         # A value that stops being finite stays so: replaying one step at a
         # time finds where the first one did.
         rows = state.tolist()
         for _ in range(steps):
-            for i, (row, ref) in enumerate(zip(rows, refs)):
-                _fly(row, ref, llc, llc.z_time_constant, dt, 1)
-                try:
-                    PlantState(Vec3(*row[:3]), Vec3(*row[3:6]))  # checks finiteness
-                except ValueError as exc:
-                    raise DivergenceError(f"{when}, agent {i}: {exc}") from None
+            _fly(rows, refs, llc, dt, 1)
+            for i, row in enumerate(rows):
+                if (fault := _plant_fault(row)) is not None:
+                    raise DivergenceError(f"{when}, agent {i}: {fault}")
     return new_state
 
 
@@ -217,10 +214,7 @@ class Simulation:
         self.cfg = cfg
         # One row per agent: position, velocity, then family A's integrator.
         self._state = np.zeros((cfg.agent_count, 8))
-        self._state[:, :3] = _spawn_positions(cfg)
-        if not np.isfinite(self._state).all():  # PlantState names the first bad one
-            for row in self._state.tolist():
-                PlantState(Vec3(*row[:3]))
+        self._state[:, :3] = _spawn_positions(cfg)  # finite: SpawnSpec checks them
         self.tick_index = 0
         self._position_history: list[np.ndarray] = []
         self._rng: np.random.Generator | None = None  # observation noise, built on first use

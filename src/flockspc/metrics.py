@@ -165,6 +165,21 @@ def thresholds_for_scenario(
     return thresholds_from_geometry(cfg.cost.r_drone, r_safety, r_k, comp_thr)
 
 
+def _worst(items: Sequence[MetricsSample | RunSummary], thr: Thresholds) -> tuple:
+    """Worst case of samples or summaries, each value with its verdict: least dist_min and
+    clear_obj (None when none has one), greatest comp_max.  Equality fails."""
+    dist_vals = [s.dist_min for s in items if s.dist_min is not None]
+    clear_vals = [s.clear_obj for s in items if s.clear_obj is not None]
+    dist = min(dist_vals) if dist_vals else None
+    comp = max(s.comp_max for s in items)
+    clear = min(clear_vals) if clear_vals else None
+    return (
+        (dist, None if dist is None else dist > thr.dist_thr),
+        (comp, comp < thr.comp_thr),
+        (clear, None if clear is None else clear > thr.clear_thr),
+    )
+
+
 def aggregate(
     trace: Trace,
     thresholds: Thresholds,
@@ -184,12 +199,7 @@ def aggregate(
             f"(trace ends at t={trace.records[-1].time if trace.records else 0.0})"
         )
     samples = [compute_metrics(rec.positions, cfg.obstacles, time=rec.time) for rec in window]
-
-    dist_vals = [s.dist_min for s in samples if s.dist_min is not None]
-    clear_vals = [s.clear_obj for s in samples if s.clear_obj is not None]
-    dist_min = min(dist_vals) if dist_vals else None
-    comp_max = max(s.comp_max for s in samples)
-    clear_obj = min(clear_vals) if clear_vals else None
+    (dist_min, dist_ok), (comp_max, comp_ok), (clear_obj, clear_ok) = _worst(samples, thresholds)
 
     return RunSummary(
         agent_count=cfg.agent_count,
@@ -202,9 +212,9 @@ def aggregate(
         dist_min=dist_min,
         comp_max=comp_max,
         clear_obj=clear_obj,
-        dist_ok=None if dist_min is None else dist_min > thresholds.dist_thr,
-        comp_ok=comp_max < thresholds.comp_thr,
-        clear_ok=None if clear_obj is None else clear_obj > thresholds.clear_thr,
+        dist_ok=dist_ok,
+        comp_ok=comp_ok,
+        clear_ok=clear_ok,
         thresholds=thresholds,
     )
 
@@ -267,21 +277,6 @@ def _cell(value: float | None, ok: bool | None) -> str:
     return f"{value:.2f}{mark}"
 
 
-def _combine(cell_summaries: list[RunSummary]) -> tuple:
-    # Worst case across seeds: smallest clearances, largest spread.
-    dist_vals = [s.dist_min for s in cell_summaries if s.dist_min is not None]
-    clear_vals = [s.clear_obj for s in cell_summaries if s.clear_obj is not None]
-    thr = cell_summaries[0].thresholds
-    dist = min(dist_vals) if dist_vals else None
-    comp = max(s.comp_max for s in cell_summaries)
-    clear = min(clear_vals) if clear_vals else None
-    return (
-        (dist, None if dist is None else dist > thr.dist_thr),
-        (comp, comp < thr.comp_thr),
-        (clear, None if clear is None else clear > thr.clear_thr),
-    )
-
-
 def markdown_table(summaries: Iterable[RunSummary]) -> str:
     """Grid of worst-case metrics: one row per (flock size, obstacle count),
     one column group per (controller, LLC family), seeds combined worst-case."""
@@ -317,6 +312,6 @@ def markdown_table(summaries: Iterable[RunSummary]) -> str:
             if not bucket:
                 cells += ["-", "-", "-"]
             else:
-                cells += [_cell(v, ok) for v, ok in _combine(bucket)]
+                cells += [_cell(v, ok) for v, ok in _worst(bucket, bucket[0].thresholds)]
         lines.append("| " + " | ".join(cells) + " |")
     return "\n".join(lines) + "\n"

@@ -360,12 +360,12 @@ def equilibrium_distance(w_coh: float, w_sep: float, r_drone: float = 0.0) -> fl
     bisection to machine precision (well past the 1e-9 m the callers need;
     the extra digits keep the residual gradient below 1e-9 too).
     """
-    if not w_coh > 0.0:
-        raise ValueError(f"w_coh must be positive for an equilibrium to exist, got {w_coh}")
-    if not w_sep > 0.0:
-        raise ValueError(f"w_sep must be positive, got {w_sep}")
-    if r_drone < 0.0:
-        raise ValueError(f"r_drone must be non-negative, got {r_drone}")
+    if not 0.0 < w_coh < math.inf:  # finite, too: a NaN would spin the bisection below
+        raise ValueError(f"w_coh must be positive and finite for an equilibrium, got {w_coh}")
+    if not 0.0 < w_sep < math.inf:
+        raise ValueError(f"w_sep must be positive and finite, got {w_sep}")
+    if not 0.0 <= r_drone < math.inf:
+        raise ValueError(f"r_drone must be non-negative and finite, got {r_drone}")
     if r_drone == 0.0:
         return (w_sep / w_coh) ** 0.25
 

@@ -30,18 +30,15 @@ from flockspc import (
     CostParams,
     LLCConfig,
     Obstacle,
-    PlantState,
     Vec3,
-    build_candidate_set,
     build_scenario,
     compute_metrics,
     dynamic_lookahead_count,
     equilibrium_distance,
     evaluate_cost,
     evaluate_gradient,
-    explicit_xy_tilt,
     finite_difference_gradient,
-    integrate_plant,
+    fly,
     run_scenario,
     scenario_to_dict,
     step_response,
@@ -126,6 +123,15 @@ def test_criterion_02_two_drone_equilibrium():
           f"{rel * 100:.2f}% of {d_eq:.4f} m")
 
 
+def _ladder(p: Vec3, g: Vec3, epsilon: float, n: int) -> list[Vec3]:
+    """Candidates m = 1..n at p - m * epsilon * g / |g|, in numpy with the
+    operation order of the simulator's ladder kernel, so they match it bit
+    for bit."""
+    step = -epsilon * np.array(tuple(g)) / math.sqrt(g.x * g.x + g.y * g.y + g.z * g.z)
+    ladder = np.array(tuple(p)) + np.arange(1.0, n + 1.0)[:, None] * step
+    return [Vec3(*row) for row in ladder.tolist()]
+
+
 def test_criterion_03_spc_argmin_audit():
     cfg = build_scenario(5, "three", "SPC", "B", seed=1, duration=20.0)
     trace = run_scenario(cfg)
@@ -138,9 +144,10 @@ def test_criterion_03_spc_argmin_audit():
             p_self = next(p for j, p in obs if j == agent)
             neighbors = [p for j, p in obs if j != agent]
             recorded = Vec3(*map(float, rec.setpoints[agent]))
+            chosen, n_rec = int(rec.chosen_m[agent]), int(rec.n_candidates[agent])
             g = evaluate_gradient(p_self, neighbors, params).total
             if g.norm() < 1e-9:
-                assert recorded == p_self, (
+                assert recorded == p_self and chosen == 0 and n_rec == 0, (
                     f"tick {k} agent {agent}: flat gradient must hold position")
                 holds += 1
                 continue
@@ -149,9 +156,10 @@ def test_criterion_03_spc_argmin_audit():
                     cfg.controller.n_star, (p_self - params.target).norm())
             else:
                 n = cfg.controller.n_star
-            cands = build_candidate_set(p_self, g, cfg.controller.epsilon, n)
-            assert any(recorded == q for q in cands), (
-                f"tick {k} agent {agent}: setpoint {recorded} not in candidate set")
+            assert n_rec == n, f"tick {k} agent {agent}: {n_rec} candidates recorded, not {n}"
+            cands = _ladder(p_self, g, cfg.controller.epsilon, n)
+            assert 1 <= chosen <= n and recorded == cands[chosen - 1], (
+                f"tick {k} agent {agent}: setpoint {recorded} is not candidate {chosen}")
             best = evaluate_cost(recorded, neighbors, params).total
             for q in cands:
                 c = evaluate_cost(q, neighbors, params).total
@@ -189,16 +197,15 @@ def test_criterion_05_llc_step_response_ordering():
 
 def test_criterion_06_stopping_distance_law():
     cfg = LLCConfig(family="B", t_delta=0.5)
-    st = PlantState(position=Vec3(0, 0, 1), velocity=Vec3(1.0, 0, 0))
+    st = np.array([[0.0, 0.0, 1.0, 1.0, 0.0, 0.0, 0.0, 0.0]])  # at (0, 0, 1), 1 m/s along x
     dt = 0.001
     t99 = -cfg.t_delta * math.log(math.sqrt(0.01))
     x_at_t99 = None
     for i in range(5000):
-        tilt = explicit_xy_tilt(st, (st.position.x, st.position.y), cfg)
-        st = integrate_plant(st, tilt, 1.0, dt, cfg.z_time_constant)
+        fly(st, st[:, :3].copy(), cfg, dt)  # reference pinned to the current position
         if x_at_t99 is None and (i + 1) * dt >= t99:
-            x_at_t99 = st.position.x
-    total = st.position.x
+            x_at_t99 = float(st[0, 0])
+    total = float(st[0, 0])
     assert abs(total - 0.50) <= 0.02 * 0.50, f"stopping distance {total:.5f} m"
     assert abs(x_at_t99 - 0.45) <= 0.02 * 0.45, (
         f"distance {x_at_t99:.5f} m at the 99%-energy time {t99:.4f}s")

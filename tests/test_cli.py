@@ -4,6 +4,10 @@ and the sweep grid."""
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -281,6 +285,20 @@ def test_step_response_rejects_negative_step(tmp_path, capsys):
     assert "step" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("args, named", [
+    (["--step", "inf"], "step"),
+    (["--step", "nan"], "step"),
+    (["--duration", "inf"], "duration"),
+    (["--step", "0", "--duration", "inf"], "duration"),  # a zero step skips the metrics
+    (["--duration", "nan"], "duration"),
+])
+def test_step_response_rejects_non_finite_arguments(tmp_path, capsys, args, named):
+    code = main(["step-response", "--family", "B", *args, "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert code == 2 and named in err and "finite" in err, err
+    assert not (tmp_path / "o").exists()
+
+
 def test_step_response_family_ordering(tmp_path):
     for fam in ("A", "B"):
         assert main(["step-response", "--family", fam,
@@ -301,6 +319,32 @@ def test_equilibrium_prints_closed_form(capsys):
 def test_equilibrium_rejects_nonpositive_weights(capsys):
     assert main(["equilibrium", "--w-coh", "0", "--w-sep", "9"]) == 2
     assert "w_coh" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args, named", [
+    (["--w-coh", "nan", "--w-sep", "1"], "w_coh"),
+    (["--w-coh", "1", "--w-sep", "inf"], "w_sep"),
+    (["--w-coh", "1", "--w-sep", "1", "--r-drone", "inf"], "r_drone"),
+    (["--w-coh", "1", "--w-sep", "1", "--r-drone", "-0.5"], "r_drone"),
+])
+def test_equilibrium_rejects_non_finite_arguments(capsys, args, named):
+    assert main(["equilibrium", *args]) == 2
+    err = capsys.readouterr().err
+    assert named in err and "Traceback" not in err, err
+
+
+def test_equilibrium_nan_radius_exits_2_without_spinning():
+    # In a subprocess with a timeout: a bisection that spins on NaN fails in
+    # seconds instead of hanging the suite.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run(
+        [sys.executable, "-m", "flockspc", "equilibrium", "--w-coh", "1", "--w-sep", "1",
+         "--r-drone", "nan"],
+        env=env, capture_output=True, text=True, timeout=20,
+    )
+    assert proc.returncode == 2 and "r_drone" in proc.stderr, proc.stderr
 
 
 def test_equilibrium_verify_against_rollout(capsys):

@@ -12,13 +12,14 @@ from flockspc import (
     ControllerConfig,
     CostParams,
     Vec3,
-    build_candidate_set,
     dynamic_lookahead_count,
     evaluate_cost,
     evaluate_gradient,
     pfc_setpoint,
     spc_setpoint,
 )
+from flockspc.controller import _decide, _ladders, _norms
+from flockspc.model import _one_neighborhood
 
 TWO_DRONE = CostParams(w_coh=20.0, w_sep=9.0, w_tar=0.0, w_obs=0.0)
 
@@ -41,8 +42,15 @@ def test_dynamic_lookahead_monotone_and_bounded():
         prev = n
 
 
+def _ladder(p: Vec3, g: Vec3, epsilon: float, n: int) -> list[Vec3]:
+    """The SPC ladder kernel for one agent."""
+    grad = np.array([tuple(g)], dtype=float)
+    ladder = _ladders(np.array([tuple(p)], dtype=float), grad, _norms(grad), epsilon, n)
+    return [Vec3(*row) for row in ladder[0].tolist()]
+
+
 def test_candidate_set_oracle():
-    pts = build_candidate_set(Vec3(1, 0, 1), Vec3(22, 0, 0), 0.06, 5)
+    pts = _ladder(Vec3(1, 0, 1), Vec3(22, 0, 0), 0.06, 5)
     xs = [p.x for p in pts]
     expect = [0.94, 0.88, 0.82, 0.76, 0.70]
     assert len(pts) == 5
@@ -54,7 +62,7 @@ def test_candidate_set_oracle():
 def test_candidate_spacing_and_direction():
     p = Vec3(0.3, -1.2, 2.0)
     g = Vec3(1.0, -2.0, 0.5)
-    pts = build_candidate_set(p, g, 0.06, 7)
+    pts = _ladder(p, g, 0.06, 7)
     u = -1.0 / g.norm() * g
     for m, q in enumerate(pts, start=1):
         assert ((q - p) - m * 0.06 * u).norm() <= 1e-12
@@ -63,16 +71,22 @@ def test_candidate_spacing_and_direction():
 
 
 def test_candidate_set_single_point_and_vertical():
-    (only,) = build_candidate_set(Vec3(0, 0, 1), Vec3(5, 0, 0), 0.1, 1)
+    (only,) = _ladder(Vec3(0, 0, 1), Vec3(5, 0, 0), 0.1, 1)
     assert abs((only - Vec3(0, 0, 1)).norm() - 0.1) <= 1e-12
-    below = build_candidate_set(Vec3(0, 0, 1), Vec3(0, 0, 5), 0.1, 3)
+    below = _ladder(Vec3(0, 0, 1), Vec3(0, 0, 5), 0.1, 3)
     assert all(q.x == 0 and q.y == 0 for q in below)
     assert [round(q.z, 10) for q in below] == [0.9, 0.8, 0.7]
 
 
 def test_candidate_set_rejects_zero_gradient():
-    with pytest.raises(ValueError):
-        build_candidate_set(Vec3(0, 0, 1), Vec3(0, 0, 0), 0.06, 5)
+    # A lone agent without a target has an exactly zero gradient: no ladder
+    # is built from it, and the agent holds.
+    cfg = ControllerConfig(kind="SPC", epsilon=0.06, n_star=5)
+    p = np.array([[0.0, 0.0, 1.0]])
+    d = _decide(p, _one_neighborhood([]), TWO_DRONE, cfg)
+    assert d.grad_norms.tolist() == [0.0]
+    assert (d.n_candidates.tolist(), d.chosen_m.tolist()) == ([0], [0])
+    assert d.setpoints.tolist() == p.tolist()
 
 
 def test_spc_setpoint_two_drone_oracle():
@@ -127,7 +141,7 @@ def test_spc_setpoint_membership_and_optimality():
         if g.norm() < 1e-9:
             continue
         sp = spc_setpoint(p, neighbors, TWO_DRONE, cfg)
-        cands = build_candidate_set(p, g, cfg.epsilon, 5)
+        cands = _ladder(p, g, cfg.epsilon, 5)
         assert any(sp.position == q for q in cands), "setpoint not in candidate set"
         best = evaluate_cost(sp.position, neighbors, TWO_DRONE).total
         for q in cands:

@@ -20,7 +20,6 @@ from flockspc import (
     SpawnSpec,
     Vec3,
     Waypoint,
-    build_candidate_set,
     build_scenario,
     dynamic_lookahead_count,
     equilibrium_distance,
@@ -39,7 +38,7 @@ from flockspc import (
     tick_observation,
     write_trace_csv,
 )
-from flockspc.controller import HOLD_GRADIENT_NORM
+from flockspc.controller import HOLD_GRADIENT_NORM, _ladders, _norms
 from flockspc.engine import _snapshot, _spawn_positions
 
 DEFAULT_COST = CostParams(w_coh=20.0, w_sep=9.0, w_tar=0.0, w_obs=0.0)
@@ -325,7 +324,11 @@ def test_decision_diagnostics_match_replay():
                 n = ctrl.n_star
                 if params.target is not None:
                     n = dynamic_lookahead_count(n, (p_self - params.target).norm())
-            cands = build_candidate_set(p_self, g, ctrl.epsilon, n) if n else []
+            cands = []
+            if n:
+                grad = np.array([tuple(g)])
+                ladder = _ladders(np.array([tuple(p_self)]), grad, _norms(grad), ctrl.epsilon, n)
+                cands = [Vec3(*q) for q in ladder[0].tolist()]
             chosen = next((m for m, q in enumerate(cands, start=1) if q == sp), 0)
             got = (int(rec.n_neighbors[agent]), int(rec.n_candidates[agent]),
                    int(rec.chosen_m[agent]))
@@ -409,6 +412,21 @@ def test_config_validation_messages():
         SpawnSpec(box_min=Vec3(0, 0, 1), box_max=Vec3(1, 1, 2), min_spacing=-1.0)
     with pytest.raises(ValueError):
         SpawnSpec()  # neither positions nor box
+
+
+@pytest.mark.parametrize("spawn, named", [
+    (dict(box_min=Vec3(-math.inf, 0, 1), box_max=Vec3(1, 1, 2)), "spawn.box_min"),
+    (dict(box_min=Vec3(0, 0, 1), box_max=Vec3(1, math.nan, 2)), "spawn.box_max"),
+    (dict(box_min=Vec3(0, 0, 1), box_max=Vec3(1, 1, math.inf)), "spawn.box_max"),
+    (dict(box_min=Vec3(-1e308, 0, 1), box_max=Vec3(1e308, 1, 2)), "spawn.box_max"),  # extent
+    (dict(positions=(Vec3(0, 0, 1), Vec3(math.nan, 0, 1))), r"spawn.positions\[1\]"),
+    (dict(positions=(Vec3(0, -math.inf, 1), Vec3(1, 0, 1))), r"spawn.positions\[0\]"),
+])
+def test_non_finite_spawn_is_a_config_error(spawn, named):
+    # Rejected where the spawn is declared, naming the field, instead of an
+    # OverflowError or a bare ValueError from Simulation().
+    with pytest.raises(ConfigError, match=named):
+        _scenario(spawn=SpawnSpec(**spawn), duration=0.1, formation_time=0.0)
 
 
 def _minimal_json() -> dict:

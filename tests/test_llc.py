@@ -1,10 +1,11 @@
 """Low-level controller and plant tests: tilt laws for both families,
-stopping-distance kinematics, step-response metrics, and the float plant
-loop against the PlantState code it replaced."""
+stopping-distance kinematics, step-response metrics, and fly() against the
+per-agent plant code it replaced."""
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass, field
 
 import numpy as np
 import pytest
@@ -14,81 +15,80 @@ from flockspc import (
     ControllerConfig,
     CostParams,
     LLCConfig,
-    PlantState,
     ScenarioConfig,
     SpawnSpec,
     Vec3,
-    explicit_xy_tilt,
-    integrate_plant,
-    pid_xy_tilt,
+    fly,
     step_response,
     step_trajectory,
 )
 from flockspc.engine import DivergenceError, _advance
-from flockspc.llc import _fly
+
+
+def _state(position, velocity=(0.0, 0.0, 0.0), integrator=(0.0, 0.0)):
+    """One (1, 8) state row."""
+    return np.array([[*position, *velocity, *integrator]], dtype=float)
+
+
+def _tilt(state, ref, cfg, dt=0.01):
+    """One fly() step of the (1, 8) state toward ref (x, y, z); its tilts."""
+    return tuple(fly(state, np.array([ref], dtype=float), cfg, dt)[0].tolist())
 
 
 def test_pid_clamps_large_error():
     # raw output 0.4*1.0 = 0.4 rad exceeds the 0.35 rad tilt limit
     cfg = LLCConfig(family="A", k_v=0.05, k_p=0.4, k_i=0.0)
-    st = PlantState(position=Vec3(0, 0, 1))
-    tilt = pid_xy_tilt(st, (1.0, 0.0), cfg, dt=0.01)
+    tilt = _tilt(_state((0, 0, 1)), (1.0, 0.0, 1.0), cfg)
     assert tilt == (0.35, 0.0), f"expected clamp to 0.35, got {tilt}"
 
 
 def test_pid_zero_error_zero_tilt():
     cfg = LLCConfig(family="A")
-    st = PlantState(position=Vec3(0.4, -0.2, 1))
-    tilt = pid_xy_tilt(st, (0.4, -0.2), cfg, dt=0.01)
-    assert tilt == (0.0, 0.0)
+    assert _tilt(_state((0.4, -0.2, 1)), (0.4, -0.2, 1.0), cfg) == (0.0, 0.0)
 
 
 def test_pid_velocity_term_cancels_offset():
     # offset equal to k_v*v makes the damped error exactly zero
     cfg = LLCConfig(family="A", k_v=0.05, k_p=0.4, k_i=0.0)
-    st = PlantState(position=Vec3(0, 0, 1), velocity=Vec3(1.0, 0, 0))
-    tilt = pid_xy_tilt(st, (0.05, 0.0), cfg, dt=0.01)
+    tilt = _tilt(_state((0, 0, 1), velocity=(1.0, 0, 0)), (0.05, 0.0, 1.0), cfg)
     assert tilt == (0.0, 0.0), f"steady-speed condition violated: {tilt}"
 
 
 def test_pid_integrator_accumulates_when_unclamped():
     cfg = LLCConfig(family="A", k_v=0.0, k_p=0.1, k_i=0.5)
-    st = PlantState(position=Vec3(0, 0, 1))
-    pid_xy_tilt(st, (0.1, 0.0), cfg, dt=0.01)
-    assert abs(st.integrator_xy[0] - 0.001) <= 1e-15, f"{st.integrator_xy}"
-    pid_xy_tilt(st, (0.1, 0.0), cfg, dt=0.01)
-    assert abs(st.integrator_xy[0] - 0.002) <= 1e-15
+    st = _state((0, 0, 1))
+    _tilt(st, (0.1, 0.0, 1.0), cfg)
+    assert abs(st[0, 6] - 0.001) <= 1e-15, f"{st[0, 6:]}"
+    st[0, :6] = (0, 0, 1, 0, 0, 0)  # back to the start: only the integral carries over
+    _tilt(st, (0.1, 0.0, 1.0), cfg)
+    assert abs(st[0, 6] - 0.002) <= 1e-15
 
 
 def test_pid_integrator_frozen_while_clamped():
     cfg = LLCConfig(family="A", k_v=0.0, k_p=0.4, k_i=0.5)
-    st = PlantState(position=Vec3(0, 0, 1))
+    st = _state((0, 0, 1))
     for _ in range(50):
-        tilt = pid_xy_tilt(st, (5.0, 0.0), cfg, dt=0.01)
+        tilt = _tilt(st, (5.0, 0.0, 1.0), cfg)
         assert tilt[0] == cfg.tilt_max
-    assert st.integrator_xy[0] == 0.0, (
-        f"integrator wound up to {st.integrator_xy[0]} while output clamped")
+    assert st[0, 6] == 0.0, f"integrator wound up to {st[0, 6]} while output clamped"
 
 
 def test_explicit_zero_error_zero_velocity():
     cfg = LLCConfig(family="B")
-    st = PlantState(position=Vec3(1, 2, 1))
-    assert explicit_xy_tilt(st, (1.0, 2.0), cfg) == (0.0, 0.0)
+    assert _tilt(_state((1, 2, 1)), (1.0, 2.0, 1.0), cfg) == (0.0, 0.0)
 
 
 def test_explicit_optimal_speed_gives_zero_accel():
     # e = v*t_delta means the agent is already on the ideal braking profile
     cfg = LLCConfig(family="B", t_delta=0.5)
-    st = PlantState(position=Vec3(0, 0, 1), velocity=Vec3(1.0, 0, 0))
-    tilt = explicit_xy_tilt(st, (0.5, 0.0), cfg)
+    tilt = _tilt(_state((0, 0, 1), velocity=(1.0, 0, 0)), (0.5, 0.0, 1.0), cfg)
     assert abs(tilt[0]) <= 1e-15 and tilt[1] == 0.0, f"{tilt}"
 
 
 def test_explicit_deceleration_oracle():
     # e=0 at speed 1 m/s: a = -v/t_delta = -2, phi = atan(-2/9.81)
     cfg = LLCConfig(family="B", t_delta=0.5)
-    st = PlantState(position=Vec3(0, 0, 1), velocity=Vec3(1.0, 0, 0))
-    tilt = explicit_xy_tilt(st, (0.0, 0.0), cfg)
+    tilt = _tilt(_state((0, 0, 1), velocity=(1.0, 0, 0)), (0.0, 0.0, 1.0), cfg)
     assert abs(tilt[0] - math.atan(-2.0 / GRAVITY)) <= 1e-15
     assert abs(tilt[0] + 0.2011) <= 5e-5, f"phi {tilt[0]} not near -0.2011"
 
@@ -96,51 +96,53 @@ def test_explicit_deceleration_oracle():
 def test_tilt_always_within_limits():
     cfg_a = LLCConfig(family="A", k_v=0.05, k_p=5.0, k_i=1.0)
     cfg_b = LLCConfig(family="B", t_delta=0.1)
-    for ref in (-40.0, -3.0, 0.0, 3.0, 40.0):
-        for v in (-8.0, 0.0, 8.0):
-            st = PlantState(position=Vec3(0, 0, 1), velocity=Vec3(v, -v, 0))
-            ta = pid_xy_tilt(st, (ref, ref), cfg_a, dt=0.01)
-            tb = explicit_xy_tilt(st, (ref, ref), cfg_b)
-            for t in (*ta, *tb):
-                assert cfg_a.tilt_min <= t <= cfg_a.tilt_max, f"tilt {t} out of range"
+    grid = [(ref, v) for ref in (-40.0, -3.0, 0.0, 3.0, 40.0) for v in (-8.0, 0.0, 8.0)]
+    states = np.array([[0, 0, 1, v, -v, 0, 0, 0] for _, v in grid], dtype=float)
+    refs = np.array([(ref, ref, 1.0) for ref, _ in grid])
+    for cfg in (cfg_a, cfg_b):
+        tilts = fly(states.copy(), refs, cfg, 0.01)
+        assert tilts.shape == (len(grid), 2)
+        assert ((cfg.tilt_min <= tilts) & (tilts <= cfg.tilt_max)).all(), tilts
 
 
 def test_plant_at_rest_stays_put():
-    st = PlantState(position=Vec3(1, 2, 1.4))
-    out = integrate_plant(st, (0.0, 0.0), 1.4, 0.01)
-    assert out.position == st.position
-    assert out.velocity.norm() == 0.0
+    # The reference at the current position commands zero tilt.
+    for family in "AB":
+        st = _state((1, 2, 1.4))
+        assert _tilt(st, (1.0, 2.0, 1.4), LLCConfig(family=family)) == (0.0, 0.0)
+        assert st.tolist() == _state((1, 2, 1.4)).tolist()
 
 
 def test_plant_tilt_acceleration_oracle():
-    st = PlantState(position=Vec3(0, 0, 1))
-    out = integrate_plant(st, (0.35, 0.0), 1.0, 0.01)
+    # A large error saturates the tilt; the plant then accelerates at g*tan(0.35).
+    st = _state((0, 0, 1))
+    tilt = _tilt(st, (10.0, 0.0, 1.0), LLCConfig(family="B"))
+    assert tilt == (0.35, 0.0)
     expect = GRAVITY * math.tan(0.35) * 0.01
-    assert abs(out.velocity.x - expect) <= 1e-15
-    assert abs(out.velocity.x - 0.03581) <= 5e-6, f"v_x {out.velocity.x}"
+    assert abs(st[0, 3] - expect) <= 1e-15
+    assert abs(st[0, 3] - 0.03581) <= 5e-6, f"v_x {st[0, 3]}"
     # semi-implicit: the fresh velocity already moves the position
-    assert abs(out.position.x - expect * 0.01) <= 1e-15
+    assert abs(st[0, 0] - expect * 0.01) <= 1e-15
 
 
 def test_plant_z_settles_critically_damped():
-    st = PlantState(position=Vec3(0, 0, 1.0))
-    z_tc = 0.4
-    for _ in range(8000):
-        st = integrate_plant(st, (0.0, 0.0), 1.4, 0.001, z_tc)
-    assert abs(st.position.z - 1.4) <= 1e-3, f"z {st.position.z} did not settle"
-    assert abs(st.velocity.z) <= 1e-3
+    cfg = LLCConfig(family="B", z_time_constant=0.4)
+    st = _state((0, 0, 1.0))
+    fly(st, np.array([[0.0, 0.0, 1.4]]), cfg, 0.001, steps=8000)
+    assert abs(st[0, 2] - 1.4) <= 1e-3, f"z {st[0, 2]} did not settle"
+    assert abs(st[0, 5]) <= 1e-3
+    assert st[0, [0, 1, 3, 4]].tolist() == [0.0] * 4
 
 
 def _coast(v0: float, cfg: LLCConfig, duration: float, dt: float):
     """Family B with the reference pinned to the current position (e=0 path):
     the commanded deceleration is -v/t_delta each step."""
-    st = PlantState(position=Vec3(0, 0, 1), velocity=Vec3(v0, 0, 0))
-    out = [(0.0, st.position.x, st.velocity.x)]
+    st = _state((0, 0, 1), velocity=(v0, 0, 0))
+    out = [(0.0, st[0, 0], st[0, 3])]
     steps = round(duration / dt)
     for i in range(steps):
-        tilt = explicit_xy_tilt(st, (st.position.x, st.position.y), cfg)
-        st = integrate_plant(st, tilt, 1.0, dt, cfg.z_time_constant)
-        out.append(((i + 1) * dt, st.position.x, st.velocity.x))
+        fly(st, st[:, :3].copy(), cfg, dt)
+        out.append(((i + 1) * dt, float(st[0, 0]), float(st[0, 3])))
     return out
 
 
@@ -176,26 +178,24 @@ def test_steady_cruise_family_a():
     cfg = LLCConfig(family="A", k_i=0.0)
     v_ref = 0.3
     offset = cfg.k_v * v_ref
-    st = PlantState(position=Vec3(0, 0, 1))
+    st = _state((0, 0, 1))
     dt = 0.001
     worst = 0.0
     for i in range(30000):
         t = i * dt
-        tilt = pid_xy_tilt(st, (v_ref * t + offset, 0.0), cfg, dt)
-        st = integrate_plant(st, tilt, 1.0, dt, cfg.z_time_constant)
+        fly(st, np.array([[v_ref * t + offset, 0.0, 1.0]]), cfg, dt)
         if t >= 25.0:
-            worst = max(worst, abs(st.velocity.x - v_ref))
+            worst = max(worst, abs(st[0, 3] - v_ref))
     assert worst <= 0.05 * v_ref, f"cruise velocity error {worst:.4f} m/s"
 
 
 def test_plant_is_deterministic():
     def run():
-        st = PlantState(position=Vec3(0.1, 0.2, 1.0), velocity=Vec3(0.3, -0.1, 0))
+        st = _state((0.1, 0.2, 1.0), velocity=(0.3, -0.1, 0))
         vals = []
         for i in range(200):
-            st = integrate_plant(st, (0.01 * (i % 7), -0.02), 1.4, 0.01)
-            vals.append((st.position.x, st.position.y, st.position.z,
-                         st.velocity.x, st.velocity.y, st.velocity.z))
+            fly(st, np.array([[0.01 * (i % 7), -0.02, 1.4]]), LLCConfig(family="B"), 0.01)
+            vals.append(st.tolist())
         return vals
 
     assert run() == run()
@@ -245,7 +245,53 @@ def test_llc_config_validation():
         LLCConfig(family="A", k_p=-1.0)
 
 
-# --- the float plant loop vs. the PlantState code it replaced ------------------
+@pytest.mark.parametrize("name, value", [
+    ("k_v", math.nan), ("k_p", math.inf), ("k_i", math.nan), ("t_delta", math.inf),
+    ("t_delta", math.nan), ("tilt_max", math.inf), ("tilt_min", -math.inf),
+    ("tilt_max", math.nan), ("z_time_constant", math.inf), ("z_time_constant", math.nan),
+])
+def test_llc_config_rejects_non_finite(name, value):
+    with pytest.raises(ValueError, match="tilt limits" if name.startswith("tilt") else name):
+        LLCConfig(family="A", **{name: value})
+
+
+@pytest.mark.parametrize("bad", [
+    dict(states=np.zeros((2, 7))), dict(states=np.zeros((2, 8), dtype=np.float32)),
+    dict(states=np.zeros(8)), dict(states=[[0.0] * 8, [0.0] * 8]), dict(refs=np.zeros((3, 3))),
+    dict(refs=np.zeros((2, 2))), dict(dt=0.0), dict(dt=math.inf), dict(dt=math.nan),
+    dict(steps=0), dict(steps=1.0),
+])
+def test_fly_checks_shapes_dt_and_steps(bad):
+    args = {**dict(states=np.zeros((2, 8)), refs=np.zeros((2, 3)), dt=0.01, steps=1), **bad}
+    with pytest.raises(ValueError):
+        fly(args["states"], args["refs"], LLCConfig(family="A"), args["dt"], args["steps"])
+
+
+def test_fly_lets_non_finite_values_through():
+    # Values are the divergence path's business, not fly()'s.
+    states = np.zeros((3, 8))
+    states[1, 0] = math.nan
+    tilts = fly(states, np.array([[0, 0, 0], [0, 0, 0], [math.inf, 0, 0]]),
+                LLCConfig(family="B"), 0.01, steps=3)
+    assert np.isnan(states[1, 0]) and np.isfinite(states[0]).all() and tilts[2, 0] == 0.35
+    assert fly(np.zeros((0, 8)), np.zeros((0, 3)), LLCConfig(family="A"), 0.01).shape == (0, 2)
+
+
+# --- fly() vs. the per-agent plant code it replaced -------------------------------
+
+
+@dataclass
+class _RefState:
+    """Point-mass state of one agent as the reference code held it."""
+
+    position: Vec3
+    velocity: Vec3 = field(default_factory=lambda: Vec3(0.0, 0.0, 0.0))
+    integrator_xy: tuple[float, float] = (0.0, 0.0)
+
+    def __post_init__(self) -> None:
+        if not (self.position.is_finite() and self.velocity.is_finite()):
+            name = "position" if not self.position.is_finite() else "velocity"
+            raise ValueError(f"plant {name} must be finite, got {getattr(self, name)}")
 
 
 def _ref_clamp(value, lo, hi):
@@ -290,12 +336,11 @@ def _ref_integrate(state, tilt_xy, z_ref, dt, z_time_constant=0.4):
     vx = state.velocity.x + ax * dt
     vy = state.velocity.y + ay * dt
     vz = state.velocity.z + az * dt
-    return PlantState(
+    return _RefState(
         position=Vec3(state.position.x + vx * dt, state.position.y + vy * dt,
                       state.position.z + vz * dt),
         velocity=Vec3(vx, vy, vz),
         integrator_xy=state.integrator_xy,
-        mass=state.mass,
     )
 
 
@@ -322,52 +367,43 @@ def _random_llc(rng, family):
 
 
 def _random_state(rng):
-    return PlantState(position=Vec3(*rng.uniform(-3.0, 3.0, size=3).tolist()),
-                      velocity=Vec3(*rng.uniform(-3.0, 3.0, size=3).tolist()),
-                      integrator_xy=tuple(rng.uniform(-1.0, 1.0, size=2).tolist()))
+    return _RefState(position=Vec3(*rng.uniform(-3.0, 3.0, size=3).tolist()),
+                     velocity=Vec3(*rng.uniform(-3.0, 3.0, size=3).tolist()),
+                     integrator_xy=tuple(rng.uniform(-1.0, 1.0, size=2).tolist()))
 
 
 def test_float_plant_loop_is_bit_identical_to_plantstate_reference():
+    # Each case flies a batch of one to three agents in one fly() call; every
+    # row must repeat the reference bit for bit, whatever else is in the batch.
     rng = np.random.default_rng(17)
     clamped = held = 0
     for i in range(2000):
         cfg = _random_llc(rng, "AB"[i % 2])
         dt = float(rng.choice((0.001, 0.01)))
         steps = (1, 10)[i % 4 // 2]
-        state = _random_state(rng)
-        ref = tuple(rng.uniform(-4.0, 4.0, size=3).tolist())
-        row = [*state.position, *state.velocity, *state.integrator_xy]
-        start_integrator = state.integrator_xy
-        want, want_tilt = _ref_steps(state, ref, cfg, dt, steps)
-        tilt = _fly(row, ref, cfg, cfg.z_time_constant, dt, steps)
-        expect = [*want.position, *want.velocity, *want.integrator_xy]
-        assert [v.hex() for v in row] == [v.hex() for v in expect], f"case {i}"
-        assert tilt == want_tilt, f"case {i}: tilt {tilt} != {want_tilt}"
-        clamped += any(t in (cfg.tilt_min, cfg.tilt_max) for t in tilt)
-        # one step of family A with one axis clamped keeps that axis's integral
-        held += steps == 1 and cfg.family == "A" and any(
-            t in (cfg.tilt_min, cfg.tilt_max) and a == b
-            for t, a, b in zip(tilt, want.integrator_xy, start_integrator))
-
-        # The public wrappers are one step of the same loop.
-        st = _random_state(rng)
-        ref_st = PlantState(st.position, st.velocity, st.integrator_xy)
-        if cfg.family == "A":
-            assert pid_xy_tilt(st, ref[:2], cfg, dt) == _ref_pid(ref_st, ref[:2], cfg, dt)
-            assert st.integrator_xy == ref_st.integrator_xy
-        else:
-            assert explicit_xy_tilt(st, ref[:2], cfg) == _ref_explicit(ref_st, ref[:2], cfg)
-        assert integrate_plant(st, tilt, ref[2], dt, cfg.z_time_constant) == _ref_integrate(
-            ref_st, tilt, ref[2], dt, cfg.z_time_constant)
-    print(f"{clamped} cases with a clamped tilt, {held} with an integral held")
-    assert clamped > 200 and held > 20, (clamped, held)
+        starts = [_random_state(rng) for _ in range(1 + i % 3)]
+        refs = rng.uniform(-4.0, 4.0, size=(len(starts), 3))
+        states = np.array([[*s.position, *s.velocity, *s.integrator_xy] for s in starts])
+        tilts = fly(states, refs, cfg, dt, steps).tolist()
+        for row, tilt, start, ref in zip(states.tolist(), tilts, starts, refs.tolist()):
+            want, want_tilt = _ref_steps(start, tuple(ref), cfg, dt, steps)
+            expect = [*want.position, *want.velocity, *want.integrator_xy]
+            assert [v.hex() for v in row] == [v.hex() for v in expect], f"case {i}"
+            assert tuple(tilt) == want_tilt, f"case {i}: tilt {tilt} != {want_tilt}"
+            clamped += any(t in (cfg.tilt_min, cfg.tilt_max) for t in tilt)
+            # one step of family A with one axis clamped keeps that axis's integral
+            held += steps == 1 and cfg.family == "A" and any(
+                t in (cfg.tilt_min, cfg.tilt_max) and a == b
+                for t, a, b in zip(tilt, want.integrator_xy, start.integrator_xy))
+    print(f"{clamped} rows with a clamped tilt, {held} with an integral held")
+    assert clamped > 400 and held > 40, (clamped, held)
 
 
 @pytest.mark.parametrize("family", ["A", "B"])
 def test_step_trajectory_matches_plantstate_reference(family):
     cfg = LLCConfig(family=family)
     rows = step_trajectory(cfg, 1.0, duration=2.0, dt=0.001)
-    state = PlantState(position=Vec3(0.0, 0.0, 0.0))
+    state = _RefState(position=Vec3(0.0, 0.0, 0.0))
     for i in range(1, rows.shape[0]):
         state, tilt = _ref_steps(state, (1.0, 0.0, 0.0), cfg, 0.001, 1)
         assert tuple(rows[i]) == (i * 0.001, state.position.x, state.velocity.x, tilt[0])
@@ -397,7 +433,7 @@ def test_divergence_names_first_step_then_lowest_agent_like_the_reference():
         state[:, 2] = 10.0 ** rng.uniform(280.0, 308.0, size=n) * rng.choice((-1.0, 1.0), size=n)
         setpoints = rng.uniform(-2.0, 2.0, size=(n, 3))
 
-        states = [PlantState(Vec3(*r[:3]), Vec3(*r[3:6]), (r[6], r[7])) for r in state.tolist()]
+        states = [_RefState(Vec3(*r[:3]), Vec3(*r[3:6]), (r[6], r[7])) for r in state.tolist()]
         expect = None
         for step in range(cfg.steps_per_tick):
             for i, st in enumerate(states):

@@ -288,6 +288,14 @@ def test_equilibrium_distance_rejects_zero_cohesion():
         equilibrium_distance(0.0, 9.0, 0.0)
 
 
+def test_equilibrium_distance_rejects_non_finite_arguments():
+    # r_drone = nan used to spin forever in the bisection; see also the CLI test.
+    for args, named in (((1.0, math.inf, 0.0), "w_sep"), ((math.inf, 1.0, 0.1), "w_coh"),
+                        ((1.0, 1.0, math.inf), "r_drone")):
+        with pytest.raises(ValueError, match=named):
+            equilibrium_distance(*args)
+
+
 def test_breakdown_total_is_sum_of_terms():
     rng = np.random.default_rng(99)
     for _ in range(50):
