@@ -1,9 +1,10 @@
 """Command-line interface: run scenarios, sweep the scenario grid, and
 characterize controllers.
 
-Exit codes are a stable contract: 0 success, 2 usage or configuration error,
-3 quality-threshold violation in --strict mode (or a failed --verify),
-4 a rollout diverged (an agent's plant state stopped being finite).
+Exit codes are a stable contract, mapped for every command in main(): 0
+success, 2 usage or configuration error, 3 quality-threshold violation in
+--strict mode (or a failed --verify), 4 a rollout diverged (an agent's plant
+state stopped being finite).
 Outputs never embed timestamps, so identical inputs and seeds reproduce
 byte-identical files.
 """
@@ -26,7 +27,7 @@ import numpy as np
 from .config import ConfigError, ScenarioConfig, SpawnSpec, load, load_scenario, scenario_to_dict
 from .controller import ControllerConfig, ControllerKind
 from .engine import DivergenceError, run_scenario, write_trace_csv
-from .llc import LLCConfig, LLCFamily, step_response, step_trajectory
+from .llc import LLCConfig, LLCFamily, step_metrics, step_trajectory
 from .metrics import (
     RunSummary,
     aggregate,
@@ -78,18 +79,10 @@ def _summary_csv(summary: RunSummary) -> str:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    try:
-        cfg = load_scenario(args.scenario)
-        if args.seed is not None:
-            cfg = replace(cfg, seed=args.seed)
-        # A diverging plant overflows before it stops being finite; the
-        # DivergenceError below reports it, so numpy's warnings add nothing.
-        with np.errstate(over="ignore", invalid="ignore"):
-            trace = run_scenario(cfg)  # spawn placement can still fail with a ConfigError
-    except ConfigError as exc:  # any other error is a fault, not the user's config
-        return _fail(str(exc))
-    except DivergenceError as exc:
-        return _fail(f"rollout diverged at {exc}", EXIT_DIVERGED)
+    cfg = load_scenario(args.scenario)
+    if args.seed is not None:
+        cfg = replace(cfg, seed=args.seed)
+    trace = run_scenario(cfg)  # spawn placement can still fail with a ConfigError
     summary = aggregate(trace, thresholds_for_scenario(cfg))
 
     out = Path(args.out)
@@ -141,40 +134,40 @@ class SweepSpec:
                 raise ConfigError(f"obstacle_scenarios: {exc}") from None
 
 
+def _run_name(job: tuple) -> str:
+    size, layout, ctrl, fam, seed = job[:5]
+    return f"run_d{size}_{layout}_{ctrl}_{fam}_s{seed}"
+
+
 def _sweep_job(job: tuple) -> RunSummary:
     cfg = build_scenario(*job)  # (size, layout, controller, family, seed, duration, sigma)
-    return aggregate(run_scenario(cfg), thresholds_for_scenario(cfg))
+    try:
+        trace = run_scenario(cfg)
+    except DivergenceError as exc:  # re-raised for main(), naming the run
+        raise DivergenceError(f"{_run_name(job)}, {exc}") from None
+    return aggregate(trace, thresholds_for_scenario(cfg))
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    try:
-        spec = load(SweepSpec, args.sweep)
-        jobs = [
-            (size, resolve_layout(layout)[0], ctrl, fam, seed, spec.duration, spec.noise_sigma)
-            for size, layout, ctrl, fam, seed in product(
-                spec.flock_sizes, spec.obstacle_scenarios, spec.controllers,
-                spec.llc_families, spec.seeds,
-            )
-        ]
-        workers = _sweep_parallelism(len(jobs))
-    except ConfigError as exc:
-        return _fail(str(exc))
-
-    try:
-        if workers > 1:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                summaries = list(pool.map(_sweep_job, jobs))
-        else:
-            summaries = [_sweep_job(job) for job in jobs]
-    except ConfigError as exc:
-        return _fail(str(exc))
+    spec = load(SweepSpec, args.sweep)
+    jobs = [
+        (size, resolve_layout(layout)[0], ctrl, fam, seed, spec.duration, spec.noise_sigma)
+        for size, layout, ctrl, fam, seed in product(
+            spec.flock_sizes, spec.obstacle_scenarios, spec.controllers,
+            spec.llc_families, spec.seeds,
+        )
+    ]
+    workers = _sweep_parallelism(len(jobs))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            summaries = list(pool.map(_sweep_job, jobs))
+    else:
+        summaries = [_sweep_job(job) for job in jobs]
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     for job, summary in zip(jobs, summaries):
-        size, layout, ctrl, fam, seed = job[:5]
-        name = f"run_d{size}_{layout}_{ctrl}_{fam}_s{seed}.json"
-        write_summary_json(summary, out / name)
+        write_summary_json(summary, out / f"{_run_name(job)}.json")
     table = markdown_table(summaries)
     (out / "table.md").write_text(table)
     print(f"ran {len(jobs)} scenarios with {workers} worker(s)")
@@ -187,11 +180,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 def cmd_step_response(args: argparse.Namespace) -> int:
     try:  # step_trajectory names a negative or non-finite --step or --duration
-        cfg = LLCConfig(family=args.family)
-        metrics = step_response(cfg, args.step, duration=args.duration)
-        rows = step_trajectory(cfg, args.step, duration=args.duration)
+        rows = step_trajectory(LLCConfig(family=args.family), args.step, duration=args.duration)
     except ValueError as exc:
         return _fail(str(exc))
+    metrics = step_metrics(rows, args.step)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -199,22 +191,14 @@ def cmd_step_response(args: argparse.Namespace) -> int:
         fh.write("time_s,position_m,velocity_m_s,tilt_rad\n")
         for t, x, v, tilt in rows:
             fh.write(f"{float(t)!r},{float(x)!r},{float(v)!r},{float(tilt)!r}\n")
-    payload = {
-        "family": args.family,
-        "step_m": args.step,
-        "rise_time_90_s": metrics.rise_time_90 if math.isfinite(metrics.rise_time_90) else None,
-        "overshoot_pct": metrics.overshoot_pct,
-        "settling_time_2pct_s": (
-            metrics.settling_time_2pct if math.isfinite(metrics.settling_time_2pct) else None
-        ),
-        "settled": metrics.settled,
-    }
+    rise, settle = (t if math.isfinite(t) else None
+                    for t in (metrics.rise_time_90, metrics.settling_time_2pct))
+    payload = {"family": args.family, "step_m": args.step, "rise_time_90_s": rise,
+               "overshoot_pct": metrics.overshoot_pct, "settling_time_2pct_s": settle,
+               "settled": metrics.settled}
     (out / "step_response.json").write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    print(
-        f"family {args.family}, {args.step} m step: rise90="
-        f"{payload['rise_time_90_s']}s overshoot={metrics.overshoot_pct:.1f}% "
-        f"settle2={payload['settling_time_2pct_s']}s settled={metrics.settled}"
-    )
+    print(f"family {args.family}, {args.step} m step: rise90={rise}s "
+          f"overshoot={metrics.overshoot_pct:.1f}% settle2={settle}s settled={metrics.settled}")
     return EXIT_OK
 
 
@@ -232,12 +216,9 @@ def cmd_equilibrium(args: argparse.Namespace) -> int:
 
     cfg = ScenarioConfig(
         agent_count=2,
-        spawn=SpawnSpec(
-            positions=(Vec3(-d_eq, 0.0, 1.4), Vec3(d_eq, 0.0, 1.4)),
-        ),
-        cost=CostParams(
-            w_coh=args.w_coh, w_sep=args.w_sep, w_tar=0.0, w_obs=0.0, r_drone=args.r_drone
-        ),
+        spawn=SpawnSpec(positions=(Vec3(-d_eq, 0.0, 1.4), Vec3(d_eq, 0.0, 1.4))),
+        cost=CostParams(w_coh=args.w_coh, w_sep=args.w_sep, w_tar=0.0, w_obs=0.0,
+                        r_drone=args.r_drone),
         controller=ControllerConfig(kind="SPC", epsilon=0.06, n_star=5, dynamic_n=False),
         llc=LLCConfig(family="A"),
         r_h=math.inf,
@@ -302,6 +283,22 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_out(out: str) -> None:
+    """Raise a ConfigError unless --out is, or can be made, a directory."""
+    path = Path(out).absolute()
+    while not path.exists():
+        path = path.parent
+    if not path.is_dir():
+        raise ConfigError(f"--out: {path} is not a directory")
+
+
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
-    return args.func(args)
+    try:  # any other error is a fault, not the user's input, and keeps its traceback
+        if hasattr(args, "out"):
+            _check_out(args.out)
+        return args.func(args)
+    except ConfigError as exc:
+        return _fail(str(exc))
+    except DivergenceError as exc:
+        return _fail(f"rollout diverged at {exc}", EXIT_DIVERGED)

@@ -23,7 +23,7 @@ import numpy as np
 
 from .config import ConfigError, ScenarioConfig, Waypoint
 from .controller import _decide
-from .llc import _fly, _plant_fault
+from .llc import _plant_fault, fly
 from .model import CostParams, Vec3, _neighborhoods
 
 __all__ = [
@@ -186,17 +186,15 @@ def _advance(state: np.ndarray, sp: np.ndarray, cfg: ScenarioConfig, when: str) 
     """The (n, 8) state rows after one control period of LLC + plant steps
     toward the setpoints sp (n, 3).  Raises DivergenceError, prefixed by
     `when`, for the first physics step's first agent whose state is not finite."""
-    llc, dt, steps = cfg.llc, cfg.physics_dt, cfg.steps_per_tick
-    rows, refs = state.tolist(), sp.tolist()
-    _fly(rows, refs, llc, dt, steps)
-    new_state = np.array(rows)
+    new_state = state.copy()
+    fly(new_state, sp, cfg.llc, cfg.physics_dt, cfg.steps_per_tick)
     if not np.isfinite(new_state[:, :6]).all():
         # A value that stops being finite stays so: replaying one step at a
         # time finds where the first one did.
-        rows = state.tolist()
-        for _ in range(steps):
-            _fly(rows, refs, llc, dt, 1)
-            for i, row in enumerate(rows):
+        replay = state.copy()
+        for _ in range(cfg.steps_per_tick):
+            fly(replay, sp, cfg.llc, cfg.physics_dt, 1)
+            for i, row in enumerate(replay.tolist()):
                 if (fault := _plant_fault(row)) is not None:
                     raise DivergenceError(f"{when}, agent {i}: {fault}")
     return new_state
@@ -280,7 +278,11 @@ class Simulation:
         return record
 
     def run(self) -> Trace:
-        records = tuple(self.tick() for _ in range(self.cfg.tick_count))
+        # Huge but finite states (a diverging plant, enormous noise) overflow
+        # the decision arithmetic before a state stops being finite; tick()
+        # then reports a DivergenceError, so numpy's warnings add nothing.
+        with np.errstate(over="ignore", invalid="ignore"):
+            records = tuple(self.tick() for _ in range(self.cfg.tick_count))
         return Trace(config=self.cfg, records=records)
 
 

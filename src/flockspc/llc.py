@@ -33,9 +33,11 @@ __all__ = [
     "fly",
     "step_trajectory",
     "step_response",
+    "step_metrics",
 ]
 
 GRAVITY = 9.81  # m/s^2
+_MAX_SAMPLES = 1_000_000  # step_trajectory's 32 MB of rows: 1000 s at dt 0.001
 
 LLCFamily = Literal["A", "B"]
 
@@ -87,16 +89,16 @@ class StepResponseMetrics:
 
 
 def _fly(rows: list[list[float]], refs: Sequence[Sequence[float]], cfg: LLCConfig,
-         dt: float, steps: int) -> tuple[float, float]:
+         dt: float, steps: int) -> list[tuple[float, float]]:
     """Advance each float state row in place by `steps` (>= 1) LLC + plant
-    steps of dt toward its ref (x, y, z); return the last row's last tilts
-    (the simulator needs none, so fly() passes one row at a time).  fly(),
-    the simulator and step_trajectory run this loop; it validates nothing."""
+    steps of dt toward its ref (x, y, z); return each row's last tilts.
+    fly() and step_trajectory run this loop; it validates nothing."""
     lo, hi, k_v, k_p, k_i, t_delta = (
         cfg.tilt_min, cfg.tilt_max, cfg.k_v, cfg.k_p, cfg.k_i, cfg.t_delta)
     t_delta2 = t_delta**2
     tau, tau2 = cfg.z_time_constant, cfg.z_time_constant**2
     pid = cfg.family == "A"
+    tilts = []
     for row, (rx, ry, rz) in zip(rows, refs):
         px, py, pz, vx, vy, vz, ix, iy = row
         for _ in range(steps):
@@ -122,7 +124,8 @@ def _fly(rows: list[list[float]], refs: Sequence[Sequence[float]], cfg: LLCConfi
             vx, vy, vz = vx + GRAVITY * tan(tx) * dt, vy + GRAVITY * tan(ty) * dt, vz + az * dt
             px, py, pz = px + vx * dt, py + vy * dt, pz + vz * dt
         row[:] = (px, py, pz, vx, vy, vz, ix, iy)
-    return (tx, ty)
+        tilts.append((tx, ty))
+    return tilts
 
 
 def fly(states: np.ndarray, refs: np.ndarray, cfg: LLCConfig, dt: float,
@@ -143,8 +146,8 @@ def fly(states: np.ndarray, refs: np.ndarray, cfg: LLCConfig, dt: float,
     if not (isinstance(steps, (int, np.integer)) and steps >= 1):
         raise ValueError(f"steps must be an integer >= 1, got {steps!r}")
     rows = states.tolist()
-    tilts = [_fly([row], (ref,), cfg, dt, steps) for row, ref in zip(rows, refs.tolist())]
-    states[:] = np.reshape(rows, states.shape)
+    tilts = _fly(rows, refs.tolist(), cfg, dt, steps)
+    states[:] = np.array(rows, dtype=float).reshape(states.shape)
     return np.array(tilts, dtype=float).reshape(-1, 2)
 
 
@@ -173,12 +176,15 @@ def step_trajectory(
     for name, value in (("duration", duration), ("dt", dt)):
         if not 0.0 < value < math.inf:
             raise ValueError(f"{name} must be positive and finite, got {value}")
+    if not duration / dt <= _MAX_SAMPLES + 0.5:  # round() gives at most _MAX_SAMPLES
+        raise ValueError(f"duration / dt must give at most {_MAX_SAMPLES} samples, "
+                         f"got duration {duration} and dt {dt}")
     row, ref = [0.0] * 8, (step, 0.0, 0.0)
     steps = round(duration / dt)
     rows = np.empty((steps + 1, 4))
     rows[0] = (0.0, 0.0, 0.0, 0.0)
     for i in range(1, steps + 1):
-        tilt_x, _ = _fly([row], (ref,), cfg, dt, 1)
+        [(tilt_x, _)] = _fly([row], (ref,), cfg, dt, 1)
         rows[i] = (i * dt, row[0], row[3], tilt_x)
     if (fault := _plant_fault(row)) is not None:  # a non-finite value stays so
         raise ValueError(fault)
@@ -193,9 +199,13 @@ def step_response(
 ) -> StepResponseMetrics:
     """Characterize the closed-loop step: 90% rise time, peak overshoot %,
     and 2% settling time.  A zero step reports all-zero metrics."""
+    return step_metrics(step_trajectory(cfg, step, duration, dt), step)
+
+
+def step_metrics(rows: np.ndarray, step: float) -> StepResponseMetrics:
+    """step_response's metrics of the rows step_trajectory returned for `step`."""
     if step == 0.0:
         return StepResponseMetrics(0.0, 0.0, 0.0, True)
-    rows = step_trajectory(cfg, step, duration, dt)
     t = rows[:, 0]
     x = rows[:, 1]
 

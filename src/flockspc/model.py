@@ -366,6 +366,8 @@ def equilibrium_distance(w_coh: float, w_sep: float, r_drone: float = 0.0) -> fl
         raise ValueError(f"w_sep must be positive and finite, got {w_sep}")
     if not 0.0 <= r_drone < math.inf:
         raise ValueError(f"r_drone must be non-negative and finite, got {r_drone}")
+    if not 0.0 < w_sep / w_coh < math.inf:  # 0 or inf once under- or overflowed
+        raise ValueError(f"w_sep / w_coh must be positive and finite, got {w_sep} / {w_coh}")
     if r_drone == 0.0:
         return (w_sep / w_coh) ** 0.25
 

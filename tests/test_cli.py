@@ -11,7 +11,9 @@ from pathlib import Path
 
 import pytest
 
-from flockspc import ConfigError, hardware_scenario, parse_scenario, scenario_to_dict
+from flockspc import (
+    ConfigError, hardware_scenario, parse_scenario, scenario_to_dict, step_trajectory,
+)
 from flockspc.cli import main
 
 TWO_AGENT_SCENARIO = {
@@ -219,6 +221,21 @@ def test_sweep_parallel_matches_serial(tmp_path, monkeypatch):
         assert p.read_bytes() == (tmp_path / "par" / p.name).read_bytes()
 
 
+@pytest.mark.parametrize("threads, seeds", [("1", [0]), ("2", [0]), ("2", [0, 1])])
+def test_sweep_diverging_job_exits_4(tmp_path, monkeypatch, capsys, threads, seeds):
+    # Two jobs on two threads run in worker processes; the first job in grid
+    # order is the one reported.
+    monkeypatch.setenv("FLOCKSPC_THREADS", threads)
+    data = {"flock_sizes": [3], "obstacle_scenarios": ["none"], "controllers": ["PFC"],
+            "llc_families": ["B"], "seeds": seeds, "duration": 12.0, "noise_sigma": 1e308}
+    sw = _write(tmp_path, "sweep.json", data)
+    assert main(["sweep", "--sweep", sw, "--out", str(tmp_path / "o")]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: rollout diverged at run_d3_none_PFC_B_s0, tick ") and \
+        err.count("\n") == 1, err
+    assert not (tmp_path / "o").exists()
+
+
 def test_sweep_layout_given_as_obstacle_count(tmp_path, monkeypatch):
     monkeypatch.setenv("FLOCKSPC_THREADS", "1")
     data = dict(SWEEP_SMALL, obstacle_scenarios=[0], flock_sizes=[2], llc_families=["A"], seeds=[0])
@@ -299,6 +316,28 @@ def test_step_response_rejects_non_finite_arguments(tmp_path, capsys, args, name
     assert not (tmp_path / "o").exists()
 
 
+def test_step_response_huge_duration_exits_2(tmp_path, capsys):
+    # 1e12 s would be 28.4 PiB of trajectory rows.
+    code = main(["step-response", "--family", "A", "--duration", "1e12",
+                 "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert code == 2 and "duration" in err and "dt" in err, err
+    assert not (tmp_path / "o").exists()
+
+
+def test_step_response_simulates_once(tmp_path, monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return step_trajectory(*args, **kwargs)
+
+    monkeypatch.setattr("flockspc.cli.step_trajectory", counted)
+    monkeypatch.setattr("flockspc.llc.step_trajectory", counted)
+    assert main(["step-response", "--family", "A", "--out", str(tmp_path / "o")]) == 0
+    assert len(calls) == 1
+
+
 def test_step_response_family_ordering(tmp_path):
     for fam in ("A", "B"):
         assert main(["step-response", "--family", fam,
@@ -347,10 +386,42 @@ def test_equilibrium_nan_radius_exits_2_without_spinning():
     assert proc.returncode == 2 and "r_drone" in proc.stderr, proc.stderr
 
 
+@pytest.mark.parametrize("verify", [[], ["--verify"]])
+def test_equilibrium_unbounded_distance_exits_2(capsys, verify):
+    # (1e300 / 1e-300) ** 0.25 is inf: no distance to print or to spawn at
+    assert main(["equilibrium", "--w-coh", "1e-300", "--w-sep", "1e300", *verify]) == 2
+    captured = capsys.readouterr()
+    assert "w_sep / w_coh" in captured.err and captured.out == "", captured
+
+
 def test_equilibrium_verify_against_rollout(capsys):
     assert main(["equilibrium", "--w-coh", "20", "--w-sep", "9", "--verify"]) == 0
     out = capsys.readouterr().out
     assert "mean separation" in out
+
+
+@pytest.mark.parametrize("command, work", [
+    (["simulate", "--scenario", "{scenario}"], "flockspc.cli.run_scenario"),
+    (["sweep", "--sweep", "{sweep}"], "flockspc.cli._sweep_job"),
+    (["step-response", "--family", "A"], "flockspc.cli.step_trajectory"),
+])
+@pytest.mark.parametrize("out", ["file", "file/sub"])
+def test_out_that_cannot_be_a_directory_exits_2_before_any_work(
+        tmp_path, monkeypatch, capsys, command, work, out):
+    def no_work(*args, **kwargs):
+        raise AssertionError("ran before --out was checked")
+
+    monkeypatch.setattr(work, no_work)
+    monkeypatch.setenv("FLOCKSPC_THREADS", "1")
+    paths = {"scenario": _write(tmp_path, "sc.json", TWO_AGENT_SCENARIO),
+             "sweep": _write(tmp_path, "sweep.json", SWEEP_SMALL)}
+    (tmp_path / "file").write_text("")
+    before = sorted(tmp_path.rglob("*"))
+    argv = [arg.format(**paths) for arg in command]
+    assert main([*argv, "--out", str(tmp_path / out)]) == 2
+    err = capsys.readouterr().err
+    assert "--out" in err and "file is not a directory" in err, err
+    assert sorted(tmp_path.rglob("*")) == before
 
 
 def test_missing_subcommand_is_usage_error():

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -39,7 +40,7 @@ from flockspc import (
     write_trace_csv,
 )
 from flockspc.controller import HOLD_GRADIENT_NORM, _ladders, _norms
-from flockspc.engine import _snapshot, _spawn_positions
+from flockspc.engine import DivergenceError, _snapshot, _spawn_positions
 
 DEFAULT_COST = CostParams(w_coh=20.0, w_sep=9.0, w_tar=0.0, w_obs=0.0)
 
@@ -236,6 +237,17 @@ def test_explicit_spawn_positions_exact():
     trace = run_scenario(cfg)
     pos = trace.records[0].positions
     assert tuple(pos[0]) == (0.1, 0.2, 1.1) and tuple(pos[1]) == (-0.4, 0.5, 1.3)
+
+
+def test_diverging_rollout_raises_without_numpy_warnings():
+    # Noise of 1e308 overflows the decision arithmetic before the plant state
+    # stops being finite; run() keeps numpy quiet for every caller, not
+    # only `flockspc simulate`.
+    cfg = build_scenario(3, "none", "PFC", "B", 0, duration=12.0, noise_sigma=1e308)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DivergenceError, match=r"^tick 0 \(t=0 s\), agent 0: plant position"):
+            run_scenario(cfg)
 
 
 def test_same_seed_reproduces_different_seed_diverges():

@@ -234,6 +234,14 @@ def test_step_trajectory_shape_and_start():
     assert (times[1:] > times[:-1]).all()
 
 
+@pytest.mark.parametrize("duration", [1e12, 1e300])
+def test_step_trajectory_bounds_its_sample_count(duration):
+    # Rejected before the (samples, 4) array is allocated: 1e12 s would be
+    # 28.4 PiB of rows, and 1e300 s more rows than numpy can index.
+    with pytest.raises(ValueError, match=r"duration / dt .* 1000000 samples.*duration.*dt"):
+        step_trajectory(LLCConfig(family="A"), 1.0, duration=duration)
+
+
 def test_llc_config_validation():
     with pytest.raises(ValueError):
         LLCConfig(family="C")

@@ -296,6 +296,15 @@ def test_equilibrium_distance_rejects_non_finite_arguments():
             equilibrium_distance(*args)
 
 
+@pytest.mark.parametrize("w_coh, w_sep, r_drone", [
+    (1e-300, 1e300, 0.0), (1e-300, 1e300, 0.07),  # inf, and an overflow in the bisection
+    (1e300, 1e-300, 0.0),  # a zero distance
+])
+def test_equilibrium_distance_rejects_a_ratio_that_is_not_positive_and_finite(w_coh, w_sep, r_drone):
+    with pytest.raises(ValueError, match=r"w_sep / w_coh"):
+        equilibrium_distance(w_coh, w_sep, r_drone)
+
+
 def test_breakdown_total_is_sum_of_terms():
     rng = np.random.default_rng(99)
     for _ in range(50):
