@@ -285,6 +285,25 @@ def test_fly_lets_non_finite_values_through():
     assert fly(np.zeros((0, 8)), np.zeros((0, 3)), LLCConfig(family="A"), 0.01).shape == (0, 2)
 
 
+def test_fly_writes_any_float64_layout_in_place():
+    # C-contiguous rows are packed into the buffer; views and Fortran order
+    # take the plain assignment, with the same values.
+    start = np.arange(24.0).reshape(3, 8) / 7.0
+    refs = np.array([[1.0, -2.0, 3.0], [0.0, 0.5, 0.0], [-4.0, 0.0, 1.0]])
+    cfg = LLCConfig(family="A")
+    expected = start.copy()
+    expected_tilts = fly(expected, refs, cfg, 0.01, steps=4)
+    strided = np.zeros((3, 16))
+    for states in (strided[:, ::2], np.asfortranarray(start)):
+        states[:] = start
+        assert np.array_equal(fly(states, refs, cfg, 0.01, steps=4), expected_tilts)
+        assert np.array_equal(states, expected)
+    frozen = start.copy()
+    frozen.flags.writeable = False
+    with pytest.raises(ValueError, match="read-only"):
+        fly(frozen, refs, cfg, 0.01)
+
+
 # --- fly() vs. the per-agent plant code it replaced -------------------------------
 
 
