@@ -121,9 +121,10 @@ def _decide(p: np.ndarray, hoods: _Neighborhoods, params: CostParams,
     """The SPC or PFC decisions of n agents at their own observed positions
     p (n, 3) against their neighbourhoods, in one pass on trusted arrays.
 
-    SPC ladders are padded to the batch's longest; a padded row, like the
-    ladder of an agent that holds, is scored but never chosen.  Rows are
-    independent, so each agent's decision repeats its batch-of-1 bits.
+    SPC ladders are padded to the batch's longest, hoods to its largest
+    neighbour count: a padded ladder row is scored but never chosen, like an
+    agent's that holds, and a padded slot adds -0.0 to each neighbour sum.
+    Rows are independent, so each agent's decision repeats its batch-of-1 bits.
     """
     n = p.shape[0]
     gradient = _gradient(p, hoods, params)[4]

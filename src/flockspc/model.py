@@ -178,34 +178,36 @@ def _neighbor_array(neighbors: Neighbors) -> np.ndarray:
 
 
 class _Neighborhoods(NamedTuple):
-    """The frozen neighbourhoods of a batch of n agents, grouped by size.
+    """The frozen neighbourhoods of a batch of n agents in one padded block:
+    nbr (n, H, 3) holds agent i's counts[i] neighbours in observation order,
+    then -0.0 in the slots where pad (n, H) is True, H being the batch's
+    largest count.  sums (n, 3) are the neighbour sums (+0.0 for none)."""
 
-    groups holds one (rows, nbr) pair per neighbour count h > 0: rows (g,)
-    indexes the agents with h neighbours and nbr (g, h, 3) holds those
-    neighbours in observation order.  No neighbour set is padded, so every
-    sum along the neighbour axis has the length it has for a single agent
-    and repeats its bits.  counts (n,) and sums (n, 3) are each agent's
-    neighbour count and neighbour sum (0 when it has none).
-    """
-
-    groups: list[tuple[np.ndarray, np.ndarray]]
+    nbr: np.ndarray
+    pad: np.ndarray
     counts: np.ndarray
     sums: np.ndarray
 
 
+def _slot_sum(x: np.ndarray, pad: np.ndarray) -> np.ndarray:
+    """0.0 + x_0 + x_1 + ... over the neighbour slots of x (n, k, H), in order
+    (numpy's .sum() adds 8 or more values pairwise), after writing -0.0, the
+    exact additive identity, into the slots where pad (n, H) is True."""
+    np.copyto(x, -0.0, where=pad[:, None])
+    if x.shape[2] == 0:
+        return x.sum(axis=2)
+    return np.add.accumulate(x, axis=2)[..., -1] + 0.0
+
+
 def _neighborhoods(seen: np.ndarray, near: np.ndarray) -> _Neighborhoods:
-    """Group a batch by neighbour count: agent i's neighbours are the rows
-    seen[i, near[i]] of its own view seen[i] (n', 3), in row order."""
+    """One padded block: agent i's neighbours are the rows seen[i, near[i]]
+    of its own view seen[i] (n', 3), in row order, which a stable sort of
+    ~near brings to the front."""
     counts = near.sum(axis=1, dtype=np.int32)
-    sums = np.zeros((counts.shape[0], 3))
-    groups = []
-    for h in sorted(set(counts.tolist()) - {0}):
-        rows = np.flatnonzero(counts == h)
-        owner, col = np.nonzero(near[rows])
-        nbr = seen[rows[owner], col].reshape(rows.shape[0], h, 3)
-        sums[rows] = nbr.sum(axis=1)
-        groups.append((rows, nbr))
-    return _Neighborhoods(groups, counts, sums)
+    cols = np.argsort(~near, axis=1, kind="stable")[:, :counts.max(initial=0)]
+    nbr = seen[np.arange(near.shape[0])[:, None], cols]
+    pad = np.arange(cols.shape[1]) >= counts[:, None]
+    return _Neighborhoods(nbr, pad, counts, _slot_sum(nbr.transpose(0, 2, 1), pad))
 
 
 def _one_neighborhood(neighbors: Neighbors) -> _Neighborhoods:
@@ -224,25 +226,23 @@ def _centroids(points: np.ndarray, hoods: _Neighborhoods) -> np.ndarray:
 def _cost_terms(points: np.ndarray, hoods: _Neighborhoods, params: CostParams) -> np.ndarray:
     """The four cost terms at each point of points (n, m, 3), row i scored
     against agent i's neighbourhood: an (n, m, 4) array with columns coh,
-    sep, tar, obs.
-
-    Every per-point sum runs along the last axis over the unpadded
-    neighbours or obstacles, so each point repeats the single-point
-    arithmetic bit for bit whatever n, m and the grouping are.  Inputs are
-    trusted.
+    sep, tar, obs.  Neighbour sums are _slot_sum's and obstacle sums run
+    along the last axis, so each point repeats the single-point arithmetic
+    bit for bit whatever n, m and the padding are.  Inputs are trusted.
     """
     terms = np.zeros(points.shape[:2] + (4,))
 
     if params.w_coh > 0.0 or params.w_sep > 0.0:
-        for rows, nbr in hoods.groups:
-            h = nbr.shape[1]
-            diff = points[rows][:, :, None] - nbr[:, None]
-            d2 = diff[..., 0] ** 2 + diff[..., 1] ** 2 + diff[..., 2] ** 2
-            if params.w_coh > 0.0:
-                terms[rows, :, 0] = params.w_coh * d2.sum(axis=2) / h
-            if params.w_sep > 0.0:
-                gap = np.maximum(np.sqrt(d2) - 2.0 * params.r_drone, params.zero_hat)
-                terms[rows, :, 1] = params.w_sep * (1.0 / gap**2).sum(axis=2) / h
+        h = np.maximum(hoods.counts, 1)[:, None]  # no neighbours: a +0.0 sum over 1
+        # (n, m, H) in one expression, axis by axis: no 4-D temporary, and numpy reuses the others.
+        nbr = hoods.nbr[:, None]
+        d2 = ((points[..., 0, None] - nbr[..., 0]) ** 2 + (points[..., 1, None] - nbr[..., 1]) ** 2
+              + (points[..., 2, None] - nbr[..., 2]) ** 2)
+        if params.w_sep > 0.0:  # before cohesion pads d2
+            inv = 1.0 / np.maximum(np.sqrt(d2) - 2.0 * params.r_drone, params.zero_hat) ** 2
+            terms[..., 1] = params.w_sep * _slot_sum(inv, hoods.pad) / h
+        if params.w_coh > 0.0:
+            terms[..., 0] = params.w_coh * _slot_sum(d2, hoods.pad) / h
 
     if params.w_tar > 0.0 and params.target is not None:
         centroid = _centroids(points, hoods)
@@ -278,23 +278,22 @@ def evaluate_cost(p_i: Point, neighbors: Neighbors, params: CostParams) -> CostB
 def _gradient(p: np.ndarray, hoods: _Neighborhoods, params: CostParams) -> np.ndarray:
     """Gradient at each agent's position p (n, 3) against its neighbourhood:
     a (5, n, 3) array of the terms coh, sep, tar, obs and their
-    left-to-right sum total; an absent term is 0.  Every sum runs over the
-    unpadded neighbours or obstacles of one agent.  Inputs are trusted."""
+    left-to-right sum total; an absent term is 0.  Neighbour sums are
+    _slot_sum's.  Inputs are trusted."""
     grad = np.zeros((5,) + p.shape)
 
     if params.w_coh > 0.0 or params.w_sep > 0.0:
-        for rows, nbr in hoods.groups:
-            h = nbr.shape[1]
-            p_g = p[rows]
-            if params.w_coh > 0.0:
-                grad[0, rows] = 2.0 * params.w_coh * (p_g - hoods.sums[rows] / h)
-            if params.w_sep > 0.0:
-                diff = p_g[:, None] - nbr  # rows point from each neighbor toward p_i
-                d = np.sqrt(diff[..., 0] ** 2 + diff[..., 1] ** 2 + diff[..., 2] ** 2)
-                unit = diff / np.where(d > 0.0, d, 1.0)[..., None]
-                unit[d == 0.0] = (1.0, 0.0, 0.0)
-                gap3 = np.maximum(d - 2.0 * params.r_drone, params.zero_hat) ** 3
-                grad[1, rows] = -(2.0 * params.w_sep / h) * (unit / gap3[..., None]).sum(axis=1)
+        has, h = (hoods.counts > 0)[:, None], np.maximum(hoods.counts, 1)[:, None]
+        if params.w_coh > 0.0:
+            np.multiply(2.0 * params.w_coh, p - hoods.sums / h, out=grad[0], where=has)
+        if params.w_sep > 0.0:
+            diff = p[:, None] - hoods.nbr  # rows point from each neighbor toward p_i
+            d = np.sqrt(diff[..., 0] ** 2 + diff[..., 1] ** 2 + diff[..., 2] ** 2)
+            unit = diff / np.where(d > 0.0, d, 1.0)[..., None]
+            unit[d == 0.0] = (1.0, 0.0, 0.0)
+            gap3 = np.maximum(d - 2.0 * params.r_drone, params.zero_hat) ** 3
+            push = _slot_sum((unit / gap3[..., None]).transpose(0, 2, 1), hoods.pad)
+            np.multiply(-(2.0 * params.w_sep / h), push, out=grad[1], where=has)
 
     if params.w_tar > 0.0 and params.target is not None:
         centroid = _centroids(p[:, None], hoods)[:, 0]

@@ -1,8 +1,10 @@
 """Flock-wide decision kernel tests.
 
-The simulator scores every agent of a tick in one pass, grouping agents by
-neighbour count.  Every row of that pass must equal the public batch-of-1
-call for the same agent (evaluate_gradient, evaluate_cost, spc_setpoint,
+The simulator scores every agent of a tick in one pass over a neighbour
+block padded to the tick's largest neighbour count.  Neighbour sums run left
+to right, a padded slot adds -0.0 and an agent without neighbours keeps
++0.0.  Every row of that pass must equal the public batch-of-1 call for the
+same agent (evaluate_gradient, evaluate_cost, spc_setpoint,
 pfc_setpoint) bit for bit, compared with float.hex so -0.0 and NaN payloads
 count too, and relabelling the agents of a batch must permute its rows
 exactly.
@@ -11,6 +13,8 @@ exactly.
 from __future__ import annotations
 
 import math
+from functools import reduce
+from operator import add
 
 import numpy as np
 import pytest
@@ -156,3 +160,54 @@ def test_relabelling_permutes_rows_exactly():
                 got = _decide(observed[perm], moved, params, cfg)
                 for name, values in want._asdict().items():
                     assert _hex(getattr(got, name)) == _hex(values[perm]), (i, name, cfg)
+
+
+def test_neighbour_sums_run_left_to_right_and_padding_adds_nothing():
+    # Nine neighbours whose cohesion and separation sums differ between
+    # numpy's .sum() (pairwise from 8 values up) and a left-to-right sum.
+    rng = np.random.default_rng(8)
+    for _ in range(1000):
+        p = rng.uniform(-1.0, 1.0, size=3)
+        nbr = p + rng.normal(0.0, 1.0, size=(9, 3))
+        diff = p - nbr
+        d2 = diff[:, 0] ** 2 + diff[:, 1] ** 2 + diff[:, 2] ** 2
+        inv = 1.0 / np.maximum(np.sqrt(d2), 1e-6) ** 2
+        coh, sep = (reduce(add, v.tolist(), 0.0) / 9 for v in (d2, inv))
+        if coh != float(d2.sum()) / 9 and sep != float(inv.sum()) / 9:
+            break
+    else:
+        pytest.fail("no neighbour set tells the two summation orders apart")
+    params = CostParams(w_coh=1.0, w_sep=1.0, w_tar=1.0, w_obs=0.0, target=Vec3(3.0, -2.0, 1.0))
+    c = evaluate_cost(p, nbr, params)
+    assert (c.coh, c.sep) == (coh, sep)
+
+    # Agent 0 has those nine neighbours among three others it does not see,
+    # agent 1 has twelve (so agent 0's row is padded), agent 2 has none.
+    seen = p + rng.normal(0.0, 1.0, size=(3, 12, 3))
+    near = np.ones((3, 12), dtype=bool)
+    near[0, [1, 5, 11]] = False
+    seen[0, near[0]] = nbr
+    near[2] = False
+    observed = np.array([p, p + 0.5, p - 0.5])
+    hoods = _neighborhoods(seen, near)
+    assert hoods.nbr.shape == (3, 12, 3)
+    grad = _gradient(observed, hoods, params)
+    terms = _cost_terms(observed[:, None], hoods, params)  # m = 1, as in a PFC pass
+    # No neighbours: +0.0 sums, cohesion and separation (a -0.0 would reach the CSV).
+    zero = [(0.0).hex()] * 3
+    assert _hex(hoods.sums[2]) == _hex(grad[0, 2]) == _hex(grad[1, 2]) == zero
+    assert _hex(terms[2, 0, :2]) == zero[:2]
+    cfgs = (ControllerConfig(kind="SPC"), ControllerConfig(kind="PFC"))
+    decisions = [_decide(observed, hoods, params, cfg) for cfg in cfgs]
+    for a in range(3):
+        one_hood = _one_neighborhood(seen[a][near[a]])
+        assert _hex(hoods.sums[a]) == _hex(one_hood.sums[0])
+        assert _hex(grad[:, a]) == _hex(_gradient(observed[a:a + 1], one_hood, params)[:, 0])
+        assert _hex(terms[a]) == _hex(_cost_terms(observed[a:a + 1, None], one_hood, params))
+        for cfg, d in zip(cfgs, decisions):
+            one = _decide(observed[a:a + 1], one_hood, params, cfg)
+            for name, values in one._asdict().items():
+                assert _hex(getattr(d, name)[a]) == _hex(values[0]), (a, name, cfg.kind)
+    for d in decisions:
+        assert _hex(d.costs[0, 1:3]) == _hex((coh, sep))
+        assert _hex(d.costs[2, 1:3]) == zero[:2]

@@ -52,11 +52,11 @@ CASES = {
 }
 
 DIGESTS = {
-    "spc_A_none": "c7d46b6d430dcc0d4baa51a54d2ef20788c7777317c1067ffeb0501d8532250a",
-    "spc_B_eleven": "24fef2bee5c4b5cd059c16c7a7f81effccc725559a8a7a921788a6495ffe86dc",
-    "pfc_A_three": "4ddcc29470991e8c97cfe414f413b9a21285330bee217751ee122b081845d3b0",
-    "pfc_B_none": "193232d87c0f64b10827b9126058a1a9c458954d0599243d9e34a5e55fd1ec09",
-    "pfc_B_eleven": "5ac18de95b3cde1b26ef1a258873768f136211c85c12948bbaf782256c5d953f",
+    "spc_A_none": "9780325a4538942867e562139f43b79c35eb680696d588cc7c308accb2182e6f",
+    "spc_B_eleven": "9070e5132c00d4d48d3d9a623cd8d474a2e61a092159273ba3617b8a781974f4",
+    "pfc_A_three": "e05f06df7dff14f8a05780fb85a738c4e317de09a13572e39e924c198069d26b",
+    "pfc_B_none": "137d1e094e776b7dcba9d543970c19e478c23ea4bd14fe6497635291530e02b4",
+    "pfc_B_eleven": "0b84f14314b31e040f537bc0219e7f715ce6f0f4632c4872dd3e9d190d6cfd9f",
     "spc_A_eleven_noisy_delayed": "60afeea0e3b3fc74f7bcfcd3f89dcc8d65ad70e92753bb875401e5696380ad88",
 }
 
