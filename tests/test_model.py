@@ -4,6 +4,8 @@ invariances, and the two-drone equilibrium distance."""
 from __future__ import annotations
 
 import math
+from functools import reduce
+from operator import add
 
 import numpy as np
 import pytest
@@ -318,29 +320,21 @@ def test_breakdown_total_is_sum_of_terms():
 # --- batched kernel vs. the scalar cost ---------------------------------------
 
 
-def _left_to_right(values):
-    """0.0 + v_0 + v_1 + ..., one float at a time: the kernel's neighbour sum."""
-    total = 0.0
-    for v in values.tolist():
-        total += v
-    return total
-
-
 def _scalar_cost(p, nbr, params):
     """The single-point cost as it was written before the batched kernel,
     kept as the bit-level reference: (coh, sep, tar, obs, total).  Its two
-    neighbour sums run left to right (numpy's .sum() would add 8 or more
-    values pairwise)."""
+    neighbour sums run left to right, 0.0 + v_0 + v_1 + ... (numpy's .sum()
+    would add 8 or more values pairwise)."""
     h = nbr.shape[0]
     coh = sep = tar = obs = 0.0
     if h > 0:
         diff = p - nbr
         d2 = diff[:, 0] ** 2 + diff[:, 1] ** 2 + diff[:, 2] ** 2
         if params.w_coh > 0.0:
-            coh = params.w_coh * _left_to_right(d2) / h
+            coh = params.w_coh * reduce(add, d2.tolist(), 0.0) / h
         if params.w_sep > 0.0:
             gap = np.maximum(np.sqrt(d2) - 2.0 * params.r_drone, params.zero_hat)
-            sep = params.w_sep * _left_to_right(1.0 / gap**2) / h
+            sep = params.w_sep * reduce(add, (1.0 / gap**2).tolist(), 0.0) / h
     if params.w_tar > 0.0 and params.target is not None:
         centroid = (p + nbr.sum(axis=0)) / (h + 1) if h > 0 else p
         t = np.array(tuple(params.target), dtype=float)
