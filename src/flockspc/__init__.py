@@ -43,7 +43,6 @@ from .engine import (
     Trace,
     observation_stream,
     spawn_stream,
-    observe,
     Simulation,
     run_scenario,
     tick_observation,

@@ -16,7 +16,7 @@ from typing import Literal, NamedTuple
 import numpy as np
 
 from .model import CostBreakdown, CostParams, Neighbors, Point, Vec3, _Neighborhoods
-from .model import _cost_terms, _cost_totals, _gradient, _one_neighborhood, _position_array
+from .model import _cost_terms, _cost_totals, _gradient, _one_neighborhood, _points
 
 __all__ = [
     "ControllerKind",
@@ -160,7 +160,7 @@ def _setpoint(p_i: Point, neighbors: Neighbors, params: CostParams, cfg: Control
               kind: ControllerKind) -> Setpoint:
     if cfg.kind != kind:
         raise ValueError(f"{kind.lower()}_setpoint requires kind={kind!r}, got {cfg.kind!r}")
-    d = _decide(_position_array(p_i)[None], _one_neighborhood(neighbors), params, cfg)
+    d = _decide(_points([p_i], "position"), _one_neighborhood(neighbors), params, cfg)
     total, coh, sep, tar, obs = d.costs[0].tolist()
     return Setpoint(Vec3(*d.setpoints[0].tolist()), CostBreakdown(coh, sep, tar, obs, total),
                     float(d.grad_norms[0]))

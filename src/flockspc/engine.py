@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import IO, Iterable, Sequence
+from typing import IO, Iterable
 
 import numpy as np
 
@@ -32,7 +32,6 @@ __all__ = [
     "Trace",
     "observation_stream",
     "spawn_stream",
-    "observe",
     "Simulation",
     "run_scenario",
     "tick_observation",
@@ -101,30 +100,6 @@ def _snapshot(pos: np.ndarray, agents: np.ndarray, sigma: float, r_h: float,
     return seen, near
 
 
-def observe(
-    true_positions: np.ndarray | Sequence[Vec3],
-    agent: int,
-    sigma: float,
-    r_h: float,
-    rng: np.random.Generator,
-) -> list[tuple[int, Vec3]]:
-    """One agent's snapshot: noisy positions of itself and of every agent
-    strictly within r_h of its own true position (filter on true positions).
-
-    Noise is drawn for all agents in one (n, 3) batch so the values any
-    agent receives do not depend on who else happens to be in range.
-    """
-    if sigma < 0.0:
-        raise ValueError(f"sigma must be >= 0, got {sigma}")
-    pos = np.array([tuple(p) for p in true_positions], dtype=float)
-    n = pos.shape[0]
-    if not 0 <= agent < n:
-        raise ValueError(f"agent index {agent} out of range for {n} agents")
-    noisy, seen = _snapshot(pos, np.array([agent]), sigma, r_h, [rng])
-    seen[0, agent] = True
-    return [(j, Vec3(*noisy[0, j].tolist())) for j in np.flatnonzero(seen[0]).tolist()]
-
-
 # --- rollout -----------------------------------------------------------------
 
 
@@ -153,10 +128,6 @@ class Trace:
 
     config: ScenarioConfig
     records: tuple[TickRecord, ...]
-
-    @property
-    def agent_count(self) -> int:
-        return self.config.agent_count
 
 
 def _spawn_positions(cfg: ScenarioConfig) -> np.ndarray:
@@ -295,18 +266,30 @@ def run_scenario(cfg: ScenarioConfig) -> Trace:
 # --- observation replay ------------------------------------------------------
 
 
+def _record(trace: Trace, tick_index: int) -> TickRecord:
+    if not 0 <= tick_index < len(trace.records):
+        raise ValueError(f"tick_index {tick_index} out of range for {len(trace.records)} ticks")
+    return trace.records[tick_index]
+
+
 def tick_observation(trace: Trace, tick_index: int, agent: int) -> list[tuple[int, Vec3]]:
-    """Reconstruct, exactly, the observation snapshot `agent` used at a tick."""
+    """Reconstruct, exactly, the observation snapshot `agent` used at a tick:
+    the noisy positions of itself and of every agent strictly within r_h of
+    its own true position, as (index, position) pairs in index order."""
     cfg = trace.config
-    basis_index = max(0, tick_index - cfg.obs_delay_ticks)
-    basis = trace.records[basis_index].positions
+    _record(trace, tick_index)  # raises unless the tick was recorded
+    if not 0 <= agent < cfg.agent_count:
+        raise ValueError(f"agent index {agent} out of range for {cfg.agent_count} agents")
+    basis = trace.records[max(0, tick_index - cfg.obs_delay_ticks)].positions
     rng = observation_stream(cfg.seed, tick_index, agent)
-    return observe(basis, agent, cfg.noise_sigma, cfg.r_h, rng)
+    seen, near = _snapshot(basis, np.array([agent]), cfg.noise_sigma, cfg.r_h, [rng])
+    near[0, agent] = True
+    return [(j, Vec3(*seen[0, j].tolist())) for j in np.flatnonzero(near[0]).tolist()]
 
 
 def tick_cost_params(trace: Trace, tick_index: int) -> CostParams:
     """Cost params (with the tick's active target) used at a control tick."""
-    return replace(trace.config.cost, target=trace.records[tick_index].target)
+    return replace(trace.config.cost, target=_record(trace, tick_index).target)
 
 
 # --- trace output ------------------------------------------------------------

@@ -24,7 +24,7 @@ import numpy as np
 
 from .config import ScenarioConfig
 from .engine import Trace
-from .model import Obstacle, Vec3
+from .model import Obstacle, Vec3, _points
 
 __all__ = [
     "MetricsSample",
@@ -94,19 +94,13 @@ class RunSummary:
         return all(v is not False for v in (self.dist_ok, self.comp_ok, self.clear_ok))
 
 
-def _positions_array(true_positions: np.ndarray | Sequence[Vec3]) -> np.ndarray:
-    if isinstance(true_positions, np.ndarray):
-        return true_positions.astype(float, copy=False)
-    return np.array([tuple(p) for p in true_positions], dtype=float)
-
-
 def compute_metrics(
     true_positions: np.ndarray | Sequence[Vec3],
     obstacles: Sequence[Obstacle] = (),
     time: float = 0.0,
 ) -> MetricsSample:
     """Exact min/max metrics over all pairs and agents at one instant."""
-    pos = _positions_array(true_positions)
+    pos = _points(true_positions, "true_positions")
     n = pos.shape[0]
     if n < 1:
         raise ValueError("compute_metrics needs at least one agent")

@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -68,8 +68,8 @@ class Vec3:
 
 
 # What the cost functions accept for a position and for a neighborhood.
-Point = Vec3 | Sequence[float]
-Neighbors = Iterable[Vec3] | np.ndarray | Sequence[Sequence[float]]
+Point = Vec3 | np.ndarray
+Neighbors = np.ndarray | Sequence[Vec3]
 
 
 @dataclass(frozen=True)
@@ -154,26 +154,21 @@ class CostGradient:
     total: Vec3
 
 
-def _position_array(p: Point) -> np.ndarray:
-    a = np.asarray(tuple(p) if isinstance(p, Vec3) else p, dtype=float)
-    if a.shape != (3,):
-        raise ValueError(f"position must have 3 components, got shape {a.shape}")
-    if not np.isfinite(a).all():
-        raise ValueError(f"position must be finite, got {a}")
-    return a
-
-
-def _neighbor_array(neighbors: Neighbors) -> np.ndarray:
-    if isinstance(neighbors, np.ndarray):
-        a = neighbors.astype(float, copy=False)
-    else:
-        a = np.array([tuple(n) for n in neighbors], dtype=float)
-    if a.size == 0:
+def _points(points: Neighbors, what: str) -> np.ndarray:
+    """Outside points, a (k, 3) array or a sequence of Vec3, as a finite
+    float (k, 3) array, (0, 3) when empty.  A ValueError names `what` and
+    what it was given."""
+    try:
+        a = np.asarray(points if isinstance(points, np.ndarray) else [tuple(p) for p in points],
+                       dtype=float)
+    except (TypeError, ValueError):
+        raise ValueError(f"{what}: expected a (k, 3) array or Vec3s, got {points!r}") from None
+    if a.shape == (0,):
         return a.reshape(0, 3)
     if a.ndim != 2 or a.shape[1] != 3:
-        raise ValueError(f"neighbors must be an (n, 3) array, got shape {a.shape}")
+        raise ValueError(f"{what}: expected 3 coordinates per point, got shape {a.shape}")
     if not np.isfinite(a).all():
-        raise ValueError("neighbor positions must be finite")
+        raise ValueError(f"{what} must be finite, got {a}")
     return a
 
 
@@ -212,7 +207,7 @@ def _neighborhoods(seen: np.ndarray, near: np.ndarray) -> _Neighborhoods:
 
 def _one_neighborhood(neighbors: Neighbors) -> _Neighborhoods:
     """A batch of one agent with the given neighbours, validated."""
-    nbr = _neighbor_array(neighbors)
+    nbr = _points(neighbors, "neighbors")
     return _neighborhoods(nbr[None], np.ones((1, nbr.shape[0]), dtype=bool))
 
 
@@ -269,8 +264,8 @@ def evaluate_cost(p_i: Point, neighbors: Neighbors, params: CostParams) -> CostB
     Terms with zero weight, an empty neighborhood, no target, or no obstacles
     contribute exactly 0.  Raises ValueError on non-finite inputs.
     """
-    p = _position_array(p_i)
-    terms = _cost_terms(p[None, None], _one_neighborhood(neighbors), params)
+    p = _points([p_i], "position")
+    terms = _cost_terms(p[None], _one_neighborhood(neighbors), params)
     coh, sep, tar, obs = terms[0, 0].tolist()
     return CostBreakdown(coh=coh, sep=sep, tar=tar, obs=obs, total=coh + sep + tar + obs)
 
@@ -330,7 +325,7 @@ def evaluate_gradient(p_i: Point, neighbors: Neighbors, params: CostParams) -> C
     cost clamp; at exactly coincident points the direction is undefined and a
     deterministic repulsion along +x is emitted (gradient along -x).
     """
-    terms = _gradient(_position_array(p_i)[None], _one_neighborhood(neighbors), params)
+    terms = _gradient(_points([p_i], "position"), _one_neighborhood(neighbors), params)
     return CostGradient(*(Vec3(*g) for g in terms[:, 0].tolist()))
 
 
@@ -343,7 +338,7 @@ def finite_difference_gradient(
     """
     if not (h > 0.0 and math.isfinite(h)):
         raise ValueError(f"step h must be positive and finite, got {h}")
-    p = _position_array(p_i)
+    p = _points([p_i], "position")
     shifts = np.eye(3) * h  # rows p + h e_i, then p - h e_i, scored in one batch
     points = np.vstack((p + shifts, p - shifts))[None]
     costs = _cost_totals(_cost_terms(points, _one_neighborhood(neighbors), params))[0]

@@ -28,7 +28,6 @@ from flockspc import (
     hardware_scenario,
     load_scenario,
     observation_stream,
-    observe,
     parse_scenario,
     pfc_setpoint,
     run_scenario,
@@ -64,10 +63,16 @@ def _scenario(**overrides) -> ScenarioConfig:
     return ScenarioConfig(**base)
 
 
+def _one_tick(positions, **overrides):
+    """A one-tick noise-free rollout whose only record holds `positions`."""
+    spawn = SpawnSpec(positions=tuple(Vec3(*p) for p in positions))
+    return run_scenario(_scenario(agent_count=len(positions), spawn=spawn, duration=0.1,
+                                  formation_time=0.0, **overrides))
+
+
 def test_observe_noise_free_returns_true_positions():
     pos = np.array([[0.0, 0.0, 1.0], [1.0, 2.0, 1.5], [-1.0, 0.3, 0.9]])
-    rng = observation_stream(seed=0, tick=0, agent=0)
-    out = observe(pos, 0, sigma=0.0, r_h=math.inf, rng=rng)
+    out = tick_observation(_one_tick(pos), 0, 0)
     assert [j for j, _ in out] == [0, 1, 2]
     for j, p in out:
         assert (p.x, p.y, p.z) == tuple(pos[j]), f"agent {j} perturbed at sigma=0"
@@ -78,8 +83,8 @@ def test_observe_noise_std_matches_sigma():
     samples = []
     for tick in range(8334):  # 8334*4*3 > 1e5 draws
         rng = observation_stream(seed=7, tick=tick, agent=0)
-        out = observe(pos, 0, sigma=0.10, r_h=math.inf, rng=rng)
-        samples.extend(coord for _, p in out for coord in (p.x, p.y, p.z))
+        seen, _ = _snapshot(pos, np.array([0]), 0.10, math.inf, [rng])
+        samples.extend(seen[0].ravel().tolist())
     std = float(np.std(samples))
     assert abs(std - 0.10) <= 0.002, f"sample std {std:.5f} not within 2% of 0.10"
     mean = float(np.mean(samples))
@@ -87,28 +92,46 @@ def test_observe_noise_std_matches_sigma():
 
 
 def test_observe_neighborhood_filter_strict():
-    pos = np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 1.0]])
+    trace = _one_tick([[0.0, 0.0, 1.0], [1.0, 0.0, 1.0]], r_h=0.9)
     for agent in (0, 1):
-        rng = observation_stream(seed=0, tick=0, agent=agent)
-        out = observe(pos, agent, sigma=0.0, r_h=0.9, rng=rng)
+        out = tick_observation(trace, 0, agent)
         assert [j for j, _ in out] == [agent], (
             f"agent {agent} at 1.0 m separation should only see itself with r_h=0.9")
     # boundary: exactly r_h apart is outside (strict inequality)
-    rng = observation_stream(seed=0, tick=0, agent=0)
-    out = observe(np.array([[0.0, 0, 1], [1.0, 0, 1]]), 0, 0.0, 1.0, rng)
+    out = tick_observation(_one_tick([[0.0, 0, 1], [1.0, 0, 1]], r_h=1.0), 0, 0)
     assert [j for j, _ in out] == [0]
-    rng = observation_stream(seed=0, tick=0, agent=0)
-    out = observe(np.array([[0.0, 0, 1], [0.999, 0, 1]]), 0, 0.0, 1.0, rng)
+    out = tick_observation(_one_tick([[0.0, 0, 1], [0.999, 0, 1]], r_h=1.0), 0, 0)
     assert [j for j, _ in out] == [0, 1]
 
 
 def test_observe_deterministic_per_key():
     pos = np.random.default_rng(1).uniform(-1, 1, size=(3, 3))
-    a = observe(pos, 1, 0.1, math.inf, observation_stream(3, 17, 1))
-    b = observe(pos, 1, 0.1, math.inf, observation_stream(3, 17, 1))
-    c = observe(pos, 1, 0.1, math.inf, observation_stream(3, 18, 1))
-    assert a == b, "same (seed, tick, agent) must reproduce identical noise"
-    assert a != c, "different tick should give different noise"
+    a, b, c = (_snapshot(pos, np.array([1]), 0.1, math.inf, [observation_stream(3, tick, 1)])[0]
+               for tick in (17, 17, 18))
+    assert np.array_equal(a, b), "same (seed, tick, agent) must reproduce identical noise"
+    assert not np.array_equal(a, c), "different tick should give different noise"
+
+
+def test_replay_rejects_out_of_range_agent():
+    trace = _one_tick([[0.0, 0.0, 1.0], [1.0, 0.0, 1.0], [0.0, 1.0, 1.0]])
+    for agent in (-1, 3):
+        with pytest.raises(ValueError, match=f"agent index {agent} out of range for 3 agents"):
+            tick_observation(trace, 0, agent)
+
+
+def test_replay_rejects_out_of_range_tick():
+    # -1 must not wrap to the last tick, and a delayed past-the-end tick
+    # must not replay a snapshot from recorded positions.
+    for delay in (0, 3):
+        trace = run_scenario(_scenario(duration=1.0, formation_time=0.5, obs_delay_ticks=delay))
+        ticks = len(trace.records)
+        for k in (-1, ticks, ticks + 1):
+            with pytest.raises(ValueError, match=f"tick_index {k} out of range"):
+                tick_observation(trace, k, 0)
+            with pytest.raises(ValueError, match=f"tick_index {k} out of range"):
+                tick_cost_params(trace, k)
+        tick_observation(trace, ticks - 1, 0)
+        tick_cost_params(trace, ticks - 1)
 
 
 def test_seeds_past_2_53_get_their_own_streams():
@@ -124,8 +147,9 @@ def test_seeds_past_2_53_get_their_own_streams():
 @pytest.mark.parametrize("n", [1, 2, 7, 30])
 def test_array_snapshot_equals_observe(n):
     # The simulator's flock-wide snapshot (one re-keyed noise generator, one
-    # neighbour mask per tick) must give observe()'s snapshot row for row,
-    # whatever order the ticks and agents are asked in.
+    # neighbour mask per tick) must give each agent's own batch-of-1
+    # snapshot from a fresh stream row for row, the one tick_observation
+    # replays, whatever order the ticks and agents are asked in.
     rng = np.random.default_rng(n)
     pos = rng.uniform(-1.5, 1.5, size=(n, 3))
     agents = np.arange(n)
@@ -137,12 +161,10 @@ def test_array_snapshot_equals_observe(n):
                 streams = (sim._observation_stream(tick, agent) for agent in range(n))
                 seen, near = _snapshot(pos, agents, sigma, r_h, streams)
                 for agent in rng.permutation(n).tolist():
-                    want = observe(pos, agent, sigma, r_h,
-                                   observation_stream(n + 40, tick, agent))
-                    assert (agent, Vec3(*seen[agent, agent].tolist())) in want
-                    got = [(j, Vec3(*seen[agent, j].tolist()))
-                           for j in np.flatnonzero(near[agent]).tolist()]
-                    assert got == [(j, p) for j, p in want if j != agent], (sigma, r_h, tick, agent)
+                    want_seen, want_near = _snapshot(pos, np.array([agent]), sigma, r_h,
+                                                     [observation_stream(n + 40, tick, agent)])
+                    assert np.array_equal(seen[agent], want_seen[0]), (sigma, r_h, tick, agent)
+                    assert np.array_equal(near[agent], want_near[0]), (sigma, r_h, tick, agent)
 
 
 def test_single_agent_holds_position():

@@ -80,6 +80,17 @@ def test_metrics_single_agent_has_no_dist():
     assert s.comp_max == 0.0
 
 
+def test_metrics_reject_non_finite_positions():
+    # NaN metrics would fail a verdict without naming the bad input.
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="true_positions must be finite"):
+            compute_metrics([Vec3(0, 0, 1), Vec3(bad, 0, 1)])
+        with pytest.raises(ValueError, match="true_positions must be finite"):
+            compute_metrics(np.array([[0.0, 0, 1], [0, bad, 1]]))
+    with pytest.raises(ValueError, match=r"true_positions: expected 3 coordinates per point, got shape \(2, 2\)"):
+        compute_metrics(np.zeros((2, 2)))
+
+
 def test_metrics_comp_zero_iff_coincident():
     s = compute_metrics([Vec3(1, 1, 1), Vec3(1, 1, 1), Vec3(1, 1, 1)])
     assert s.comp_max == 0.0

@@ -86,6 +86,26 @@ def test_cost_rejects_nonfinite_position():
         evaluate_cost(Vec3(0, 0, 1), [Vec3(math.inf, 0, 1)], params)
 
 
+def test_point_inputs_are_arrays_or_vec3():
+    # One coercion for every public point input: a Vec3 or a (3,) array for
+    # the position, a (k, 3) array or a sequence of Vec3 for the neighbours.
+    params = CostParams(w_coh=20.0, w_sep=9.0, w_tar=150.0, w_obs=0.0, target=Vec3(2, 0, 1))
+    p, nbrs = Vec3(0.3, -0.2, 1.1), [Vec3(1, 0, 1), Vec3(0, 1, 1.2)]
+    want = evaluate_cost(p, nbrs, params)
+    assert evaluate_cost(np.array(tuple(p)), np.array([tuple(q) for q in nbrs]), params) == want
+    assert evaluate_cost(p, [], params) == evaluate_cost(p, np.empty((0, 3)), params)
+    for call in (evaluate_cost, evaluate_gradient, finite_difference_gradient):
+        for size in (0, 2):
+            with pytest.raises(ValueError, match=rf"position: expected 3 .* \(1, {size}\)"):
+                call(np.zeros(size), nbrs, params)
+        with pytest.raises(ValueError, match=r"neighbors: expected 3 coordinates .* \(2, 4\)"):
+            call(p, np.zeros((2, 4)), params)
+        with pytest.raises(ValueError, match="neighbors must be finite"):
+            call(p, [Vec3(math.nan, 0, 1)], params)
+    with pytest.raises(ValueError, match="position: expected a .* got \\[5.0\\]"):
+        spc_setpoint(5.0, nbrs, params, ControllerConfig(kind="SPC"))
+
+
 def test_gradient_two_drone_oracle():
     params = CostParams(w_coh=20.0, w_sep=9.0, w_tar=0.0, w_obs=0.0)
     g = evaluate_gradient(Vec3(1, 0, 1), [Vec3(0, 0, 1)], params)
