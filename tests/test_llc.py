@@ -1,10 +1,12 @@
 """Low-level controller and plant tests: tilt laws for both families,
-stopping-distance kinematics, step-response metrics, and fly() against the
-per-agent plant code it replaced."""
+stopping-distance kinematics, step-response metrics, fly()'s array step
+against its row loop, and fly() against the per-agent plant code it
+replaced."""
 
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,6 +25,7 @@ from flockspc import (
     step_trajectory,
 )
 from flockspc.engine import DivergenceError, _advance
+from flockspc.llc import _BLOCK_ROWS, _fly
 
 
 def _state(position, velocity=(0.0, 0.0, 0.0), integrator=(0.0, 0.0)):
@@ -287,21 +290,62 @@ def test_fly_lets_non_finite_values_through():
 
 def test_fly_writes_any_float64_layout_in_place():
     # C-contiguous rows are packed into the buffer; views and Fortran order
-    # take the plain assignment, with the same values.
-    start = np.arange(24.0).reshape(3, 8) / 7.0
-    refs = np.array([[1.0, -2.0, 3.0], [0.0, 0.5, 0.0], [-4.0, 0.0, 1.0]])
-    cfg = LLCConfig(family="A")
-    expected = start.copy()
-    expected_tilts = fly(expected, refs, cfg, 0.01, steps=4)
-    strided = np.zeros((3, 16))
-    for states in (strided[:, ::2], np.asfortranarray(start)):
-        states[:] = start
-        assert np.array_equal(fly(states, refs, cfg, 0.01, steps=4), expected_tilts)
-        assert np.array_equal(states, expected)
-    frozen = start.copy()
-    frozen.flags.writeable = False
-    with pytest.raises(ValueError, match="read-only"):
-        fly(frozen, refs, cfg, 0.01)
+    # take the plain assignment, with the same values.  The array step writes
+    # its transposed copy back the same way.
+    for n in (3, _BLOCK_ROWS):
+        start = np.arange(8.0 * n).reshape(n, 8) / 7.0
+        refs = np.resize([[1.0, -2.0, 3.0], [0.0, 0.5, 0.0], [-4.0, 0.0, 1.0]], (n, 3))
+        cfg = LLCConfig(family="A")
+        expected = start.copy()
+        expected_tilts = fly(expected, refs, cfg, 0.01, steps=4)
+        strided = np.zeros((n, 16))
+        for states in (strided[:, ::2], np.asfortranarray(start)):
+            states[:] = start
+            assert np.array_equal(fly(states, refs, cfg, 0.01, steps=4), expected_tilts)
+            assert np.array_equal(states, expected)
+        frozen = start.copy()
+        frozen.flags.writeable = False
+        with pytest.raises(ValueError, match="read-only"):
+            fly(frozen, refs, cfg, 0.01)
+
+
+def _hex_rows(rows):
+    return [[float(v).hex() for v in row] for row in rows]
+
+
+@pytest.mark.parametrize("family", ["A", "B"])
+def test_block_step_equals_the_row_loop(family):
+    # fly() steps batches of _BLOCK_ROWS rows or more as one array step; each
+    # row must get the per-row loop's bits and tilts, NaN and inf included,
+    # and raise no numpy warning on the way.
+    rng = np.random.default_rng(41)
+    clamped = free = held = 0
+    for i in range(120):
+        cfg = _random_llc(rng, family)
+        dt, steps = float(rng.choice((0.001, 0.01))), (1, 10)[i % 2]
+        n = (_BLOCK_ROWS - 1, _BLOCK_ROWS, 3 * _BLOCK_ROWS)[i % 3]
+        start = rng.uniform(-3.0, 3.0, size=(n, 8))
+        near = rng.choice((0.01, 1.0), size=(n, 1))  # rows near rest rarely clamp
+        start[:, 3:] *= near
+        refs = start[:, :3] + near * rng.uniform(-4.0, 4.0, size=(n, 3))
+        if i % 4 == 3:  # a non-finite state value and reference
+            start[rng.integers(n), rng.integers(8)] = rng.choice((math.nan, math.inf, -math.inf))
+            refs[rng.integers(n), rng.integers(3)] = rng.choice((math.nan, math.inf, -math.inf))
+        rows = start.tolist()
+        want_tilts = _fly(rows, refs.tolist(), cfg, dt, steps)
+        states = start.copy()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            tilts = fly(states, refs, cfg, dt, steps)
+        assert _hex_rows(states.tolist()) == _hex_rows(rows), f"case {i}"
+        assert _hex_rows(tilts.tolist()) == _hex_rows(want_tilts), f"case {i}"
+        limits = np.isin(tilts, (cfg.tilt_min, cfg.tilt_max))
+        clamped += int(limits.any(axis=1).sum())
+        free += int((~limits).all(axis=1).sum())
+        if family == "A" and steps == 1:  # a clamped axis keeps its integral
+            held += int((limits & (states[:, 6:8] == start[:, 6:8])).any(axis=1).sum())
+    print(f"{clamped} rows with a clamped tilt, {free} with none, {held} with an integral held")
+    assert clamped > 1000 and free > 1000 and (family == "B" or held > 500), (clamped, free, held)
 
 
 # --- fly() vs. the per-agent plant code it replaced -------------------------------
@@ -399,9 +443,29 @@ def _random_state(rng):
                      integrator_xy=tuple(rng.uniform(-1.0, 1.0, size=2).tolist()))
 
 
+# Family B flies its tilt law as the acceleration clamp
+# clamp(a, g*tan(tilt_min), g*tan(tilt_max)); the reference computes
+# g*tan(clamp(atan(a/g))).  Both are equal in exact arithmetic: the reference
+# rounds a through a division, atan, tan and a product, a few units in the
+# last place of |a| <= g*tan(0.5) ~ 5.4 m/s^2 per step, fed back through
+# v/t_delta (t_delta >= 0.05) over at most ten steps of dt <= 0.01 or the
+# 2000 damped steps of a step response.  That stays far below this bound,
+# relative to max(1, |value|); the worst seen is 4.4e-16.  Family A keeps
+# the reference's bits.
+_B_TOL = 1e-14
+
+
+def _assert_matches(got, want, family, what):
+    if family == "A":
+        assert [v.hex() for v in got] == [v.hex() for v in want], what
+    else:
+        assert all(abs(g - w) <= _B_TOL * max(1.0, abs(w)) for g, w in zip(got, want)), what
+
+
 def test_float_plant_loop_is_bit_identical_to_plantstate_reference():
     # Each case flies a batch of one to three agents in one fly() call; every
-    # row must repeat the reference bit for bit, whatever else is in the batch.
+    # row must repeat the reference, whatever else is in the batch: family A
+    # bit for bit, family B within _B_TOL.
     rng = np.random.default_rng(17)
     clamped = held = 0
     for i in range(2000):
@@ -415,8 +479,8 @@ def test_float_plant_loop_is_bit_identical_to_plantstate_reference():
         for row, tilt, start, ref in zip(states.tolist(), tilts, starts, refs.tolist()):
             want, want_tilt = _ref_steps(start, tuple(ref), cfg, dt, steps)
             expect = [*want.position, *want.velocity, *want.integrator_xy]
-            assert [v.hex() for v in row] == [v.hex() for v in expect], f"case {i}"
-            assert tuple(tilt) == want_tilt, f"case {i}: tilt {tilt} != {want_tilt}"
+            _assert_matches(row, expect, cfg.family, f"case {i}")
+            _assert_matches(tilt, want_tilt, cfg.family, f"case {i}: tilt {tilt} != {want_tilt}")
             clamped += any(t in (cfg.tilt_min, cfg.tilt_max) for t in tilt)
             # one step of family A with one axis clamped keeps that axis's integral
             held += steps == 1 and cfg.family == "A" and any(
@@ -433,7 +497,9 @@ def test_step_trajectory_matches_plantstate_reference(family):
     state = _RefState(position=Vec3(0.0, 0.0, 0.0))
     for i in range(1, rows.shape[0]):
         state, tilt = _ref_steps(state, (1.0, 0.0, 0.0), cfg, 0.001, 1)
-        assert tuple(rows[i]) == (i * 0.001, state.position.x, state.velocity.x, tilt[0])
+        assert rows[i, 0] == i * 0.001
+        _assert_matches(rows[i, 1:].tolist(), [state.position.x, state.velocity.x, tilt[0]],
+                        family, f"sample {i}")
 
 
 def _divergence_config(family, n):
@@ -449,36 +515,50 @@ def _divergence_config(family, n):
 def test_divergence_names_first_step_then_lowest_agent_like_the_reference():
     # The z loop is unstable at this time constant and grows by a roughly
     # fixed factor per step, so each agent's start height picks the physics
-    # step at which it overflows.
+    # step at which it overflows.  The reference steps one agent at a time
+    # through the per-row loop (family B no longer repeats _ref_steps bit for
+    # bit) and takes its message from the reference state; batches of
+    # _BLOCK_ROWS or more put _advance and its replay on the array step.
     rng = np.random.default_rng(23)
-    diverged_at = set()
-    for case in range(120):
-        family, n = "AB"[case % 2], int(rng.integers(1, 7))
+    diverged_at, block_cases = set(), [0, 0]
+    for case in range(180):
+        family = "AB"[case % 2]
+        if case < 120:  # small batches: every agent overflows at some step
+            n = int(rng.integers(1, 7))
+            wild = np.arange(n)
+        else:  # block batches: zero to three agents overflow
+            n = int(rng.integers(_BLOCK_ROWS, 3 * _BLOCK_ROWS))
+            wild = rng.choice(n, size=int(rng.integers(0, 4)), replace=False)
         cfg = _divergence_config(family, n)
         state = np.zeros((n, 8))
         state[:, :6] = rng.uniform(-2.0, 2.0, size=(n, 6))
-        state[:, 2] = 10.0 ** rng.uniform(280.0, 308.0, size=n) * rng.choice((-1.0, 1.0), size=n)
+        state[wild, 2] = (10.0 ** rng.uniform(280.0, 308.0, size=wild.size)
+                          * rng.choice((-1.0, 1.0), size=wild.size))
         setpoints = rng.uniform(-2.0, 2.0, size=(n, 3))
 
-        states = [_RefState(Vec3(*r[:3]), Vec3(*r[3:6]), (r[6], r[7])) for r in state.tolist()]
+        rows = state.tolist()
         expect = None
         for step in range(cfg.steps_per_tick):
-            for i, st in enumerate(states):
+            for i, row in enumerate(rows):
+                _fly([row], [setpoints[i].tolist()], cfg.llc, 0.01, 1)
                 try:
-                    states[i], _ = _ref_steps(st, tuple(setpoints[i].tolist()), cfg.llc, 0.01, 1)
+                    _RefState(Vec3(*row[:3]), Vec3(*row[3:6]))
                 except ValueError as exc:
                     expect = f"tick 7 (t=0.7 s), agent {i}: {exc}"
                     break
             if expect:
                 diverged_at.add((step, i))
                 break
+        if n >= _BLOCK_ROWS:
+            block_cases[expect is None] += 1
         try:
             new_state = _advance(state, setpoints, cfg, "tick 7 (t=0.7 s)")
         except DivergenceError as exc:
             assert str(exc) == expect, f"case {case}"
         else:
             assert expect is None, f"case {case}: no divergence, expected {expect}"
-            want = [[*s.position, *s.velocity, *s.integrator_xy] for s in states]
-            assert new_state.tolist() == want, f"case {case}"
-    print(f"diverged at {len(diverged_at)} distinct (step, agent) pairs")
+            assert _hex_rows(new_state.tolist()) == _hex_rows(rows), f"case {case}"
+    print(f"diverged at {len(diverged_at)} distinct (step, agent) pairs; "
+          f"block batches diverged / not: {block_cases}")
     assert len({step for step, _ in diverged_at}) >= 5 and len({i for _, i in diverged_at}) >= 3
+    assert min(block_cases) >= 10 and max(i for _, i in diverged_at) >= _BLOCK_ROWS

@@ -1,6 +1,7 @@
-"""Trace byte lock: SHA-256 digests of write_trace_csv for six short fixed
+"""Trace byte lock: SHA-256 digests of write_trace_csv for eight short fixed
 rollouts covering SPC/PFC, LLC families A/B, runs with and without obstacles,
-and one noisy run with a delayed observation.
+one noisy run with a delayed observation, and two flocks large enough for
+fly()'s array step.
 
 A change that moves any of these digests changes the simulator's arithmetic
 and must say why in CHANGES.md.  Numpy picks SIMD kernels at run time, so the
@@ -20,6 +21,7 @@ import numpy as np
 import pytest
 
 from flockspc import Vec3, Waypoint, build_scenario, run_scenario, write_trace_csv
+from flockspc.llc import _BLOCK_ROWS
 
 try:  # numpy >= 2
     from numpy._core import _multiarray_umath as _umath
@@ -35,8 +37,8 @@ RECORDED_SIMD = ["X86_V2", "X86_V3", "X86_V4", "AVX512_ICL", "AVX512_SPR"]
 _WAYPOINTS = (Waypoint(0.0, Vec3(0.0, 0.0, 1.4)), Waypoint(1.0, Vec3(3.0, 0.0, 1.4)))
 
 
-def _preset(kind, family, layout, seed, noise=0.0, r_h=math.inf, delay=0):
-    cfg = build_scenario(10, layout, kind, family, seed=seed, duration=2.0, noise_sigma=noise)
+def _preset(kind, family, layout, seed, noise=0.0, r_h=math.inf, delay=0, n=10, duration=2.0):
+    cfg = build_scenario(n, layout, kind, family, seed=seed, duration=duration, noise_sigma=noise)
     return replace(cfg, waypoints=_WAYPOINTS, r_h=r_h, obs_delay_ticks=delay)
 
 
@@ -49,15 +51,20 @@ CASES = {
     "spc_A_eleven_noisy_delayed": lambda: _preset(
         "SPC", "A", "eleven", seed=6, noise=0.1, r_h=0.9, delay=2
     ),
+    # Flocks of at least _BLOCK_ROWS agents, so fly() takes the array step.
+    "pfc_A_none_block": lambda: _preset("PFC", "A", "none", seed=7, n=64, duration=1.0),
+    "spc_B_three_block": lambda: _preset("SPC", "B", "three", seed=8, n=64, duration=1.0),
 }
 
 DIGESTS = {
     "spc_A_none": "9780325a4538942867e562139f43b79c35eb680696d588cc7c308accb2182e6f",
-    "spc_B_eleven": "9070e5132c00d4d48d3d9a623cd8d474a2e61a092159273ba3617b8a781974f4",
+    "spc_B_eleven": "c9daedd46c95d8e8042636d11fe20d4b26c3c35057f37d8ece8c1b0e88bdbce5",
     "pfc_A_three": "e05f06df7dff14f8a05780fb85a738c4e317de09a13572e39e924c198069d26b",
-    "pfc_B_none": "137d1e094e776b7dcba9d543970c19e478c23ea4bd14fe6497635291530e02b4",
-    "pfc_B_eleven": "0b84f14314b31e040f537bc0219e7f715ce6f0f4632c4872dd3e9d190d6cfd9f",
+    "pfc_B_none": "1b63da372435678b6206e841a9ea7dca6b13a7b8f68ccc250f05e0f10e895a1d",
+    "pfc_B_eleven": "d5a16754b75c6063a47b16008745161590138fac21a6b780bb0664a01e0c377b",
     "spc_A_eleven_noisy_delayed": "60afeea0e3b3fc74f7bcfcd3f89dcc8d65ad70e92753bb875401e5696380ad88",
+    "pfc_A_none_block": "9eebc59e4ee60b8b4723b1056477afb7788429ea4e0669a1da4657f27f8defa6",
+    "spc_B_three_block": "f9c61f1c31ee0dfe57c3128c17b4d78d8a1771f90f0f91d9eadc746fbe5e9544",
 }
 
 
@@ -75,6 +82,7 @@ def _digest(cfg) -> str:
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_trace_digest(name):
     cfg = CASES[name]()
+    assert name.endswith("_block") == (cfg.agent_count >= _BLOCK_ROWS)
     digest = _digest(cfg)
     if np.__version__ == RECORDED_NUMPY and _host_simd() == RECORDED_SIMD:
         assert digest == DIGESTS[name], f"{name}: trace bytes changed ({digest})"
