@@ -10,10 +10,10 @@ positional reference into horizontal tilt angles:
 The plant is a point mass accelerating at 9.81 * tan(tilt) (family B: at a,
 so tilt = arctan(a / 9.81)) per horizontal axis (semi-implicit Euler) with a
 critically damped second-order response in z.  fly() advances a batch of
-state rows through both, row by row below _BLOCK_ROWS rows and as one array
-step from there on, with the same bits.  Family B is the faster, more
-aggressive of the two: on a step it reaches the reference in under half
-family A's rise time but overshoots more.
+state rows through both, row by row; family B batches of _BLOCK_ROWS rows
+or more take one array step instead, with the same bits.  Family B is the
+faster, more aggressive of the two: on a step it reaches the reference in
+under half family A's rise time but overshoots more.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ __all__ = [
 
 GRAVITY = 9.81  # m/s^2
 _MAX_SAMPLES = 1_000_000  # step_trajectory's 32 MB of rows: 1000 s at dt 0.001
-_BLOCK_ROWS = 40  # fly()'s array step is no slower than the row loop here for either family
+_BLOCK_ROWS = 28  # from here on fly()'s array step beats family B's row loop
 _PACK_ROW = struct.Struct("8d").pack_into  # one float64 state row, native byte order
 
 LLCFamily = Literal["A", "B"]
@@ -145,36 +145,24 @@ def _fly(rows: list[list[float]], refs: Sequence[Sequence[float]], cfg: LLCConfi
 
 def _fly_block(states: np.ndarray, refs: np.ndarray, cfg: LLCConfig, dt: float,
                steps: int) -> np.ndarray:
-    """_fly for many rows as one array step: the loop's IEEE operations in
-    its order on a transposed (8, n) copy, family A's tan through math.tan,
-    so every row gets the loop's bits.  Returns the last (n, 2) tilts."""
-    lo, hi, k_v, k_p, k_i, t_delta = (
-        cfg.tilt_min, cfg.tilt_max, cfg.k_v, cfg.k_p, cfg.k_i, cfg.t_delta)
-    tau, tau2 = cfg.z_time_constant, cfg.z_time_constant**2
-    a_lo, a_hi = GRAVITY * tan(lo), GRAVITY * tan(hi)
+    """Family B's _fly for many rows as one array step: the loop's IEEE
+    operations in its order on a transposed (8, n) copy, so every row gets
+    the loop's bits.  Returns the last (n, 2) tilts."""
+    t_delta, tau, tau2 = cfg.t_delta, cfg.z_time_constant, cfg.z_time_constant**2
+    a_lo, a_hi = GRAVITY * tan(cfg.tilt_min), GRAVITY * tan(cfg.tilt_max)
     s, r = states.T.copy(), refs.T.copy()
-    p, v, ixy = s[0:3], s[3:6], s[6:8]
+    p, v = s[0:3], s[3:6]
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(steps):
             a = r - p  # rows x, y: the tilt law's acceleration; row z: az
             axy = a[:2]
-            if cfg.family == "A":
-                axy -= k_v * v[:2]  # the error e
-                i_new = ixy + axy * dt
-                raw = k_p * axy + k_i * i_new
-                t = np.minimum(np.maximum(raw, lo), hi)
-                np.copyto(ixy, i_new, where=t == raw)
-                tan_t = np.fromiter(map(tan, t.ravel().tolist()), float, t.size)
-                axy[:] = GRAVITY * tan_t.reshape(t.shape)
-            else:
-                axy[:] = (axy - v[:2] * t_delta) / t_delta**2
-                np.minimum(np.maximum(axy, a_lo, out=axy), a_hi, out=axy)
+            axy -= v[:2] * t_delta
+            axy /= t_delta**2
+            np.minimum(np.maximum(axy, a_lo, out=axy), a_hi, out=axy)
             a[2] = a[2] / tau2 - 2.0 * v[2] / tau
             v += a * dt
             p += v * dt
     states[:] = s.T
-    if cfg.family == "A":
-        return t.T.copy()
     tilts = [_explicit_tilt(x, a_lo, a_hi, cfg) for x in axy.T.ravel().tolist()]
     return np.array(tilts).reshape(-1, 2)
 
@@ -196,7 +184,7 @@ def fly(states: np.ndarray, refs: np.ndarray, cfg: LLCConfig, dt: float,
         raise ValueError(f"dt must be positive and finite, got {dt}")
     if not (isinstance(steps, (int, np.integer)) and steps >= 1):
         raise ValueError(f"steps must be an integer >= 1, got {steps!r}")
-    if states.shape[0] >= _BLOCK_ROWS:
+    if cfg.family == "B" and states.shape[0] >= _BLOCK_ROWS:
         return _fly_block(states, refs, cfg, dt, steps)
     rows = states.tolist()
     tilts = _fly(rows, refs.tolist(), cfg, dt, steps)

@@ -100,11 +100,7 @@ def compute_metrics(
     time: float = 0.0,
 ) -> MetricsSample:
     """Exact min/max metrics over all pairs and agents at one instant."""
-    return _metrics(_points(true_positions, "true_positions"), obstacles, time)
-
-
-def _metrics(pos: np.ndarray, obstacles: Sequence[Obstacle], time: float) -> MetricsSample:
-    """compute_metrics of a finite float (n, 3) array, taken as it is."""
+    pos = _points(true_positions, "true_positions")
     n = pos.shape[0]
     if n < 1:
         raise ValueError("compute_metrics needs at least one agent")
@@ -196,11 +192,7 @@ def aggregate(
             f"aggregation window is empty: no ticks at or after t={start} "
             f"(trace ends at t={trace.records[-1].time if trace.records else 0.0})"
         )
-    finite = np.isfinite(np.stack([rec.positions for rec in window])).all(axis=(1, 2))
-    if not finite.all():
-        bad = window[int(np.argmin(finite))]
-        raise ValueError(f"recorded positions at t={bad.time} must be finite, got {bad.positions}")
-    samples = [_metrics(rec.positions, cfg.obstacles, rec.time) for rec in window]
+    samples = [compute_metrics(rec.positions, cfg.obstacles, time=rec.time) for rec in window]
     (dist_min, dist_ok), (comp_max, comp_ok), (clear_obj, clear_ok) = _worst(samples, thresholds)
 
     return RunSummary(

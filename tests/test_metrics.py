@@ -89,10 +89,10 @@ def test_metrics_reject_non_finite_positions():
             compute_metrics(np.array([[0.0, 0, 1], [0, bad, 1]]))
     with pytest.raises(ValueError, match=r"true_positions: expected 3 coordinates per point, got shape \(2, 2\)"):
         compute_metrics(np.zeros((2, 2)))
-    # aggregate checks the window's recorded positions once, naming the tick
+    # aggregate scores every recorded tick the same way
     frames = [(t, [(0, 0, 1), (1, 0, 1)]) for t in (0.0, 0.1, 0.2)]
     frames[1][1][1] = (math.nan, 0, 1)
-    with pytest.raises(ValueError, match=r"recorded positions at t=0.1 must be finite"):
+    with pytest.raises(ValueError, match="true_positions must be finite"):
         aggregate(_trace(frames), Thresholds(0.2, 10.0, 0.28))
 
 

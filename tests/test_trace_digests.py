@@ -1,7 +1,7 @@
-"""Trace byte lock: SHA-256 digests of write_trace_csv for eight short fixed
+"""Trace byte lock: SHA-256 digests of write_trace_csv for seven short fixed
 rollouts covering SPC/PFC, LLC families A/B, runs with and without obstacles,
-one noisy run with a delayed observation, and two flocks large enough for
-fly()'s array step.
+one noisy run with a delayed observation, and one family B flock large
+enough for fly()'s array step.
 
 A change that moves any of these digests changes the simulator's arithmetic
 and must say why in CHANGES.md.  Numpy picks SIMD kernels at run time, so the
@@ -51,8 +51,7 @@ CASES = {
     "spc_A_eleven_noisy_delayed": lambda: _preset(
         "SPC", "A", "eleven", seed=6, noise=0.1, r_h=0.9, delay=2
     ),
-    # Flocks of at least _BLOCK_ROWS agents, so fly() takes the array step.
-    "pfc_A_none_block": lambda: _preset("PFC", "A", "none", seed=7, n=64, duration=1.0),
+    # A family B flock of at least _BLOCK_ROWS agents, so fly() takes the array step.
     "spc_B_three_block": lambda: _preset("SPC", "B", "three", seed=8, n=64, duration=1.0),
 }
 
@@ -63,7 +62,6 @@ DIGESTS = {
     "pfc_B_none": "1b63da372435678b6206e841a9ea7dca6b13a7b8f68ccc250f05e0f10e895a1d",
     "pfc_B_eleven": "d5a16754b75c6063a47b16008745161590138fac21a6b780bb0664a01e0c377b",
     "spc_A_eleven_noisy_delayed": "60afeea0e3b3fc74f7bcfcd3f89dcc8d65ad70e92753bb875401e5696380ad88",
-    "pfc_A_none_block": "9eebc59e4ee60b8b4723b1056477afb7788429ea4e0669a1da4657f27f8defa6",
     "spc_B_three_block": "f9c61f1c31ee0dfe57c3128c17b4d78d8a1771f90f0f91d9eadc746fbe5e9544",
 }
 
@@ -82,7 +80,7 @@ def _digest(cfg) -> str:
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_trace_digest(name):
     cfg = CASES[name]()
-    assert name.endswith("_block") == (cfg.agent_count >= _BLOCK_ROWS)
+    assert name.endswith("_block") == (cfg.llc.family == "B" and cfg.agent_count >= _BLOCK_ROWS)
     digest = _digest(cfg)
     if np.__version__ == RECORDED_NUMPY and _host_simd() == RECORDED_SIMD:
         assert digest == DIGESTS[name], f"{name}: trace bytes changed ({digest})"
