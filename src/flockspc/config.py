@@ -137,6 +137,12 @@ class ScenarioConfig:
         ticks = self.duration / self.control_period
         if not (self.duration >= self.control_period and math.isfinite(ticks)):
             raise ConfigError(f"duration: must cover a finite tick count >= 1, got {self.duration}")
+        # Ticks and agents are 32-bit words of the observation noise counter.
+        if self.tick_count >= 2**32:
+            raise ConfigError(
+                f"duration: gives a tick_count of {self.tick_count}, must be below 2**32, "
+                f"got {self.duration}"
+            )
         # metrics.aggregate reads the ticks at or after formation_time.
         last_tick = (self.tick_count - 1) * self.control_period
         if not (0.0 <= self.formation_time <= last_tick):
@@ -169,6 +175,8 @@ class ScenarioConfig:
                     f"spawn.min_spacing: {self.agent_count} agents cannot be placed "
                     f"{spawn.min_spacing} m apart in the spawn box"
                 )
+        if self.agent_count >= 2**32:  # after spawn.min_spacing, which names an overfull box
+            raise ConfigError(f"agent_count: must be below 2**32, got {self.agent_count}")
         # The cost params carry the scenario obstacles so controllers see them.
         if tuple(self.cost.obstacles) != self.obstacles:
             object.__setattr__(self, "cost", replace(self.cost, obstacles=self.obstacles))

@@ -3,9 +3,23 @@
 Agents fly a tilt-driven point-mass plant at physics_dt cadence and decide
 setpoints every control_period from their own noisy observation snapshot:
 the true positions of all agents within r_h (plus self), perturbed by
-i.i.d. Gaussian noise per axis.  Noise comes from counter-based RNG streams
-keyed by (seed, control tick, observing agent), so a rollout is bit-identical
-whatever order the per-agent decisions of a tick are evaluated in.
+i.i.d. Gaussian noise per axis.
+
+The noise is keyed per pair (module noise): what observer i sees of agent j
+at control tick k is pos[j] + sigma * observation_stream(seed, k, i, j).  A
+pair's noise depends on nothing else, so a rollout is bit-identical whatever
+order or batch the pairs and decisions of a tick are evaluated in.  The
+snapshot (_snapshot) masks each agent's neighbours by true distance and
+draws noise for the self and in-range pairs only, in one vectorised call, so
+it costs O(n h) draws for h neighbours instead of n^2; model._neighborhoods
+gathers the noisy positions into the padded neighbour block.  Flocks of up
+to _BLOCK_AGENTS agents draw every pair's noise for the next few ticks in
+one call instead.
+
+No SIMD-dispatched transcendental ufunc (np.power with an exponent other
+than 2, np.tan, np.arctan, np.exp, np.log) feeds a recorded value, here or in
+the modules this one calls, so the trace bytes do not depend on which SIMD
+kernels numpy dispatches.
 
 Rollouts record one TickRecord per control tick and can be replayed
 observation-exactly via tick_observation().  A plant state that stops being
@@ -16,8 +30,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import partial
 from pathlib import Path
-from typing import IO, Iterable
+from typing import IO, Callable
 
 import numpy as np
 
@@ -25,6 +40,7 @@ from .config import ConfigError, ScenarioConfig, Waypoint
 from .controller import _decide
 from .llc import _plant_fault, fly
 from .model import CostParams, Vec3, _neighborhoods
+from .noise import _pair_noise, _round_keys, observation_stream
 
 __all__ = [
     "DivergenceError",
@@ -48,12 +64,16 @@ class DivergenceError(Exception):
 # --- RNG streams -------------------------------------------------------------
 
 _MASK64 = (1 << 64) - 1
-# Second key word.  Keys used to be passed as a Python list, which numpy
-# rounded through float64 whenever seed < 2**63, so this is the salt every
-# stream was drawn with; seeds below 2**53 keep their streams.
+# Second key word of the spawn stream.  Keys used to be passed as a Python
+# list, which numpy rounded through float64 whenever seed < 2**63, so this is
+# the salt every spawn was drawn with; seeds below 2**53 keep their spawns.
 _KEY_SALT = 0x9E3779B97F4A8000
-_PURPOSE_SPAWN = 0
-_PURPOSE_OBSERVE = 1
+_PURPOSE_SPAWN = 0  # noise.observation_stream's counters carry purpose 1
+# Flocks of up to _BLOCK_AGENTS agents draw the noise of all n^2 ordered
+# pairs for the next _BLOCK_PAIRS // n^2 ticks in one kernel call: the
+# kernel's fixed cost of about 100 numpy calls outweighs the unused pairs.
+_BLOCK_AGENTS = 16
+_BLOCK_PAIRS = 1024
 
 
 def _stream(seed: int, purpose: int, tick: int, agent: int) -> np.random.Generator:
@@ -64,11 +84,6 @@ def _stream(seed: int, purpose: int, tick: int, agent: int) -> np.random.Generat
     return np.random.Generator(np.random.Philox(counter=counter, key=key))
 
 
-def observation_stream(seed: int, tick: int, agent: int) -> np.random.Generator:
-    """Noise stream for one agent's observation at one control tick."""
-    return _stream(seed, _PURPOSE_OBSERVE, tick, agent)
-
-
 def spawn_stream(seed: int) -> np.random.Generator:
     """Stream used for random spawn placement."""
     return _stream(seed, _PURPOSE_SPAWN, 0, 0)
@@ -76,28 +91,37 @@ def spawn_stream(seed: int) -> np.random.Generator:
 
 # --- observation -------------------------------------------------------------
 
+# noise(observers, observed) -> (k, 3): the observation noise of those pairs.
+PairNoise = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
-def _snapshot(pos: np.ndarray, agents: np.ndarray, sigma: float, r_h: float,
-              rngs: Iterable[np.random.Generator]) -> tuple[np.ndarray, np.ndarray]:
+
+def _snapshot(pos: np.ndarray, agents: np.ndarray, r_h: float,
+              noise: PairNoise | None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """What each of the observing agents (a,) sees of the true positions
-    pos (n, 3): its noisy positions (a, n, 3) of all agents, drawn as one
-    (n, 3) batch from its own generator in rngs (read only when sigma > 0),
-    and the (a, n) mask of the agents strictly within r_h of its true
-    position, itself excluded.  Inputs are trusted."""
-    shape = (agents.shape[0],) + pos.shape
-    if sigma > 0.0:
-        seen = np.empty(shape)
-        for row, rng in zip(seen, rngs):
-            row[:] = rng.normal(0.0, sigma, size=pos.shape)
-        seen += pos  # noise + pos is pos + noise bit for bit
-    else:
-        seen = np.broadcast_to(pos, shape)
+    pos (n, 3): its own noisy position (a, 3), the (a, n) mask of the agents
+    strictly within r_h of its true position, itself excluded, and the
+    noisy positions (k, 3) of the mask's k True entries in row-major order,
+    the rows model._neighborhoods takes.  Noise is drawn for those pairs and
+    the self pairs only, in one call; None adds none.  Inputs are trusted."""
+    a = agents.shape[0]
     d2 = (pos[:, 0] - pos[agents, 0, None]) ** 2  # summed x, y, z in place
     d2 += (pos[:, 1] - pos[agents, 1, None]) ** 2
     d2 += (pos[:, 2] - pos[agents, 2, None]) ** 2
     near = np.sqrt(d2, out=d2) < r_h
-    near[np.arange(agents.shape[0]), agents] = False
-    return seen, near
+    near[np.arange(a), agents] = False
+    rows, cols = np.nonzero(near)
+    if noise is None:
+        return pos[agents], near, pos[cols]
+    noisy = noise(np.concatenate((agents, agents[rows])), np.concatenate((agents, cols)))
+    return pos[agents] + noisy[:a], near, pos[cols] + noisy[a:]
+
+
+def _tick_noise(cfg: ScenarioConfig, tick: int) -> PairNoise | None:
+    """The observation noise of pairs at `tick`, drawn per call; None
+    without noise."""
+    if cfg.noise_sigma == 0.0:
+        return None
+    return partial(_pair_noise, _round_keys(cfg.seed), tick, sigma=cfg.noise_sigma)
 
 
 # --- rollout -----------------------------------------------------------------
@@ -186,8 +210,7 @@ class Simulation:
         self._state[:, :3] = _spawn_positions(cfg)  # finite: SpawnSpec checks them
         self.tick_index = 0
         self._position_history: list[np.ndarray] = []
-        self._rng: np.random.Generator | None = None  # observation noise, built on first use
-        self._rng_state: dict = {}
+        self._block, self._block_start = np.empty((0, 0, 0, 3)), 0  # small flocks' noise
         self._params: dict[Waypoint | None, CostParams] = {}
 
     def _active_params(self, now: float) -> CostParams:
@@ -204,16 +227,23 @@ class Simulation:
             self._params[active] = replace(self.cfg.cost, target=target)
         return self._params[active]
 
-    def _observation_stream(self, tick: int, agent: int) -> np.random.Generator:
-        """observation_stream(seed, tick, agent): the same draws from one
-        generator re-keyed per call, about five times cheaper than a new one."""
-        if self._rng is None:
-            self._rng = observation_stream(self.cfg.seed, 0, 0)
-            self._rng_state = self._rng.bit_generator.state  # counter, key, empty buffer
-        counter = self._rng_state["state"]["counter"]
-        counter[2], counter[3] = tick & _MASK64, agent & _MASK64
-        self._rng.bit_generator.state = self._rng_state
-        return self._rng
+    def _noise(self, tick: int) -> PairNoise | None:
+        """_tick_noise(cfg, tick), which small flocks read from a block of
+        every pair's noise for the next few ticks: a pair's noise is the
+        same in any batch."""
+        cfg = self.cfg
+        n = cfg.agent_count
+        if n > _BLOCK_AGENTS or cfg.noise_sigma == 0.0:
+            return _tick_noise(cfg, tick)
+        offset = tick - self._block_start
+        if not 0 <= offset < len(self._block):
+            span = max(1, min(_BLOCK_PAIRS // (n * n), cfg.tick_count - tick))
+            ticks, observers, observed = np.indices((span, n, n)).reshape(3, -1)
+            noise = _pair_noise(_round_keys(cfg.seed), ticks + tick, observers, observed,
+                                cfg.noise_sigma)
+            self._block, self._block_start, offset = noise.reshape(span, n, n, 3), tick, 0
+        block = self._block[offset]
+        return lambda observers, observed: block[observers, observed]
 
     def tick(self) -> TickRecord:
         """Observe, decide, record, then integrate physics for one control period.
@@ -230,10 +260,8 @@ class Simulation:
 
         params = self._active_params(now)
         basis = self._position_history[max(0, k - cfg.obs_delay_ticks)]
-        agents = np.arange(cfg.agent_count)
-        rngs = (self._observation_stream(k, agent) for agent in agents.tolist())
-        seen, near = _snapshot(basis, agents, cfg.noise_sigma, cfg.r_h, rngs)
-        observed = seen[agents, agents]
+        observed, near, seen = _snapshot(basis, np.arange(cfg.agent_count), cfg.r_h,
+                                         self._noise(k))
         hoods = _neighborhoods(seen, near)
         decisions = _decide(observed, hoods, params, cfg.controller)
 
@@ -281,10 +309,10 @@ def tick_observation(trace: Trace, tick_index: int, agent: int) -> list[tuple[in
     if not 0 <= agent < cfg.agent_count:
         raise ValueError(f"agent index {agent} out of range for {cfg.agent_count} agents")
     basis = trace.records[max(0, tick_index - cfg.obs_delay_ticks)].positions
-    rng = observation_stream(cfg.seed, tick_index, agent)
-    seen, near = _snapshot(basis, np.array([agent]), cfg.noise_sigma, cfg.r_h, [rng])
-    near[0, agent] = True
-    return [(j, Vec3(*seen[0, j].tolist())) for j in np.flatnonzero(near[0]).tolist()]
+    own, near, seen = _snapshot(basis, np.array([agent]), cfg.r_h, _tick_noise(cfg, tick_index))
+    points = sorted([(agent, own[0]), *zip(np.flatnonzero(near[0]).tolist(), seen)],
+                    key=lambda pair: pair[0])
+    return [(j, Vec3(*p.tolist())) for j, p in points]
 
 
 def tick_cost_params(trace: Trace, tick_index: int) -> CostParams:

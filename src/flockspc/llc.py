@@ -14,6 +14,11 @@ state rows through both, row by row; family B batches of _BLOCK_ROWS rows
 or more take one array step instead, with the same bits.  Family B is the
 faster, more aggressive of the two: on a step it reaches the reference in
 under half family A's rise time but overshoots more.
+
+No SIMD-dispatched transcendental ufunc (np.tan, np.arctan, np.exp, np.log,
+np.power with an exponent other than 2) feeds a recorded value: tan and
+atan come from the math module (libm), so the state bits do not depend on
+which SIMD kernels numpy dispatches.
 """
 
 from __future__ import annotations

@@ -17,6 +17,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass
+from functools import lru_cache
 from pathlib import Path
 from typing import IO, Iterable, Sequence
 
@@ -100,14 +101,34 @@ def compute_metrics(
     time: float = 0.0,
 ) -> MetricsSample:
     """Exact min/max metrics over all pairs and agents at one instant."""
-    pos = _points(true_positions, "true_positions")
+    return _sample(_points(true_positions, "true_positions"), _obstacle_xy(obstacles), time)
+
+
+@lru_cache(maxsize=32)
+def _pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """np.triu_indices(n, k=1), read-only: every agent pair of a flock of n."""
+    ii, jj = np.triu_indices(n, k=1)
+    ii.flags.writeable = jj.flags.writeable = False
+    return ii, jj
+
+
+def _obstacle_xy(obstacles: Sequence[Obstacle]) -> tuple[np.ndarray, np.ndarray] | None:
+    """The obstacle centres' x and y arrays, None without obstacles."""
+    if not obstacles:
+        return None
+    return np.array([o.x for o in obstacles]), np.array([o.y for o in obstacles])
+
+
+def _sample(pos: np.ndarray, obstacle_xy: tuple[np.ndarray, np.ndarray] | None,
+            time: float) -> MetricsSample:
+    """compute_metrics of finite positions pos (n, 3) and _obstacle_xy's arrays."""
     n = pos.shape[0]
     if n < 1:
         raise ValueError("compute_metrics needs at least one agent")
 
     dist_min: float | None = None
     if n >= 2:
-        ii, jj = np.triu_indices(n, k=1)
+        ii, jj = _pairs(n)
         dx = pos[ii, 0] - pos[jj, 0]
         dy = pos[ii, 1] - pos[jj, 1]
         dz = pos[ii, 2] - pos[jj, 2]
@@ -120,9 +141,8 @@ def compute_metrics(
     comp_max = math.sqrt(float((cx * cx + cy * cy + cz * cz).max()))
 
     clear_obj: float | None = None
-    if obstacles:
-        ox = np.array([o.x for o in obstacles])
-        oy = np.array([o.y for o in obstacles])
+    if obstacle_xy is not None:
+        ox, oy = obstacle_xy
         ex = pos[:, 0][:, None] - ox[None, :]
         ey = pos[:, 1][:, None] - oy[None, :]
         clear_obj = math.sqrt(float((ex * ex + ey * ey).min()))
@@ -192,7 +212,8 @@ def aggregate(
             f"aggregation window is empty: no ticks at or after t={start} "
             f"(trace ends at t={trace.records[-1].time if trace.records else 0.0})"
         )
-    samples = [compute_metrics(rec.positions, cfg.obstacles, time=rec.time) for rec in window]
+    xy = _obstacle_xy(cfg.obstacles)  # once per window, like _pairs(n)
+    samples = [_sample(_points(rec.positions, "true_positions"), xy, rec.time) for rec in window]
     (dist_min, dist_ok), (comp_max, comp_ok), (clear_obj, clear_ok) = _worst(samples, thresholds)
 
     return RunSummary(

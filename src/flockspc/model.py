@@ -12,6 +12,12 @@ where P projects to the xy-plane (obstacles are infinitely tall cylinders)
 and zero_hat is a small positive length that keeps the reciprocal terms
 finite under sensor noise.  The module also provides a central-difference
 oracle for the gradient and the two-drone equilibrium-distance solver.
+
+No SIMD-dispatched transcendental ufunc (np.power with an exponent other
+than 2, np.tan, np.arctan, np.exp, np.log) feeds a recorded value, since
+numpy's SIMD kernels for them differ in the last bit between CPUs: a cube is
+two products, and squares, np.sqrt and + - * / round the same under every
+dispatch.  np.hypot comes from libm.
 """
 
 from __future__ import annotations
@@ -195,20 +201,20 @@ def _slot_sum(x: np.ndarray, pad: np.ndarray) -> np.ndarray:
 
 
 def _neighborhoods(seen: np.ndarray, near: np.ndarray) -> _Neighborhoods:
-    """One padded block: agent i's neighbours are the rows seen[i, near[i]]
-    of its own view seen[i] (n', 3), in row order, which a stable sort of
-    ~near brings to the front."""
+    """One padded block: agent i's neighbours are the rows of seen (k, 3)
+    that belong to row i of the mask near (n, n'), seen holding one row per
+    True entry of near in row-major order."""
     counts = near.sum(axis=1, dtype=np.int32)
-    cols = np.argsort(~near, axis=1, kind="stable")[:, :counts.max(initial=0)]
-    nbr = seen[np.arange(near.shape[0])[:, None], cols]
-    pad = np.arange(cols.shape[1]) >= counts[:, None]
+    pad = np.arange(counts.max(initial=0)) >= counts[:, None]
+    nbr = np.empty(pad.shape + (3,))
+    nbr[~pad] = seen  # row-major, like seen; _slot_sum writes the pads
     return _Neighborhoods(nbr, pad, counts, _slot_sum(nbr.transpose(0, 2, 1), pad))
 
 
 def _one_neighborhood(neighbors: Neighbors) -> _Neighborhoods:
     """A batch of one agent with the given neighbours, validated."""
     nbr = _points(neighbors, "neighbors")
-    return _neighborhoods(nbr[None], np.ones((1, nbr.shape[0]), dtype=bool))
+    return _neighborhoods(nbr, np.ones((1, nbr.shape[0]), dtype=bool))
 
 
 def _centroids(points: np.ndarray, hoods: _Neighborhoods) -> np.ndarray:
@@ -286,7 +292,8 @@ def _gradient(p: np.ndarray, hoods: _Neighborhoods, params: CostParams) -> np.nd
             d = np.sqrt(diff[..., 0] ** 2 + diff[..., 1] ** 2 + diff[..., 2] ** 2)
             unit = diff / np.where(d > 0.0, d, 1.0)[..., None]
             unit[d == 0.0] = (1.0, 0.0, 0.0)
-            gap3 = np.maximum(d - 2.0 * params.r_drone, params.zero_hat) ** 3
+            gap = np.maximum(d - 2.0 * params.r_drone, params.zero_hat)
+            gap3 = gap * gap * gap
             push = _slot_sum((unit / gap3[..., None]).transpose(0, 2, 1), hoods.pad)
             np.multiply(-(2.0 * params.w_sep / h), push, out=grad[1], where=has)
 
@@ -302,7 +309,8 @@ def _gradient(p: np.ndarray, hoods: _Neighborhoods, params: CostParams) -> np.nd
         dxy = np.hypot(dvec[..., 0], dvec[..., 1])
         unit2 = dvec / np.where(dxy > 0.0, dxy, 1.0)[..., None]
         unit2[dxy == 0.0] = (1.0, 0.0)
-        gap3 = np.maximum(dxy - radii - params.r_drone, params.zero_hat) ** 3
+        gap = np.maximum(dxy - radii - params.r_drone, params.zero_hat)
+        gap3 = gap * gap * gap
         grad[3, :, :2] = -(2.0 * params.w_obs / k) * (unit2 / gap3[..., None]).sum(axis=1)
 
     grad[4] = grad[0] + grad[1] + grad[2] + grad[3]

@@ -261,26 +261,45 @@ def test_criterion_08_spc_beats_gradient_baseline_on_obstacles():
           f"{[f'{d:.3f}' for d in pfc_margins]}")
 
 
+def _dispatched_simd(env=None) -> list[str]:
+    """The SIMD targets numpy picks kernels for at run time and that are
+    enabled, in a python process with environment env (None: this one)."""
+    code = ("try:\n from numpy._core import _multiarray_umath as u\n"
+            "except ImportError:\n from numpy.core import _multiarray_umath as u\n"
+            "print(' '.join(t for t in u.__cpu_dispatch__ if u.__cpu_features__.get(t)))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True, timeout=120).stdout
+    return out.split()
+
+
 def test_criterion_09_trace_determinism_across_processes(tmp_path):
+    # The second process runs with every dispatched SIMD target turned off,
+    # so the bytes may not depend on the host's vector units either.
     cfg = build_scenario(9, "three", "SPC", "A", seed=3, duration=10.0)
     scenario = tmp_path / "scenario.json"
     scenario.write_text(json.dumps(scenario_to_dict(cfg)))
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    env.pop("NPY_DISABLE_CPU_FEATURES", None)
+    simd = _dispatched_simd(env)
+    scalar_env = dict(env, NPY_DISABLE_CPU_FEATURES=" ".join(simd))
+    assert _dispatched_simd(scalar_env) == []
     traces = []
-    for run in ("a", "b"):
+    for run, run_env in (("a", env), ("b", scalar_env)):
         out = tmp_path / run
         proc = subprocess.run(
             [sys.executable, "-m", "flockspc", "simulate", "--scenario", str(scenario),
              "--out", str(out)],
-            env=env, capture_output=True, text=True, timeout=600,
+            env=run_env, capture_output=True, text=True, timeout=600,
         )
         assert proc.returncode == 0, proc.stderr
         traces.append((out / "trace.csv").read_bytes())
-    assert traces[0] == traces[1], "trace.csv differs between two simulate processes"
+    assert traces[0] == traces[1], (
+        f"trace.csv differs between a native simulate process and one without {simd}")
     print(f"criterion 9 PASS: {len(traces[0].splitlines())}-line traces "
-          f"byte-identical across two simulate processes")
+          f"byte-identical across two simulate processes, the second without "
+          f"SIMD targets {simd or 'none dispatched'}")
 
 
 def test_criterion_10_metrics_match_brute_force():

@@ -179,3 +179,22 @@ def test_errors_name_the_json_path(mutation, field):
     with pytest.raises(ConfigError) as exc:
         parse_scenario(data)
     assert str(exc.value).startswith(field), str(exc.value)
+
+
+def test_counter_words_must_fit_32_bits():
+    # Tick and agent indices are 32-bit words of the observation noise
+    # counter.  Only the config is built here; no such run is started.
+    base = dict(spawn=SpawnSpec(box_min=Vec3(0, 0, 1), box_max=Vec3(1, 1, 2), min_spacing=0.0),
+                cost=CostParams(20.0, 9.0, 0.0, 0.0), controller=ControllerConfig(kind="PFC"),
+                llc=LLCConfig(family="B"), r_h=1.0, noise_sigma=0.1, physics_dt=1.0,
+                control_period=1.0, seed=0, formation_time=0.0)
+    widest = ScenarioConfig(agent_count=2**32 - 1, duration=2.0**32 - 1, **base)
+    assert widest.tick_count == 2**32 - 1
+    with pytest.raises(ConfigError, match=r"^duration: gives a tick_count of 4294967296"):
+        ScenarioConfig(agent_count=2, duration=2.0**32, **base)
+    with pytest.raises(ConfigError, match=r"^agent_count: must be below 2\*\*32"):
+        ScenarioConfig(agent_count=2**32, duration=2.0, **base)
+    data = scenario_to_dict(ScenarioConfig(agent_count=2, duration=2.0, **base))
+    data["agent_count"] = 2**32
+    with pytest.raises(ConfigError, match="agent_count"):
+        parse_scenario(data)

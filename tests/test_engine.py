@@ -6,6 +6,7 @@ from __future__ import annotations
 import json
 import math
 import warnings
+from functools import partial
 
 import numpy as np
 import pytest
@@ -40,6 +41,7 @@ from flockspc import (
 )
 from flockspc.controller import HOLD_GRADIENT_NORM, _ladders, _norms
 from flockspc.engine import DivergenceError, _snapshot, _spawn_positions
+from flockspc.noise import _pair_noise, _round_keys
 
 DEFAULT_COST = CostParams(w_coh=20.0, w_sep=9.0, w_tar=0.0, w_obs=0.0)
 
@@ -78,13 +80,15 @@ def test_observe_noise_free_returns_true_positions():
         assert (p.x, p.y, p.z) == tuple(pos[j]), f"agent {j} perturbed at sigma=0"
 
 
+def _noise(seed, tick, sigma):
+    return partial(_pair_noise, _round_keys(seed), tick, sigma=sigma)
+
+
 def test_observe_noise_std_matches_sigma():
-    pos = np.zeros((4, 3))
-    samples = []
-    for tick in range(8334):  # 8334*4*3 > 1e5 draws
-        rng = observation_stream(seed=7, tick=tick, agent=0)
-        seen, _ = _snapshot(pos, np.array([0]), 0.10, math.inf, [rng])
-        samples.extend(seen[0].ravel().tolist())
+    pos = np.zeros((183, 3))
+    own, near, seen = _snapshot(pos, np.arange(183), math.inf, _noise(7, 0, 0.10))
+    samples = np.concatenate((own, seen)).ravel()  # 183*183*3 > 1e5 draws
+    assert near.sum() == 183 * 182
     std = float(np.std(samples))
     assert abs(std - 0.10) <= 0.002, f"sample std {std:.5f} not within 2% of 0.10"
     mean = float(np.mean(samples))
@@ -106,7 +110,7 @@ def test_observe_neighborhood_filter_strict():
 
 def test_observe_deterministic_per_key():
     pos = np.random.default_rng(1).uniform(-1, 1, size=(3, 3))
-    a, b, c = (_snapshot(pos, np.array([1]), 0.1, math.inf, [observation_stream(3, tick, 1)])[0]
+    a, b, c = (_snapshot(pos, np.array([1]), math.inf, _noise(3, tick, 0.1))[2]
                for tick in (17, 17, 18))
     assert np.array_equal(a, b), "same (seed, tick, agent) must reproduce identical noise"
     assert not np.array_equal(a, c), "different tick should give different noise"
@@ -137,8 +141,8 @@ def test_replay_rejects_out_of_range_tick():
 def test_seeds_past_2_53_get_their_own_streams():
     # numpy used to read the key list through float64, so these two collided.
     for seed in (2**53, 2**62 + 7, 2**64 - 2):
-        a = observation_stream(seed, 3, 1).normal(size=3)
-        b = observation_stream(seed + 1, 3, 1).normal(size=3)
+        a = observation_stream(seed, 3, 1, 0)
+        b = observation_stream(seed + 1, 3, 1, 0)
         assert not np.array_equal(a, b), f"seeds {seed} and {seed + 1} share a stream"
         assert not np.array_equal(spawn_stream(seed).uniform(size=3),
                                   spawn_stream(seed + 1).uniform(size=3))
@@ -146,10 +150,11 @@ def test_seeds_past_2_53_get_their_own_streams():
 
 @pytest.mark.parametrize("n", [1, 2, 7, 30])
 def test_array_snapshot_equals_observe(n):
-    # The simulator's flock-wide snapshot (one re-keyed noise generator, one
-    # neighbour mask per tick) must give each agent's own batch-of-1
-    # snapshot from a fresh stream row for row, the one tick_observation
-    # replays, whatever order the ticks and agents are asked in.
+    # The simulator's flock-wide snapshot (one noise draw and one neighbour
+    # mask per tick; flocks of up to 16 read a block of every pair's noise)
+    # must give each agent's own batch-of-1 snapshot row for row, the one
+    # tick_observation replays, whatever order the ticks and agents are
+    # asked in.
     rng = np.random.default_rng(n)
     pos = rng.uniform(-1.5, 1.5, size=(n, 3))
     agents = np.arange(n)
@@ -157,14 +162,15 @@ def test_array_snapshot_equals_observe(n):
         for r_h in (0.9, math.inf):
             sim = Simulation(_scenario(agent_count=n, noise_sigma=sigma, r_h=r_h, seed=n + 40,
                                        spawn=SpawnSpec(positions=tuple(Vec3(*p) for p in pos))))
-            for tick in rng.permutation([0, 1, 5, 2**40]).tolist():
-                streams = (sim._observation_stream(tick, agent) for agent in range(n))
-                seen, near = _snapshot(pos, agents, sigma, r_h, streams)
+            for tick in rng.permutation([0, 1, 5, 2, 2**32 - 1]).tolist():
+                own, near, seen = _snapshot(pos, agents, r_h, sim._noise(tick))
+                rows = np.nonzero(near)[0]
                 for agent in rng.permutation(n).tolist():
-                    want_seen, want_near = _snapshot(pos, np.array([agent]), sigma, r_h,
-                                                     [observation_stream(n + 40, tick, agent)])
-                    assert np.array_equal(seen[agent], want_seen[0]), (sigma, r_h, tick, agent)
-                    assert np.array_equal(near[agent], want_near[0]), (sigma, r_h, tick, agent)
+                    want = _snapshot(pos, np.array([agent]), r_h,
+                                     _noise(n + 40, tick, sigma) if sigma else None)
+                    assert np.array_equal(own[agent], want[0][0]), (sigma, r_h, tick, agent)
+                    assert np.array_equal(near[agent], want[1][0]), (sigma, r_h, tick, agent)
+                    assert np.array_equal(seen[rows == agent], want[2]), (sigma, r_h, tick, agent)
 
 
 def test_single_agent_holds_position():

@@ -13,7 +13,7 @@ exactly.
 from __future__ import annotations
 
 import math
-from functools import reduce
+from functools import partial, reduce
 from operator import add
 
 import numpy as np
@@ -32,6 +32,7 @@ from flockspc import (
 from flockspc.controller import _decide
 from flockspc.engine import _snapshot
 from flockspc.model import _cost_terms, _gradient, _neighborhoods, _one_neighborhood
+from flockspc.noise import _pair_noise, _round_keys
 
 CASES = 120
 
@@ -68,7 +69,9 @@ def _params(rng, i, pos):
 
 def _flock(i):
     """Seeded flock: n from 1 to 40, finite and infinite r_h, coincident
-    agents, per-agent noisy views; returns (observed, seen, near, params)."""
+    agents, per-pair observation noise; returns (observed, seen, near,
+    params), seen holding the (k, 3) observations of near's True entries in
+    row-major order."""
     rng = np.random.default_rng(1000 + i)
     n = 1 + i % 40
     pos = rng.uniform(-1.0, 1.0, size=(n, 3)) * (0.2, 1.0, 3.0)[i % 3]
@@ -78,10 +81,16 @@ def _flock(i):
         pos[1] = pos[0]  # two agents in the same place
     r_h = math.inf if i % 2 else float(rng.uniform(0.3, 2.5))
     sigma = (0.0, 0.05)[(i // 2) % 2]
-    agents = np.arange(n)
-    rngs = [np.random.default_rng([i, a]) for a in range(n)]
-    seen, near = _snapshot(pos, agents, sigma, r_h, rngs)
-    return seen[agents, agents], seen, near, _params(rng, i, pos)
+    noise = None
+    if sigma > 0.0:
+        noise = partial(_pair_noise, _round_keys(i), 2**32 - 1 - i, sigma=sigma)
+    observed, near, seen = _snapshot(pos, np.arange(n), r_h, noise)
+    return observed, seen, near, _params(rng, i, pos)
+
+
+def _views(seen, near):
+    """Each agent's neighbour observations (h_i, 3), in row order."""
+    return np.split(seen, np.cumsum(near.sum(axis=1))[:-1])
 
 
 def _controllers(rng):
@@ -117,6 +126,7 @@ def test_flock_kernel_rows_equal_batch_of_one(part):
         n = observed.shape[0]
         hoods = _neighborhoods(seen, near)
         assert hoods.counts.tolist() == near.sum(axis=1).tolist()
+        views = _views(seen, near)
         rng = np.random.default_rng(i)
         points = observed[:, None] + rng.normal(0.0, 0.3, size=(n, int(rng.integers(1, 4)), 3))
         cfgs = _controllers(rng)
@@ -125,7 +135,7 @@ def test_flock_kernel_rows_equal_batch_of_one(part):
             terms = _cost_terms(points, hoods, params)
             decisions = [_decide(observed, hoods, params, cfg) for cfg in cfgs]
             for a in range(n):
-                p, nbr = Vec3(*observed[a].tolist()), seen[a][near[a]]
+                p, nbr = Vec3(*observed[a].tolist()), views[a]
                 g = evaluate_gradient(p, nbr, params)
                 assert _hex(grad[:, a]) == _hex([tuple(v) for v in g.__dict__.values()]), (i, a)
                 for j, point in enumerate(points[a]):
@@ -150,7 +160,9 @@ def test_relabelling_permutes_rows_exactly():
         observed, seen, near, params = _flock(i)
         n = observed.shape[0]
         perm = np.random.default_rng(i).permutation(n)
-        hoods, moved = _neighborhoods(seen, near), _neighborhoods(seen[perm], near[perm])
+        views = _views(seen, near)
+        hoods = _neighborhoods(seen, near)
+        moved = _neighborhoods(np.concatenate([views[a] for a in perm]), near[perm])
         assert moved.counts.tolist() == hoods.counts[perm].tolist()
         with np.errstate(over="ignore", invalid="ignore"):
             assert _hex(_gradient(observed[perm], moved, params)) == _hex(
@@ -189,7 +201,7 @@ def test_neighbour_sums_run_left_to_right_and_padding_adds_nothing():
     seen[0, near[0]] = nbr
     near[2] = False
     observed = np.array([p, p + 0.5, p - 0.5])
-    hoods = _neighborhoods(seen, near)
+    hoods = _neighborhoods(seen[near], near)
     assert hoods.nbr.shape == (3, 12, 3)
     grad = _gradient(observed, hoods, params)
     terms = _cost_terms(observed[:, None], hoods, params)  # m = 1, as in a PFC pass

@@ -370,8 +370,10 @@ def _scalar_cost(p, nbr, params):
 
 
 def _scalar_gradient(p, nbr, params):
-    """The gradient as it was written before the array core, kept verbatim
-    as the bit-level reference: Vec3 terms (coh, sep, tar, obs, total)."""
+    """The gradient as it was written before the array core, kept as the
+    bit-level reference: Vec3 terms (coh, sep, tar, obs, total).  Its cubes
+    are two products, like the kernel's, since np.power's cube is a
+    SIMD-dispatched kernel."""
     zero = Vec3(0.0, 0.0, 0.0)
     h = nbr.shape[0]
     g_coh = g_sep = g_tar = g_obs = zero
@@ -385,7 +387,8 @@ def _scalar_gradient(p, nbr, params):
             safe = d > 0.0
             unit[safe] = diff[safe] / d[safe, None]
             unit[~safe] = (1.0, 0.0, 0.0)
-            gap3 = np.maximum(d - 2.0 * params.r_drone, params.zero_hat) ** 3
+            gap = np.maximum(d - 2.0 * params.r_drone, params.zero_hat)
+            gap3 = gap * gap * gap
             g_sep = Vec3(*(-(2.0 * params.w_sep / h) * (unit / gap3[:, None]).sum(axis=0)).tolist())
     if params.w_tar > 0.0 and params.target is not None:
         centroid = (p + nbr.sum(axis=0)) / (h + 1) if h > 0 else p
@@ -401,7 +404,8 @@ def _scalar_gradient(p, nbr, params):
         safe = dxy > 0.0
         unit2[safe] = dvec[safe] / dxy[safe, None]
         unit2[~safe] = (1.0, 0.0)
-        gap3 = np.maximum(dxy - radii - params.r_drone, params.zero_hat) ** 3
+        gap = np.maximum(dxy - radii - params.r_drone, params.zero_hat)
+        gap3 = gap * gap * gap
         gxy = -(2.0 * params.w_obs / k) * (unit2 / gap3[:, None]).sum(axis=0)
         g_obs = Vec3(float(gxy[0]), float(gxy[1]), 0.0)
     return g_coh, g_sep, g_tar, g_obs, g_coh + g_sep + g_tar + g_obs
