@@ -68,7 +68,6 @@ _MASK64 = (1 << 64) - 1
 # list, which numpy rounded through float64 whenever seed < 2**63, so this is
 # the salt every spawn was drawn with; seeds below 2**53 keep their spawns.
 _KEY_SALT = 0x9E3779B97F4A8000
-_PURPOSE_SPAWN = 0  # noise.observation_stream's counters carry purpose 1
 # Flocks of up to _BLOCK_AGENTS agents draw the noise of all n^2 ordered
 # pairs for the next _BLOCK_PAIRS // n^2 ticks in one kernel call: the
 # kernel's fixed cost of about 100 numpy calls outweighs the unused pairs.
@@ -76,17 +75,11 @@ _BLOCK_AGENTS = 16
 _BLOCK_PAIRS = 1024
 
 
-def _stream(seed: int, purpose: int, tick: int, agent: int) -> np.random.Generator:
-    # Counter-based: distinct (purpose, tick, agent) words give disjoint
-    # streams regardless of draw order.
-    key = np.array([seed & _MASK64, _KEY_SALT], dtype=np.uint64)
-    counter = np.array([0, purpose, tick & _MASK64, agent & _MASK64], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(counter=counter, key=key))
-
-
 def spawn_stream(seed: int) -> np.random.Generator:
-    """Stream used for random spawn placement."""
-    return _stream(seed, _PURPOSE_SPAWN, 0, 0)
+    """Stream used for random spawn placement: Philox keyed by the seed and
+    _KEY_SALT, from counter zero."""
+    key = np.array([seed & _MASK64, _KEY_SALT], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
 
 
 # --- observation -------------------------------------------------------------

@@ -11,7 +11,8 @@ The plant is a point mass accelerating at 9.81 * tan(tilt) (family B: at a,
 so tilt = arctan(a / 9.81)) per horizontal axis (semi-implicit Euler) with a
 critically damped second-order response in z.  fly() advances a batch of
 state rows through both, row by row; family B batches of _BLOCK_ROWS rows
-or more take one array step instead, with the same bits.  Family B is the
+or more take one array step instead, with the same bits.  fly() reports no
+tilt: only step_trajectory records one, for its single row.  Family B is the
 faster, more aggressive of the two: on a step it reaches the reference in
 under half family A's rise time but overshoots more.
 
@@ -46,7 +47,7 @@ __all__ = [
 
 GRAVITY = 9.81  # m/s^2
 _MAX_SAMPLES = 1_000_000  # step_trajectory's 32 MB of rows: 1000 s at dt 0.001
-_BLOCK_ROWS = 28  # from here on fly()'s array step beats family B's row loop
+_BLOCK_ROWS = 26  # from here on fly()'s array step beats family B's row loop
 _PACK_ROW = struct.Struct("8d").pack_into  # one float64 state row, native byte order
 
 LLCFamily = Literal["A", "B"]
@@ -106,18 +107,19 @@ def _explicit_tilt(a: float, a_lo: float, a_hi: float, cfg: LLCConfig) -> float:
 
 
 def _fly(rows: list[list[float]], refs: Sequence[Sequence[float]], cfg: LLCConfig,
-         dt: float, steps: int) -> list[tuple[float, float]]:
+         dt: float, steps: int) -> tuple[float, float]:
     """Advance each float state row in place by `steps` (>= 1) LLC + plant
-    steps of dt toward its ref (x, y, z); return each row's last tilts.
-    fly() and step_trajectory run this loop; it validates nothing."""
+    steps of dt toward its ref (x, y, z); return the last row's last tilts
+    ((0.0, 0.0) for no rows).  fly() and step_trajectory run this loop; it
+    validates nothing."""
     lo, hi, k_v, k_p, k_i, t_delta = (
         cfg.tilt_min, cfg.tilt_max, cfg.k_v, cfg.k_p, cfg.k_i, cfg.t_delta)
     t_delta2 = t_delta**2
     a_lo, a_hi = GRAVITY * tan(lo), GRAVITY * tan(hi)
     tau, tau2 = cfg.z_time_constant, cfg.z_time_constant**2
     pid = cfg.family == "A"
-    tilts = [(0.0, 0.0)] * len(rows)  # sized once: no regrowth per call
-    for i, (row, (rx, ry, rz)) in enumerate(zip(rows, refs)):
+    tx = ty = ax = ay = 0.0
+    for row, (rx, ry, rz) in zip(rows, refs):
         px, py, pz, vx, vy, vz, ix, iy = row
         for _ in range(steps):
             if pid:  # anti-windup: a clamped axis keeps its old integral
@@ -143,16 +145,16 @@ def _fly(rows: list[list[float]], refs: Sequence[Sequence[float]], cfg: LLCConfi
             vx, vy, vz = vx + ax * dt, vy + ay * dt, vz + az * dt
             px, py, pz = px + vx * dt, py + vy * dt, pz + vz * dt
         row[:] = (px, py, pz, vx, vy, vz, ix, iy)
-        tilts[i] = (tx, ty) if pid else (
-            _explicit_tilt(ax, a_lo, a_hi, cfg), _explicit_tilt(ay, a_lo, a_hi, cfg))
-    return tilts
+    if pid:
+        return tx, ty
+    return _explicit_tilt(ax, a_lo, a_hi, cfg), _explicit_tilt(ay, a_lo, a_hi, cfg)
 
 
 def _fly_block(states: np.ndarray, refs: np.ndarray, cfg: LLCConfig, dt: float,
-               steps: int) -> np.ndarray:
+               steps: int) -> None:
     """Family B's _fly for many rows as one array step: the loop's IEEE
     operations in its order on a transposed (8, n) copy, so every row gets
-    the loop's bits.  Returns the last (n, 2) tilts."""
+    the loop's bits."""
     t_delta, tau, tau2 = cfg.t_delta, cfg.z_time_constant, cfg.z_time_constant**2
     a_lo, a_hi = GRAVITY * tan(cfg.tilt_min), GRAVITY * tan(cfg.tilt_max)
     s, r = states.T.copy(), refs.T.copy()
@@ -168,17 +170,15 @@ def _fly_block(states: np.ndarray, refs: np.ndarray, cfg: LLCConfig, dt: float,
             v += a * dt
             p += v * dt
     states[:] = s.T
-    tilts = [_explicit_tilt(x, a_lo, a_hi, cfg) for x in axy.T.ravel().tolist()]
-    return np.array(tilts).reshape(-1, 2)
 
 
 def fly(states: np.ndarray, refs: np.ndarray, cfg: LLCConfig, dt: float,
-        steps: int = 1) -> np.ndarray:
+        steps: int = 1) -> None:
     """Advance the float64 state rows states (n, 8) in place by `steps` LLC +
-    plant steps of dt seconds toward the positional references refs (n, 3);
-    return the (n, 2) x/y tilts of the last step.  Family A's integrator
-    keeps its old value on an axis whose output is clamped.  Shapes, dt and
-    steps are checked; values are not, so a non-finite state flows through.
+    plant steps of dt seconds toward the positional references refs (n, 3).
+    Family A's integrator keeps its old value on an axis whose output is
+    clamped.  Shapes, dt and steps are checked; values are not, so a
+    non-finite state flows through.
     """
     if not (isinstance(states, np.ndarray) and states.dtype == float and states.shape[1:] == (8,)):
         raise ValueError(f"states must be a float64 (n, 8) array, got {np.shape(states)}")
@@ -190,9 +190,10 @@ def fly(states: np.ndarray, refs: np.ndarray, cfg: LLCConfig, dt: float,
     if not (isinstance(steps, (int, np.integer)) and steps >= 1):
         raise ValueError(f"steps must be an integer >= 1, got {steps!r}")
     if cfg.family == "B" and states.shape[0] >= _BLOCK_ROWS:
-        return _fly_block(states, refs, cfg, dt, steps)
+        _fly_block(states, refs, cfg, dt, steps)
+        return
     rows = states.tolist()
-    tilts = _fly(rows, refs.tolist(), cfg, dt, steps)
+    _fly(rows, refs.tolist(), cfg, dt, steps)
     if states.flags.c_contiguous and states.flags.writeable:
         # Packed row by row into the array's own buffer: no temporary (n, 8)
         # array per call, and faster than building one.
@@ -200,7 +201,6 @@ def fly(states: np.ndarray, refs: np.ndarray, cfg: LLCConfig, dt: float,
             _PACK_ROW(states, 64 * i, *row)
     else:
         states[:] = rows
-    return np.array(tilts, dtype=float).reshape(-1, 2)
 
 
 def _plant_fault(row: Sequence[float]) -> str | None:
@@ -236,7 +236,7 @@ def step_trajectory(
     rows = np.empty((steps + 1, 4))
     rows[0] = (0.0, 0.0, 0.0, 0.0)
     for i in range(1, steps + 1):
-        [(tilt_x, _)] = _fly([row], (ref,), cfg, dt, 1)
+        tilt_x, _ = _fly([row], (ref,), cfg, dt, 1)
         rows[i] = (i * dt, row[0], row[3], tilt_x)
     if (fault := _plant_fault(row)) is not None:  # a non-finite value stays so
         raise ValueError(fault)

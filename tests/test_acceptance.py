@@ -313,31 +313,34 @@ def test_criterion_10_metrics_match_brute_force():
                      for x, y in rng.uniform(-5, 5, size=(n_obs, 2))]
         s = compute_metrics(pos, obstacles)
 
+        # The oracle runs on Python floats: the same IEEE operations as on
+        # numpy scalars, without indexing the array one element at a time.
+        points = pos.tolist()
         dist = None
         if n >= 2:
             best = math.inf
-            for i in range(n):
-                for j in range(i + 1, n):
-                    dx = pos[i, 0] - pos[j, 0]
-                    dy = pos[i, 1] - pos[j, 1]
-                    dz = pos[i, 2] - pos[j, 2]
+            for i, (xi, yi, zi) in enumerate(points):
+                for xj, yj, zj in points[i + 1:]:
+                    dx = xi - xj
+                    dy = yi - yj
+                    dz = zi - zj
                     best = min(best, dx * dx + dy * dy + dz * dz)
             dist = math.sqrt(best)
-        centroid = pos.mean(axis=0)
+        mx, my, mz = pos.mean(axis=0).tolist()
         worst = 0.0
-        for i in range(n):
-            cx = pos[i, 0] - centroid[0]
-            cy = pos[i, 1] - centroid[1]
-            cz = pos[i, 2] - centroid[2]
+        for x, y, z in points:
+            cx = x - mx
+            cy = y - my
+            cz = z - mz
             worst = max(worst, cx * cx + cy * cy + cz * cz)
         comp = math.sqrt(worst)
         clear = None
         if obstacles:
             best = math.inf
             for o in obstacles:
-                for i in range(n):
-                    ex = pos[i, 0] - o.x
-                    ey = pos[i, 1] - o.y
+                for x, y, _ in points:
+                    ex = x - o.x
+                    ey = y - o.y
                     best = min(best, ex * ex + ey * ey)
             clear = math.sqrt(best)
 

@@ -33,9 +33,13 @@ def _state(position, velocity=(0.0, 0.0, 0.0), integrator=(0.0, 0.0)):
     return np.array([[*position, *velocity, *integrator]], dtype=float)
 
 
-def _tilt(state, ref, cfg, dt=0.01):
-    """One fly() step of the (1, 8) state toward ref (x, y, z); its tilts."""
-    return tuple(fly(state, np.array([ref], dtype=float), cfg, dt)[0].tolist())
+def _tilt(state, ref, cfg, dt=0.01, steps=1):
+    """The row loop's `steps` steps of the (1, 8) state toward ref (x, y, z),
+    written back in place; its last tilts."""
+    rows = state.tolist()
+    tilt = _fly(rows, np.array([ref], dtype=float).tolist(), cfg, dt, steps)
+    state[:] = rows
+    return tilt
 
 
 def test_pid_clamps_large_error():
@@ -103,7 +107,7 @@ def test_tilt_always_within_limits():
     states = np.array([[0, 0, 1, v, -v, 0, 0, 0] for _, v in grid], dtype=float)
     refs = np.array([(ref, ref, 1.0) for ref, _ in grid])
     for cfg in (cfg_a, cfg_b):
-        tilts = fly(states.copy(), refs, cfg, 0.01)
+        tilts = np.array([_tilt(states[i:i + 1].copy(), ref, cfg) for i, ref in enumerate(refs)])
         assert tilts.shape == (len(grid), 2)
         assert ((cfg.tilt_min <= tilts) & (tilts <= cfg.tilt_max)).all(), tilts
 
@@ -282,10 +286,11 @@ def test_fly_lets_non_finite_values_through():
     # Values are the divergence path's business, not fly()'s.
     states = np.zeros((3, 8))
     states[1, 0] = math.nan
-    tilts = fly(states, np.array([[0, 0, 0], [0, 0, 0], [math.inf, 0, 0]]),
-                LLCConfig(family="B"), 0.01, steps=3)
-    assert np.isnan(states[1, 0]) and np.isfinite(states[0]).all() and tilts[2, 0] == 0.35
-    assert fly(np.zeros((0, 8)), np.zeros((0, 3)), LLCConfig(family="A"), 0.01).shape == (0, 2)
+    refs = np.array([[0, 0, 0], [0, 0, 0], [math.inf, 0, 0]])
+    tilt = _tilt(states[2:].copy(), refs[2], LLCConfig(family="B"), steps=3)
+    assert fly(states, refs, LLCConfig(family="B"), 0.01, steps=3) is None
+    assert np.isnan(states[1, 0]) and np.isfinite(states[0]).all() and tilt[0] == 0.35
+    assert fly(np.zeros((0, 8)), np.zeros((0, 3)), LLCConfig(family="A"), 0.01) is None
 
 
 def test_fly_writes_any_float64_layout_in_place():
@@ -296,13 +301,13 @@ def test_fly_writes_any_float64_layout_in_place():
         start = np.arange(8.0 * n).reshape(n, 8) / 7.0
         refs = np.resize([[1.0, -2.0, 3.0], [0.0, 0.5, 0.0], [-4.0, 0.0, 1.0]], (n, 3))
         cfg = LLCConfig(family=family)
-        expected = start.copy()
-        expected_tilts = fly(expected, refs, cfg, 0.01, steps=4)
+        expected = start.tolist()
+        _fly(expected, refs.tolist(), cfg, 0.01, 4)
         strided = np.zeros((n, 16))
-        for states in (strided[:, ::2], np.asfortranarray(start)):
+        for states in (start.copy(), strided[:, ::2], np.asfortranarray(start)):
             states[:] = start
-            assert np.array_equal(fly(states, refs, cfg, 0.01, steps=4), expected_tilts)
-            assert np.array_equal(states, expected)
+            assert fly(states, refs, cfg, 0.01, steps=4) is None
+            assert _hex_rows(states.tolist()) == _hex_rows(expected)
         frozen = start.copy()
         frozen.flags.writeable = False
         with pytest.raises(ValueError, match="read-only"):
@@ -315,8 +320,9 @@ def _hex_rows(rows):
 
 def test_block_step_equals_the_row_loop():
     # fly() steps family B batches of _BLOCK_ROWS rows or more as one array
-    # step; each row must get the per-row loop's bits and tilts, NaN and inf
-    # included, and raise no numpy warning on the way.
+    # step; each row must get the per-row loop's bits, NaN and inf included,
+    # and raise no numpy warning on the way.  The row loop, one row at a
+    # time, gives each row's last tilts, to count clamped and free rows.
     rng = np.random.default_rng(41)
     clamped = free = 0
     for i in range(120):
@@ -331,13 +337,12 @@ def test_block_step_equals_the_row_loop():
             start[rng.integers(n), rng.integers(8)] = rng.choice((math.nan, math.inf, -math.inf))
             refs[rng.integers(n), rng.integers(3)] = rng.choice((math.nan, math.inf, -math.inf))
         rows = start.tolist()
-        want_tilts = _fly(rows, refs.tolist(), cfg, dt, steps)
+        tilts = [_fly([row], [ref], cfg, dt, steps) for row, ref in zip(rows, refs.tolist())]
         states = start.copy()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            tilts = fly(states, refs, cfg, dt, steps)
+            fly(states, refs, cfg, dt, steps)
         assert _hex_rows(states.tolist()) == _hex_rows(rows), f"case {i}"
-        assert _hex_rows(tilts.tolist()) == _hex_rows(want_tilts), f"case {i}"
         limits = np.isin(tilts, (cfg.tilt_min, cfg.tilt_max))
         clamped += int(limits.any(axis=1).sum())
         free += int((~limits).all(axis=1).sum())
@@ -462,7 +467,8 @@ def _assert_matches(got, want, family, what):
 def test_float_plant_loop_is_bit_identical_to_plantstate_reference():
     # Each case flies a batch of one to three agents in one fly() call; every
     # row must repeat the reference, whatever else is in the batch: family A
-    # bit for bit, family B within _B_TOL.
+    # bit for bit, family B within _B_TOL.  The row loop on that row alone
+    # gives its last tilts, which must repeat the reference's the same way.
     rng = np.random.default_rng(17)
     clamped = held = 0
     for i in range(2000):
@@ -472,7 +478,8 @@ def test_float_plant_loop_is_bit_identical_to_plantstate_reference():
         starts = [_random_state(rng) for _ in range(1 + i % 3)]
         refs = rng.uniform(-4.0, 4.0, size=(len(starts), 3))
         states = np.array([[*s.position, *s.velocity, *s.integrator_xy] for s in starts])
-        tilts = fly(states, refs, cfg, dt, steps).tolist()
+        tilts = [_tilt(states[j:j + 1].copy(), ref, cfg, dt, steps) for j, ref in enumerate(refs)]
+        fly(states, refs, cfg, dt, steps)
         for row, tilt, start, ref in zip(states.tolist(), tilts, starts, refs.tolist()):
             want, want_tilt = _ref_steps(start, tuple(ref), cfg, dt, steps)
             expect = [*want.position, *want.velocity, *want.integrator_xy]

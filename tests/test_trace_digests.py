@@ -1,7 +1,8 @@
 """Trace byte lock: SHA-256 digests of write_trace_csv for seven short fixed
 rollouts covering SPC/PFC, LLC families A/B, runs with and without obstacles,
 one noisy run with a delayed observation, and one family B flock large
-enough for fly()'s array step.
+enough for fly()'s array step; and of the step_trajectory rows of both LLC
+families, tilt column included.
 
 A change that moves any of these digests changes the simulator's arithmetic
 and must say why in CHANGES.md.  No recorded value goes through a
@@ -20,7 +21,15 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from flockspc import Vec3, Waypoint, build_scenario, run_scenario, write_trace_csv
+from flockspc import (
+    LLCConfig,
+    Vec3,
+    Waypoint,
+    build_scenario,
+    run_scenario,
+    step_trajectory,
+    write_trace_csv,
+)
 from flockspc.llc import _BLOCK_ROWS
 
 # Recorded with numpy 2.4.6 on Python 3.11.7.
@@ -59,6 +68,12 @@ DIGESTS = {
     "spc_B_three_block": "6a87dda874f1fc2037dbbcd673874209c62543d796ede452f5bd4457b6aa2430",
 }
 
+# step_trajectory(LLCConfig(family=F), 1.0, duration=3.0, dt=0.001).tobytes()
+STEP_DIGESTS = {
+    "A": "c33cb5865c3e23c34618122a6b3de0682d2c5508a5648223ab67fe92d941337d",
+    "B": "7e912e9c5693d32a81fcc5c4045c1a5f07b535c26d286ca34087745a56643733",
+}
+
 
 def _digest(cfg) -> str:
     buf = io.StringIO()
@@ -74,3 +89,12 @@ def test_trace_digest(name):
     assert name.endswith("_block") == (cfg.llc.family == "B" and cfg.agent_count >= _BLOCK_ROWS)
     digest = _digest(cfg)
     assert digest == DIGESTS[name], f"{name}: trace bytes changed ({digest})"
+
+
+@pytest.mark.skipif(np.__version__ != RECORDED_NUMPY,
+                    reason=f"digests recorded with numpy {RECORDED_NUMPY}")
+@pytest.mark.parametrize("family", sorted(STEP_DIGESTS))
+def test_step_response_digest(family):
+    rows = step_trajectory(LLCConfig(family=family), 1.0, duration=3.0, dt=0.001)
+    digest = hashlib.sha256(rows.tobytes()).hexdigest()
+    assert digest == STEP_DIGESTS[family], f"family {family}: step-response bytes changed ({digest})"
