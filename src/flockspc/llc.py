@@ -25,7 +25,6 @@ which SIMD kernels numpy dispatches.
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass
 from math import atan, tan
 from typing import Literal, Sequence
@@ -48,7 +47,6 @@ __all__ = [
 GRAVITY = 9.81  # m/s^2
 _MAX_SAMPLES = 1_000_000  # step_trajectory's 32 MB of rows: 1000 s at dt 0.001
 _BLOCK_ROWS = 26  # from here on fly()'s array step beats family B's row loop
-_PACK_ROW = struct.Struct("8d").pack_into  # one float64 state row, native byte order
 
 LLCFamily = Literal["A", "B"]
 
@@ -194,12 +192,7 @@ def fly(states: np.ndarray, refs: np.ndarray, cfg: LLCConfig, dt: float,
         return
     rows = states.tolist()
     _fly(rows, refs.tolist(), cfg, dt, steps)
-    if states.flags.c_contiguous and states.flags.writeable:
-        # Packed row by row into the array's own buffer: no temporary (n, 8)
-        # array per call, and faster than building one.
-        for i, row in enumerate(rows):
-            _PACK_ROW(states, 64 * i, *row)
-    else:
+    if rows:  # [] does not broadcast to shape (0, 8)
         states[:] = rows
 
 

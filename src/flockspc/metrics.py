@@ -26,6 +26,7 @@ import numpy as np
 from .config import ScenarioConfig
 from .engine import Trace
 from .model import Obstacle, Vec3, _points
+from .presets import R_SAFETY
 
 __all__ = [
     "MetricsSample",
@@ -101,7 +102,8 @@ def compute_metrics(
     time: float = 0.0,
 ) -> MetricsSample:
     """Exact min/max metrics over all pairs and agents at one instant."""
-    return _sample(_points(true_positions, "true_positions"), _obstacle_xy(obstacles), time)
+    pos = _points(true_positions, "true_positions")
+    return MetricsSample(time, *_frames_worst(pos[None], _obstacle_xy(obstacles)))
 
 
 @lru_cache(maxsize=32)
@@ -119,35 +121,29 @@ def _obstacle_xy(obstacles: Sequence[Obstacle]) -> tuple[np.ndarray, np.ndarray]
     return np.array([o.x for o in obstacles]), np.array([o.y for o in obstacles])
 
 
-def _sample(pos: np.ndarray, obstacle_xy: tuple[np.ndarray, np.ndarray] | None,
-            time: float) -> MetricsSample:
-    """compute_metrics of finite positions pos (n, 3) and _obstacle_xy's arrays."""
-    n = pos.shape[0]
+def _frames_worst(pos: np.ndarray, obstacle_xy: tuple[np.ndarray, np.ndarray] | None
+                  ) -> tuple[float | None, float, float | None]:
+    """(dist_min, comp_max, clear_obj) of finite positions pos (T, n, 3) and
+    _obstacle_xy's arrays: each metric's worst over the T frames, scored one
+    frame at a time, so no temporary grows with T * n**2 or T * n * k.  The
+    sqrt of the least or greatest square is the least or greatest sqrt."""
+    n = pos.shape[1]
     if n < 1:
         raise ValueError("compute_metrics needs at least one agent")
-
-    dist_min: float | None = None
-    if n >= 2:
-        ii, jj = _pairs(n)
-        dx = pos[ii, 0] - pos[jj, 0]
-        dy = pos[ii, 1] - pos[jj, 1]
-        dz = pos[ii, 2] - pos[jj, 2]
-        dist_min = math.sqrt(float((dx * dx + dy * dy + dz * dz).min()))
-
-    centroid = pos.mean(axis=0)
-    cx = pos[:, 0] - centroid[0]
-    cy = pos[:, 1] - centroid[1]
-    cz = pos[:, 2] - centroid[2]
-    comp_max = math.sqrt(float((cx * cx + cy * cy + cz * cz).max()))
-
-    clear_obj: float | None = None
-    if obstacle_xy is not None:
-        ox, oy = obstacle_xy
-        ex = pos[:, 0][:, None] - ox[None, :]
-        ey = pos[:, 1][:, None] - oy[None, :]
-        clear_obj = math.sqrt(float((ex * ex + ey * ey).min()))
-
-    return MetricsSample(time=time, dist_min=dist_min, comp_max=comp_max, clear_obj=clear_obj)
+    ii, jj = _pairs(n)
+    dist2, comp2, clear2 = [], [], []
+    for frame, centroid in zip(pos, pos.mean(axis=1)):
+        if n >= 2:
+            dx, dy, dz = (np.take(frame, ii, 0) - np.take(frame, jj, 0)).T
+            dist2.append((dx * dx + dy * dy + dz * dz).min())
+        cx, cy, cz = (frame - centroid).T
+        comp2.append((cx * cx + cy * cy + cz * cz).max())
+        if obstacle_xy is not None:
+            ex = frame[:, 0, None] - obstacle_xy[0]
+            ey = frame[:, 1, None] - obstacle_xy[1]
+            clear2.append((ex * ex + ey * ey).min())
+    return (math.sqrt(min(dist2)) if dist2 else None, math.sqrt(max(comp2)),
+            math.sqrt(min(clear2)) if clear2 else None)
 
 
 def thresholds_from_geometry(
@@ -170,7 +166,7 @@ def thresholds_from_geometry(
 
 def thresholds_for_scenario(
     cfg: ScenarioConfig,
-    r_safety: float = 0.06,
+    r_safety: float = R_SAFETY,
     comp_thr: float = 10.0,
 ) -> Thresholds:
     """Thresholds implied by a scenario's geometry; r_k is the largest
@@ -179,18 +175,24 @@ def thresholds_for_scenario(
     return thresholds_from_geometry(cfg.cost.r_drone, r_safety, r_k, comp_thr)
 
 
-def _worst(items: Sequence[MetricsSample | RunSummary], thr: Thresholds) -> tuple:
-    """Worst case of samples or summaries, each value with its verdict: least dist_min and
-    clear_obj (None when none has one), greatest comp_max.  Equality fails."""
-    dist_vals = [s.dist_min for s in items if s.dist_min is not None]
-    clear_vals = [s.clear_obj for s in items if s.clear_obj is not None]
-    dist = min(dist_vals) if dist_vals else None
-    comp = max(s.comp_max for s in items)
-    clear = min(clear_vals) if clear_vals else None
+def _judged(dist: float | None, comp: float, clear: float | None, thr: Thresholds) -> tuple:
+    """Each worst-case value with its verdict, None for an absent metric.
+    Equality fails: the thresholds are safety margins."""
     return (
         (dist, None if dist is None else dist > thr.dist_thr),
         (comp, comp < thr.comp_thr),
         (clear, None if clear is None else clear > thr.clear_thr),
+    )
+
+
+def _worst(summaries: Sequence[RunSummary], thr: Thresholds) -> tuple:
+    """_judged worst case of summaries: least dist_min and clear_obj (None
+    when none has one), greatest comp_max."""
+    return _judged(
+        min((s.dist_min for s in summaries if s.dist_min is not None), default=None),
+        max(s.comp_max for s in summaries),
+        min((s.clear_obj for s in summaries if s.clear_obj is not None), default=None),
+        thr,
     )
 
 
@@ -202,7 +204,7 @@ def aggregate(
     """Worst-case aggregates over all ticks with time >= formation_time.
 
     formation_time defaults to the scenario's own setting.  Raises
-    ValueError when the window contains no samples.
+    ValueError when the window contains no samples or a non-finite position.
     """
     cfg = trace.config
     start = cfg.formation_time if formation_time is None else formation_time
@@ -212,9 +214,11 @@ def aggregate(
             f"aggregation window is empty: no ticks at or after t={start} "
             f"(trace ends at t={trace.records[-1].time if trace.records else 0.0})"
         )
-    xy = _obstacle_xy(cfg.obstacles)  # once per window, like _pairs(n)
-    samples = [_sample(_points(rec.positions, "true_positions"), xy, rec.time) for rec in window]
-    (dist_min, dist_ok), (comp_max, comp_ok), (clear_obj, clear_ok) = _worst(samples, thresholds)
+    pos = np.array([rec.positions for rec in window], dtype=float)
+    if not np.isfinite(pos).all():
+        raise ValueError(f"true_positions must be finite, got a non-finite one from t={start} on")
+    (dist_min, dist_ok), (comp_max, comp_ok), (clear_obj, clear_ok) = _judged(
+        *_frames_worst(pos, _obstacle_xy(cfg.obstacles)), thresholds)
 
     return RunSummary(
         agent_count=cfg.agent_count,
@@ -223,7 +227,7 @@ def aggregate(
         llc_family=cfg.llc.family,
         seed=cfg.seed,
         window_start=start,
-        sample_count=len(samples),
+        sample_count=len(window),
         dist_min=dist_min,
         comp_max=comp_max,
         clear_obj=clear_obj,

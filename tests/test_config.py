@@ -6,6 +6,7 @@ from __future__ import annotations
 import copy
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,10 +21,14 @@ from flockspc import (
     SpawnSpec,
     Vec3,
     Waypoint,
+    build_scenario,
     hardware_scenario,
+    load_scenario,
     parse_scenario,
     scenario_to_dict,
 )
+from flockspc.cli import SweepSpec
+from flockspc.config import load
 
 
 def _vec(rng, lo=-3.0, hi=3.0) -> Vec3:
@@ -198,3 +203,23 @@ def test_counter_words_must_fit_32_bits():
     data["agent_count"] = 2**32
     with pytest.raises(ConfigError, match="agent_count"):
         parse_scenario(data)
+
+
+_SHIPPED = Path(__file__).resolve().parent.parent / "scenarios"
+_SHIPPED_SCENARIOS = {
+    "no_obstacles.json": lambda: build_scenario(9, "none", "SPC", "A"),
+    "three_obstacles.json": lambda: build_scenario(9, "three", "SPC", "B"),
+    "eleven_obstacles.json": lambda: build_scenario(9, "eleven", "SPC", "B"),
+    "hardware_preset.json": lambda: hardware_scenario(0),
+}
+_SHIPPED_SWEEPS = ("sweep_full.json", "sweep_small.json")
+
+
+def test_shipped_scenario_files_load_and_equal_their_presets():
+    shipped = sorted(p.name for p in _SHIPPED.glob("*.json"))
+    assert shipped == sorted([*_SHIPPED_SCENARIOS, *_SHIPPED_SWEEPS]), (
+        "every file in scenarios/ needs a case here")
+    for name, preset in _SHIPPED_SCENARIOS.items():
+        assert load_scenario(_SHIPPED / name) == preset(), f"{name} drifted from its preset"
+    for name in _SHIPPED_SWEEPS:
+        assert isinstance(load(SweepSpec, _SHIPPED / name), SweepSpec)

@@ -294,9 +294,9 @@ def test_fly_lets_non_finite_values_through():
 
 
 def test_fly_writes_any_float64_layout_in_place():
-    # C-contiguous rows are packed into the buffer; views and Fortran order
-    # take the plain assignment, with the same values.  The array step (family
-    # B from _BLOCK_ROWS rows) writes its transposed copy back the same way.
+    # The row loop's rows go back by one assignment whatever the layout:
+    # C order, a strided view, Fortran order.  The array step (family B from
+    # _BLOCK_ROWS rows) writes its transposed copy back the same way.
     for n, family in ((3, "A"), (_BLOCK_ROWS, "B")):
         start = np.arange(8.0 * n).reshape(n, 8) / 7.0
         refs = np.resize([[1.0, -2.0, 3.0], [0.0, 0.5, 0.0], [-4.0, 0.0, 1.0]], (n, 3))

@@ -6,6 +6,7 @@ from __future__ import annotations
 import io
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,8 +23,11 @@ from flockspc import (
     Trace,
     Vec3,
     aggregate,
+    build_scenario,
     compute_metrics,
+    hardware_scenario,
     markdown_table,
+    run_scenario,
     summary_to_dict,
     thresholds_for_scenario,
     thresholds_from_geometry,
@@ -220,6 +224,47 @@ def test_aggregate_worst_case_over_window():
     s = aggregate(_trace(frames), thr, formation_time=10.0)
     assert abs(s.dist_min - 0.14) <= 1e-15
     assert s.dist_ok is False and not s.passed
+
+
+def _hex(value):
+    return None if value is None else value.hex()
+
+
+@pytest.mark.parametrize("make", [
+    lambda: build_scenario(30, "eleven", "SPC", "A", 3, duration=20.0),
+    lambda: build_scenario(100, "none", "PFC", "B", 3, duration=20.0),
+    lambda: hardware_scenario(3),
+], ids=["spc_eleven_30", "pfc_open_100", "spc_hw_4"])
+def test_aggregate_is_the_worst_of_compute_metrics_over_its_window(make):
+    # One pass over the stacked window, bit for bit the worst per-tick sample.
+    cfg = make()
+    trace = run_scenario(cfg)
+    s = aggregate(trace, thresholds_for_scenario(cfg))
+    samples = [compute_metrics(rec.positions, cfg.obstacles, rec.time)
+               for rec in trace.records if rec.time >= cfg.formation_time]
+    assert s.sample_count == len(samples)
+    clears = [m.clear_obj for m in samples]
+    expected = (min(m.dist_min for m in samples), max(m.comp_max for m in samples),
+                min(clears) if cfg.obstacles else None)
+    assert tuple(map(_hex, (s.dist_min, s.comp_max, s.clear_obj))) == tuple(map(_hex, expected))
+
+
+def test_aggregate_memory_does_not_grow_with_pairs_or_obstacles():
+    # A 60 s, 30-agent window through the eleven-cylinder field: 500 ticks.
+    # Scored all at once, its pair distances alone would take 1.7 MB.
+    rng = np.random.default_rng(5)
+    frames = [(10.0 + 0.1 * k, rng.uniform(-3, 3, size=(30, 3))) for k in range(500)]
+    obstacles = [Obstacle(float(x), float(y), 0.15) for x, y in rng.uniform(-3, 3, size=(11, 2))]
+    tr = _trace(frames, obstacles)
+    thr = thresholds_for_scenario(tr.config)
+    aggregate(tr, thr)
+    tracemalloc.start()
+    try:
+        aggregate(tr, thr)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000, f"aggregate peaked at {peak} bytes"
 
 
 def test_aggregate_no_obstacles_reports_absent_clearance():
