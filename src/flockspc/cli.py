@@ -41,8 +41,6 @@ from .presets import build_scenario, resolve_layout
 
 __all__ = ["main", "cmd_simulate", "cmd_sweep", "cmd_step_response", "cmd_equilibrium"]
 
-THREADS_ENV = "FLOCKSPC_THREADS"
-
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_VIOLATION = 3
@@ -52,19 +50,6 @@ EXIT_DIVERGED = 4
 def _fail(message: str, code: int = EXIT_CONFIG) -> int:
     print(f"error: {message}", file=sys.stderr)
     return code
-
-
-def _sweep_parallelism(job_count: int) -> int:
-    raw = os.environ.get(THREADS_ENV)
-    if raw is None:
-        return max(1, min(job_count, os.cpu_count() or 1))
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise ConfigError(f"{THREADS_ENV}: must be an integer, got {raw!r}") from None
-    if cap < 1:
-        raise ConfigError(f"{THREADS_ENV}: must be >= 1, got {cap}")
-    return min(cap, job_count)
 
 
 # --- simulate -----------------------------------------------------------------
@@ -157,12 +142,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             spec.llc_families, spec.seeds,
         )
     ]
-    workers = _sweep_parallelism(len(jobs))
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            summaries = list(pool.map(_sweep_job, jobs))
-    else:
-        summaries = [_sweep_job(job) for job in jobs]
+    # One worker per CPU this process may run on (taskset or a cpuset caps it).
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    workers = min(len(jobs), cpus)
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        summaries = list(pool.map(_sweep_job, jobs))
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

@@ -238,6 +238,10 @@ class Simulation:
         block = self._block[offset]
         return lambda observers, observed: block[observers, observed]
 
+    # Huge but finite states (a diverging plant, enormous noise) overflow the
+    # decision arithmetic before a state stops being finite; tick() then
+    # reports a DivergenceError, so numpy's warnings add nothing.
+    @np.errstate(over="ignore", invalid="ignore")
     def tick(self) -> TickRecord:
         """Observe, decide, record, then integrate physics for one control period.
 
@@ -270,11 +274,7 @@ class Simulation:
         return record
 
     def run(self) -> Trace:
-        # Huge but finite states (a diverging plant, enormous noise) overflow
-        # the decision arithmetic before a state stops being finite; tick()
-        # then reports a DivergenceError, so numpy's warnings add nothing.
-        with np.errstate(over="ignore", invalid="ignore"):
-            records = tuple(self.tick() for _ in range(self.cfg.tick_count))
+        records = tuple(self.tick() for _ in range(self.cfg.tick_count))
         return Trace(config=self.cfg, records=records)
 
 

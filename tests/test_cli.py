@@ -196,8 +196,7 @@ SWEEP_SMALL = {
 }
 
 
-def test_sweep_runs_grid_and_writes_table(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("FLOCKSPC_THREADS", "1")
+def test_sweep_runs_grid_and_writes_table(tmp_path, capsys):
     sw = _write(tmp_path, "sweep.json", SWEEP_SMALL)
     out = tmp_path / "out"
     assert main(["sweep", "--sweep", sw, "--out", str(out)]) == 0
@@ -209,23 +208,29 @@ def test_sweep_runs_grid_and_writes_table(tmp_path, monkeypatch, capsys):
     assert "ran 8 scenarios" in capsys.readouterr().out
 
 
-def test_sweep_parallel_matches_serial(tmp_path, monkeypatch):
+def _allow_cpus(monkeypatch, count):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+
+
+def test_sweep_parallel_matches_serial(tmp_path, monkeypatch, capsys):
     sw = _write(tmp_path, "sweep.json", SWEEP_SMALL)
-    monkeypatch.setenv("FLOCKSPC_THREADS", "1")
+    _allow_cpus(monkeypatch, 1)
     assert main(["sweep", "--sweep", sw, "--out", str(tmp_path / "serial")]) == 0
-    monkeypatch.setenv("FLOCKSPC_THREADS", "2")
+    assert "with 1 worker(s)" in capsys.readouterr().out
+    _allow_cpus(monkeypatch, 2)
     assert main(["sweep", "--sweep", sw, "--out", str(tmp_path / "par")]) == 0
+    assert "with 2 worker(s)" in capsys.readouterr().out
     assert ((tmp_path / "serial" / "table.md").read_bytes()
             == (tmp_path / "par" / "table.md").read_bytes())
     for p in (tmp_path / "serial").glob("run_*.json"):
         assert p.read_bytes() == (tmp_path / "par" / p.name).read_bytes()
 
 
-@pytest.mark.parametrize("threads, seeds", [("1", [0]), ("2", [0]), ("2", [0, 1])])
-def test_sweep_diverging_job_exits_4(tmp_path, monkeypatch, capsys, threads, seeds):
-    # Two jobs on two threads run in worker processes; the first job in grid
-    # order is the one reported.
-    monkeypatch.setenv("FLOCKSPC_THREADS", threads)
+@pytest.mark.parametrize("cpus, seeds", [(1, [0]), (2, [0]), (2, [0, 1])])
+def test_sweep_diverging_job_exits_4(tmp_path, monkeypatch, capsys, cpus, seeds):
+    # Every job runs in a worker process; with two jobs on two CPUs the first
+    # job in grid order is the one reported.
+    _allow_cpus(monkeypatch, cpus)
     data = {"flock_sizes": [3], "obstacle_scenarios": ["none"], "controllers": ["PFC"],
             "llc_families": ["B"], "seeds": seeds, "duration": 12.0, "noise_sigma": 1e308}
     sw = _write(tmp_path, "sweep.json", data)
@@ -236,16 +241,23 @@ def test_sweep_diverging_job_exits_4(tmp_path, monkeypatch, capsys, threads, see
     assert not (tmp_path / "o").exists()
 
 
-def test_sweep_layout_given_as_obstacle_count(tmp_path, monkeypatch):
-    monkeypatch.setenv("FLOCKSPC_THREADS", "1")
+@pytest.mark.parametrize("cpu_count, workers", [(None, 1), (3, 2)])
+def test_sweep_without_affinity_counts_cpus(tmp_path, monkeypatch, capsys, cpu_count, workers):
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpu_count)
+    sw = _write(tmp_path, "sweep.json", dict(SWEEP_SMALL, flock_sizes=[2], llc_families=["A"]))
+    assert main(["sweep", "--sweep", sw, "--out", str(tmp_path / "o")]) == 0
+    assert f"ran 2 scenarios with {workers} worker(s)" in capsys.readouterr().out
+
+
+def test_sweep_layout_given_as_obstacle_count(tmp_path):
     data = dict(SWEEP_SMALL, obstacle_scenarios=[0], flock_sizes=[2], llc_families=["A"], seeds=[0])
     sw = _write(tmp_path, "sweep.json", data)
     assert main(["sweep", "--sweep", sw, "--out", str(tmp_path / "o")]) == 0
     assert (tmp_path / "o" / "run_d2_none_SPC_A_s0.json").exists()
 
 
-def test_sweep_field_errors_exit_2(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("FLOCKSPC_THREADS", "1")
+def test_sweep_field_errors_exit_2(tmp_path, capsys):
     for key, value in (("controllers", ["MPC"]), ("flock_sizes", [0]), ("duration", "long"),
                        ("seeds", [True]), ("noise_sigma", -0.1)):
         sw = _write(tmp_path, "sweep.json", dict(SWEEP_SMALL, **{key: value}))
@@ -267,13 +279,6 @@ def test_sweep_unknown_layout_exits_2(tmp_path, capsys):
     sw = _write(tmp_path, "sweep.json", data)
     assert main(["sweep", "--sweep", sw, "--out", str(tmp_path / "o")]) == 2
     assert "five" in capsys.readouterr().err
-
-
-def test_sweep_bad_thread_env_exits_2(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("FLOCKSPC_THREADS", "many")
-    sw = _write(tmp_path, "sweep.json", SWEEP_SMALL)
-    assert main(["sweep", "--sweep", sw, "--out", str(tmp_path / "o")]) == 2
-    assert "FLOCKSPC_THREADS" in capsys.readouterr().err
 
 
 def test_step_response_outputs(tmp_path):
@@ -412,7 +417,6 @@ def test_out_that_cannot_be_a_directory_exits_2_before_any_work(
         raise AssertionError("ran before --out was checked")
 
     monkeypatch.setattr(work, no_work)
-    monkeypatch.setenv("FLOCKSPC_THREADS", "1")
     paths = {"scenario": _write(tmp_path, "sc.json", TWO_AGENT_SCENARIO),
              "sweep": _write(tmp_path, "sweep.json", SWEEP_SMALL)}
     (tmp_path / "file").write_text("")

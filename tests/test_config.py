@@ -6,6 +6,7 @@ from __future__ import annotations
 import copy
 import json
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -184,6 +185,25 @@ def test_errors_name_the_json_path(mutation, field):
     with pytest.raises(ConfigError) as exc:
         parse_scenario(data)
     assert str(exc.value).startswith(field), str(exc.value)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: replace(hardware_scenario(0), r_h=0.0), r"^r_h: must be positive"),
+    (lambda: replace(hardware_scenario(0), r_h=math.nan), r"^r_h: must be positive"),
+    (lambda: replace(hardware_scenario(0), seed=1.5), r"^seed: must be an integer"),
+    (lambda: replace(hardware_scenario(0), seed=True), r"^seed: must be an integer"),
+    (lambda: replace(hardware_scenario(0), obs_delay_ticks=-1), r"^obs_delay_ticks: must be"),
+    (lambda: SpawnSpec(positions=(Vec3(0, 0, 1),), box_min=Vec3(0, 0, 0), box_max=Vec3(1, 1, 1)),
+     r"^spawn: give either positions or a box"),
+    (lambda: Obstacle(math.nan, 0.0, 0.15), r"^Obstacle center must be finite"),
+    (lambda: CostParams(20.0, 9.0, 0.0, 0.0, target=Vec3(math.nan, 0, 0)),
+     r"^target must be finite"),
+])
+def test_values_built_in_python_name_their_field(build, message):
+    # The constructors check their values for callers that build configs in
+    # Python, not only for scenario files.
+    with pytest.raises(ValueError, match=message):
+        build()
 
 
 def test_counter_words_must_fit_32_bits():

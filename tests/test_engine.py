@@ -6,6 +6,7 @@ from __future__ import annotations
 import json
 import math
 import warnings
+from dataclasses import replace
 from functools import partial
 
 import numpy as np
@@ -219,6 +220,16 @@ def test_box_spawn_respects_min_spacing_and_bounds():
             assert d >= 0.4, f"spawn spacing {d:.3f} < 0.4 between {i} and {j}"
 
 
+def test_unfillable_box_spawn_is_a_config_error():
+    # 40 agents 0.5 m apart pass the packing bound of a 1 m box, but random
+    # placement runs out of attempts at agent 11.
+    cfg = replace(hardware_scenario(0), agent_count=40,
+                  spawn=SpawnSpec(box_min=Vec3(0, 0, 0), box_max=Vec3(1, 1, 1), min_spacing=0.5))
+    with pytest.raises(ConfigError, match=r"^spawn\.box_min/box_max: could not place agent 11 "
+                                          r"with min_spacing 0\.5 after 10000 attempts"):
+        Simulation(cfg)
+
+
 def _reference_spawn_positions(cfg):
     """Box spawn placement as it was written before the one-pass distance
     check, kept as the reference: one np.linalg.norm per placed agent per
@@ -269,13 +280,16 @@ def test_explicit_spawn_positions_exact():
 
 def test_diverging_rollout_raises_without_numpy_warnings():
     # Noise of 1e308 overflows the decision arithmetic before the plant state
-    # stops being finite; run() keeps numpy quiet for every caller, not
-    # only `flockspc simulate`.
+    # stops being finite; tick() keeps numpy quiet for every caller, also one
+    # that loops over it without run().
     cfg = build_scenario(3, "none", "PFC", "B", 0, duration=12.0, noise_sigma=1e308)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(DivergenceError, match=r"^tick 0 \(t=0 s\), agent 0: plant position"):
-            run_scenario(cfg)
+    sim = Simulation(cfg)
+    for drive in (lambda: run_scenario(cfg), sim.tick):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DivergenceError,
+                               match=r"^tick 0 \(t=0 s\), agent 0: plant position"):
+                drive()
 
 
 def test_same_seed_reproduces_different_seed_diverges():

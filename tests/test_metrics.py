@@ -93,6 +93,8 @@ def test_metrics_reject_non_finite_positions():
             compute_metrics(np.array([[0.0, 0, 1], [0, bad, 1]]))
     with pytest.raises(ValueError, match=r"true_positions: expected 3 coordinates per point, got shape \(2, 2\)"):
         compute_metrics(np.zeros((2, 2)))
+    with pytest.raises(ValueError, match="compute_metrics needs at least one agent"):
+        compute_metrics(np.empty((0, 3)))
     # aggregate scores every recorded tick the same way
     frames = [(t, [(0, 0, 1), (1, 0, 1)]) for t in (0.0, 0.1, 0.2)]
     frames[1][1][1] = (math.nan, 0, 1)
@@ -183,8 +185,11 @@ def test_threshold_formulas():
     assert abs(t.clear_thr - 0.28) <= 1e-15, f"clear_thr {t.clear_thr}"
     t = thresholds_from_geometry(0.0, 0.0, 0.0, comp_thr=0.0)
     assert t.dist_thr == 0.0 and t.clear_thr == 0.0 and t.comp_thr == 0.0
-    with pytest.raises(ValueError):
-        thresholds_from_geometry(-0.01, 0.06)
+    for args, named in (((-0.01, 0.06), "r_drone"), ((math.nan, 0.06), "r_drone"),
+                        ((0.07, math.inf), "r_safety"), ((0.07, 0.06, math.inf), "r_k"),
+                        ((0.07, 0.06, -math.inf), "r_k")):
+        with pytest.raises(ValueError, match=rf"^{named} must be >= 0 and finite"):
+            thresholds_from_geometry(*args)
 
 
 def test_thresholds_for_scenario_uses_largest_obstacle():
