@@ -129,15 +129,16 @@ def _decide(p: np.ndarray, hoods: _Neighborhoods, params: CostParams,
     n = p.shape[0]
     gradient = _gradient(p, hoods, params)[4]
     norm = _norms(gradient)
-    moves, counts = np.zeros(n, dtype=bool), np.zeros(n, dtype=np.int32)
+    counts = np.zeros(n, dtype=np.int32)
+    points = p[:, None]  # row 0 is the agent itself, all that PFC scores
     if cfg.kind == "SPC":
         moves = (HOLD_GRADIENT_NORM <= norm) & (norm < math.inf)  # a NaN norm holds too
         counts[moves] = cfg.n_star
         if cfg.dynamic_n and params.target is not None:
             counts[moves] = _lookahead_counts(cfg.n_star, _norms(p[moves] - params._target_array))
-    longest = int(counts.max())
-    points = np.repeat(p[:, None], 1 + longest, axis=1)  # row 0 is the agent itself
-    points[moves, 1:] = _ladders(p[moves], gradient[moves], norm[moves], cfg.epsilon, longest)
+        longest = int(counts.max())
+        points = np.repeat(points, 1 + longest, axis=1)
+        points[moves, 1:] = _ladders(p[moves], gradient[moves], norm[moves], cfg.epsilon, longest)
     terms = _cost_terms(points, hoods, params)
     totals = _cost_totals(terms)
 

@@ -41,7 +41,7 @@ from flockspc import (
     write_trace_csv,
 )
 from flockspc.controller import HOLD_GRADIENT_NORM, _ladders, _norms
-from flockspc.engine import DivergenceError, _snapshot, _spawn_positions
+from flockspc.engine import _SPAWN_BLOCK, DivergenceError, _snapshot, _spawn_positions
 from flockspc.noise import _pair_noise, _round_keys
 
 DEFAULT_COST = CostParams(w_coh=20.0, w_sep=9.0, w_tar=0.0, w_obs=0.0)
@@ -258,6 +258,10 @@ _SPAWN_CASES = {
     "packed_20": lambda seed: _scenario(
         agent_count=20, seed=seed,
         spawn=SpawnSpec(box_min=Vec3(0, 0, 1.0), box_max=Vec3(1, 1, 1.4), min_spacing=0.25)),
+    # Every draw is accepted: two full candidate blocks and the first row of a third.
+    "unspaced": lambda seed: _scenario(
+        agent_count=2 * _SPAWN_BLOCK + 1, seed=seed,
+        spawn=SpawnSpec(box_min=Vec3(-3, -2, -1.5), box_max=Vec3(-1, -0.5, -0.5), min_spacing=0.0)),
 }
 
 
