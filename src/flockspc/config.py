@@ -111,10 +111,12 @@ class ScenarioConfig:
     obs_delay_ticks: int = 0
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.agent_count, int) and self.agent_count >= 1):
+        # type(), so that True is no integer.
+        if not (type(self.agent_count) is int and self.agent_count >= 1):
             raise ConfigError(f"agent_count: must be an integer >= 1, got {self.agent_count!r}")
-        if not isinstance(self.seed, int) or isinstance(self.seed, bool):
-            raise ConfigError(f"seed: must be an integer, got {self.seed!r}")
+        # The noise and spawn keys take the seed modulo 2**64: no two seeds may share one.
+        if not (type(self.seed) is int and 0 <= self.seed < 2**64):
+            raise ConfigError(f"seed: must be an integer in [0, 2**64), got {self.seed!r}")
         if not self.r_h > 0.0:  # inf allowed
             raise ConfigError(f"r_h: must be positive, got {self.r_h}")
         if not (self.noise_sigma >= 0.0 and math.isfinite(self.noise_sigma)):
@@ -150,7 +152,7 @@ class ScenarioConfig:
                 f"formation_time: must be in [0, {last_tick!r}] (the last tick time) so the "
                 f"aggregation window holds a tick, got {self.formation_time}"
             )
-        if not (isinstance(self.obs_delay_ticks, int) and self.obs_delay_ticks >= 0):
+        if not (type(self.obs_delay_ticks) is int and self.obs_delay_ticks >= 0):
             raise ConfigError(
                 f"obs_delay_ticks: must be an integer >= 0, got {self.obs_delay_ticks!r}"
             )

@@ -54,7 +54,7 @@ class ControllerConfig:
             raise ValueError(f"controller kind must be 'SPC' or 'PFC', got {self.kind!r}")
         if not (self.epsilon > 0.0 and math.isfinite(self.epsilon)):
             raise ValueError(f"epsilon must be positive, got {self.epsilon}")
-        if not (isinstance(self.n_star, int) and self.n_star >= 1):
+        if not (type(self.n_star) is int and self.n_star >= 1):  # type(): True is no integer
             raise ValueError(f"n_star must be an integer >= 1, got {self.n_star!r}")
         if self.kind == "PFC" and not (self.pfc_gain > 0.0 and math.isfinite(self.pfc_gain)):
             raise ValueError(f"pfc_gain must be positive for PFC, got {self.pfc_gain}")

@@ -9,12 +9,13 @@ The noise is keyed per pair (module noise): what observer i sees of agent j
 at control tick k is pos[j] + sigma * observation_stream(seed, k, i, j).  A
 pair's noise depends on nothing else, so a rollout is bit-identical whatever
 order or batch the pairs and decisions of a tick are evaluated in.  The
-snapshot (_snapshot) masks each agent's neighbours by true distance and
-draws noise for the self and in-range pairs only, in one vectorised call, so
-it costs O(n h) draws for h neighbours instead of n^2; model._neighborhoods
-gathers the noisy positions into the padded neighbour block.  Flocks of up
-to _BLOCK_AGENTS agents draw every pair's noise for the next few ticks in
-one call instead.
+snapshot (_snapshot) finds each agent's neighbours by true distance, draws
+noise for the self and in-range pairs only, O(n h) draws for h neighbours,
+in one vectorised call, and returns pair lists: per-agent counts, then the
+neighbour indices and noisy positions in row-major order, which
+model._neighborhoods packs into the padded block.  Flocks of up to
+_BLOCK_AGENTS agents draw every pair's noise for the next few ticks in one
+call instead.
 
 No SIMD-dispatched transcendental ufunc (np.power with an exponent other
 than 2, np.tan, np.arctan, np.exp, np.log) feeds a recorded value, here or in
@@ -29,6 +30,7 @@ finite ends the rollout with a DivergenceError.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass, replace
 from functools import partial
 from itertools import count
@@ -91,14 +93,15 @@ def spawn_stream(seed: int) -> np.random.Generator:
 PairNoise = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
-def _snapshot(pos: np.ndarray, agents: np.ndarray, r_h: float,
-              noise: PairNoise | None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _snapshot(pos: np.ndarray, agents: np.ndarray, r_h: float, noise: PairNoise | None
+              ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """What each of the observing agents (a,) sees of the true positions
-    pos (n, 3): its own noisy position (a, 3), the (a, n) mask of the agents
-    strictly within r_h of its true position, itself excluded, and the
-    noisy positions (k, 3) of the mask's k True entries in row-major order,
-    the rows model._neighborhoods takes.  Noise is drawn for those pairs and
-    the self pairs only, in one call; None adds none.  Inputs are trusted."""
+    pos (n, 3), as pair lists: its own noisy position (a, 3), its neighbour
+    count (a,) int32, and the indices cols (k,) and noisy positions (k, 3)
+    of the agents strictly within r_h of its true position, itself excluded,
+    in row-major order: agent i's are its next counts[i] entries, cols
+    ascending.  Noise is drawn for those pairs and the self pairs only, in
+    one call; None adds none.  Inputs are trusted."""
     a = agents.shape[0]
     d2 = (pos[:, 0] - pos[agents, 0, None]) ** 2  # summed x, y, z in place
     d2 += (pos[:, 1] - pos[agents, 1, None]) ** 2
@@ -106,10 +109,11 @@ def _snapshot(pos: np.ndarray, agents: np.ndarray, r_h: float,
     near = np.sqrt(d2, out=d2) < r_h
     near[np.arange(a), agents] = False
     rows, cols = np.nonzero(near)
+    counts = np.bincount(rows, minlength=a).astype(np.int32)
     if noise is None:
-        return pos[agents], near, pos[cols]
+        return pos[agents], counts, cols, pos[cols]
     noisy = noise(np.concatenate((agents, agents[rows])), np.concatenate((agents, cols)))
-    return pos[agents] + noisy[:a], near, pos[cols] + noisy[a:]
+    return pos[agents] + noisy[:a], counts, cols, pos[cols] + noisy[a:]
 
 
 def _tick_noise(cfg: ScenarioConfig, tick: int) -> PairNoise | None:
@@ -208,7 +212,8 @@ class Simulation:
         self._state = np.zeros((cfg.agent_count, 8))
         self._state[:, :3] = _spawn_positions(cfg)  # finite: SpawnSpec checks them
         self.tick_index = 0
-        self._position_history: list[np.ndarray] = []
+        # The last obs_delay_ticks + 1 ticks' positions: [0] is the delayed snapshot's.
+        self._position_history: deque[np.ndarray] = deque(maxlen=cfg.obs_delay_ticks + 1)
         self._block, self._block_start = np.empty((0, 0, 0, 3)), 0  # small flocks' noise
         self._params: dict[Waypoint | None, CostParams] = {}
 
@@ -262,17 +267,17 @@ class Simulation:
         self._position_history.append(positions)
 
         params = self._active_params(now)
-        basis = self._position_history[max(0, k - cfg.obs_delay_ticks)]
-        observed, near, seen = _snapshot(basis, np.arange(cfg.agent_count), cfg.r_h,
-                                         self._noise(k))
-        hoods = _neighborhoods(seen, near)
+        basis = self._position_history[0]
+        observed, counts, _, seen = _snapshot(basis, np.arange(cfg.agent_count), cfg.r_h,
+                                              self._noise(k))
+        hoods = _neighborhoods(seen, counts)
         decisions = _decide(observed, hoods, params, cfg.controller)
 
         record = TickRecord(
             index=k, time=now, target=params.target, positions=positions,
             velocities=state[:, 3:6].copy(), observed_self=observed,
             setpoints=decisions.setpoints, costs=decisions.costs,
-            grad_norms=decisions.grad_norms, n_neighbors=hoods.counts,
+            grad_norms=decisions.grad_norms, n_neighbors=counts,
             n_candidates=decisions.n_candidates, chosen_m=decisions.chosen_m,
         )
         self._state = _advance(state, decisions.setpoints, cfg, f"tick {k} (t={now:g} s)")
@@ -308,9 +313,8 @@ def tick_observation(trace: Trace, tick_index: int, agent: int) -> list[tuple[in
     if not 0 <= agent < cfg.agent_count:
         raise ValueError(f"agent index {agent} out of range for {cfg.agent_count} agents")
     basis = trace.records[max(0, tick_index - cfg.obs_delay_ticks)].positions
-    own, near, seen = _snapshot(basis, np.array([agent]), cfg.r_h, _tick_noise(cfg, tick_index))
-    points = sorted([(agent, own[0]), *zip(np.flatnonzero(near[0]).tolist(), seen)],
-                    key=lambda pair: pair[0])
+    own, _, cols, seen = _snapshot(basis, np.array([agent]), cfg.r_h, _tick_noise(cfg, tick_index))
+    points = sorted([(agent, own[0]), *zip(cols.tolist(), seen)], key=lambda pair: pair[0])
     return [(j, Vec3(*p.tolist())) for j, p in points]
 
 

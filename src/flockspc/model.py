@@ -200,11 +200,9 @@ def _slot_sum(x: np.ndarray, pad: np.ndarray) -> np.ndarray:
     return np.add.accumulate(x, axis=2)[..., -1] + 0.0
 
 
-def _neighborhoods(seen: np.ndarray, near: np.ndarray) -> _Neighborhoods:
-    """One padded block: agent i's neighbours are the rows of seen (k, 3)
-    that belong to row i of the mask near (n, n'), seen holding one row per
-    True entry of near in row-major order."""
-    counts = near.sum(axis=1, dtype=np.int32)
+def _neighborhoods(seen: np.ndarray, counts: np.ndarray) -> _Neighborhoods:
+    """One padded block: agent i's neighbours are the next counts[i] (n,)
+    rows of seen (k, 3), agent by agent in order."""
     pad = np.arange(counts.max(initial=0)) >= counts[:, None]
     nbr = np.empty(pad.shape + (3,))
     nbr[~pad] = seen  # row-major, like seen; _slot_sum writes the pads
@@ -214,7 +212,7 @@ def _neighborhoods(seen: np.ndarray, near: np.ndarray) -> _Neighborhoods:
 def _one_neighborhood(neighbors: Neighbors) -> _Neighborhoods:
     """A batch of one agent with the given neighbours, validated."""
     nbr = _points(neighbors, "neighbors")
-    return _neighborhoods(nbr, np.ones((1, nbr.shape[0]), dtype=bool))
+    return _neighborhoods(nbr, np.array([len(nbr)], dtype=np.int32))
 
 
 def _centroids(points: np.ndarray, hoods: _Neighborhoods) -> np.ndarray:

@@ -68,6 +68,16 @@ def test_simulate_seed_override(tmp_path):
     assert (out0 / "trace.csv").read_bytes() != (out1 / "trace.csv").read_bytes()
 
 
+@pytest.mark.parametrize("seed", ["18446744073709551616", "-1"])
+def test_simulate_seed_outside_64_bits_exits_2(tmp_path, capsys, seed):
+    # 2**64 and -1 would replay the traces of seeds 0 and 2**64 - 1.
+    sc = _write(tmp_path, "sc.json", TWO_AGENT_SCENARIO)
+    assert main(["simulate", "--scenario", sc, "--out", str(tmp_path / "o"), "--seed", seed]) == 2
+    err = capsys.readouterr().err
+    assert "seed" in err and "Traceback" not in err, err
+    assert not (tmp_path / "o").exists()
+
+
 def test_simulate_malformed_json_exits_2(tmp_path, capsys):
     p = tmp_path / "bad.json"
     p.write_text("{not json")

@@ -192,7 +192,15 @@ def test_errors_name_the_json_path(mutation, field):
     (lambda: replace(hardware_scenario(0), r_h=math.nan), r"^r_h: must be positive"),
     (lambda: replace(hardware_scenario(0), seed=1.5), r"^seed: must be an integer"),
     (lambda: replace(hardware_scenario(0), seed=True), r"^seed: must be an integer"),
+    # Seeds alias modulo 2**64 in the noise and spawn keys.
+    (lambda: replace(hardware_scenario(0), seed=2**64), r"^seed: must be an integer in \[0, 2"),
+    (lambda: replace(hardware_scenario(0), seed=-1), r"^seed: must be an integer in \[0, 2"),
     (lambda: replace(hardware_scenario(0), obs_delay_ticks=-1), r"^obs_delay_ticks: must be"),
+    # True is an int subclass; a config rejects it wherever it wants an integer.
+    (lambda: replace(hardware_scenario(0), agent_count=True), r"^agent_count: must be an integer"),
+    (lambda: replace(hardware_scenario(0), obs_delay_ticks=True),
+     r"^obs_delay_ticks: must be an integer"),
+    (lambda: ControllerConfig(kind="SPC", n_star=True), r"^n_star must be an integer"),
     (lambda: SpawnSpec(positions=(Vec3(0, 0, 1),), box_min=Vec3(0, 0, 0), box_max=Vec3(1, 1, 1)),
      r"^spawn: give either positions or a box"),
     (lambda: Obstacle(math.nan, 0.0, 0.15), r"^Obstacle center must be finite"),
@@ -204,6 +212,11 @@ def test_values_built_in_python_name_their_field(build, message):
     # Python, not only for scenario files.
     with pytest.raises(ValueError, match=message):
         build()
+
+
+def test_seed_spans_64_bits():
+    for seed in (0, 2**64 - 1):
+        assert replace(hardware_scenario(0), seed=seed).seed == seed
 
 
 def test_counter_words_must_fit_32_bits():

@@ -33,6 +33,14 @@ def test_dynamic_lookahead_oracles():
     assert dynamic_lookahead_count(5, math.nan) == 5  # max(1.0, nan) is 1.0
 
 
+def test_dynamic_lookahead_rejects_bad_arguments():
+    for n_star in (0, -3):
+        with pytest.raises(ValueError, match=rf"^n_star must be >= 1, got {n_star}$"):
+            dynamic_lookahead_count(n_star, 1.0)
+    with pytest.raises(ValueError, match=r"^dist_to_target must be >= 0, got -0.5$"):
+        dynamic_lookahead_count(5, -0.5)
+
+
 def test_dynamic_lookahead_monotone_and_bounded():
     prev = 0
     for dist in np.linspace(0.0, 6.0, 61):

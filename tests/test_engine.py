@@ -87,9 +87,9 @@ def _noise(seed, tick, sigma):
 
 def test_observe_noise_std_matches_sigma():
     pos = np.zeros((183, 3))
-    own, near, seen = _snapshot(pos, np.arange(183), math.inf, _noise(7, 0, 0.10))
+    own, counts, _, seen = _snapshot(pos, np.arange(183), math.inf, _noise(7, 0, 0.10))
     samples = np.concatenate((own, seen)).ravel()  # 183*183*3 > 1e5 draws
-    assert near.sum() == 183 * 182
+    assert counts.sum() == 183 * 182
     std = float(np.std(samples))
     assert abs(std - 0.10) <= 0.002, f"sample std {std:.5f} not within 2% of 0.10"
     mean = float(np.mean(samples))
@@ -111,7 +111,7 @@ def test_observe_neighborhood_filter_strict():
 
 def test_observe_deterministic_per_key():
     pos = np.random.default_rng(1).uniform(-1, 1, size=(3, 3))
-    a, b, c = (_snapshot(pos, np.array([1]), math.inf, _noise(3, tick, 0.1))[2]
+    a, b, c = (_snapshot(pos, np.array([1]), math.inf, _noise(3, tick, 0.1))[3]
                for tick in (17, 17, 18))
     assert np.array_equal(a, b), "same (seed, tick, agent) must reproduce identical noise"
     assert not np.array_equal(a, c), "different tick should give different noise"
@@ -151,11 +151,12 @@ def test_seeds_past_2_53_get_their_own_streams():
 
 @pytest.mark.parametrize("n", [1, 2, 7, 30])
 def test_array_snapshot_equals_observe(n):
-    # The simulator's flock-wide snapshot (one noise draw and one neighbour
-    # mask per tick; flocks of up to 16 read a block of every pair's noise)
-    # must give each agent's own batch-of-1 snapshot row for row, the one
-    # tick_observation replays, whatever order the ticks and agents are
-    # asked in.
+    # The simulator's flock-wide snapshot (one noise draw and one set of
+    # pair lists per tick; flocks of up to 16 read a block of every pair's
+    # noise) must give each agent's own batch-of-1 snapshot row for row, the
+    # one tick_observation replays, whatever order the ticks and agents are
+    # asked in.  The pair lists hold counts.sum() pairs, row-major, each
+    # agent's cols strictly ascending and never the agent itself.
     rng = np.random.default_rng(n)
     pos = rng.uniform(-1.5, 1.5, size=(n, 3))
     agents = np.arange(n)
@@ -164,14 +165,19 @@ def test_array_snapshot_equals_observe(n):
             sim = Simulation(_scenario(agent_count=n, noise_sigma=sigma, r_h=r_h, seed=n + 40,
                                        spawn=SpawnSpec(positions=tuple(Vec3(*p) for p in pos))))
             for tick in rng.permutation([0, 1, 5, 2, 2**32 - 1]).tolist():
-                own, near, seen = _snapshot(pos, agents, r_h, sim._noise(tick))
-                rows = np.nonzero(near)[0]
+                own, counts, cols, seen = _snapshot(pos, agents, r_h, sim._noise(tick))
+                assert counts.dtype == np.int32 and counts.shape == (n,)
+                assert counts.sum() == len(cols) == len(seen)
+                ends = np.cumsum(counts)
                 for agent in rng.permutation(n).tolist():
+                    mine = slice(ends[agent] - counts[agent], ends[agent])
+                    assert (np.diff(cols[mine]) > 0).all() and agent not in cols[mine]
                     want = _snapshot(pos, np.array([agent]), r_h,
                                      _noise(n + 40, tick, sigma) if sigma else None)
                     assert np.array_equal(own[agent], want[0][0]), (sigma, r_h, tick, agent)
-                    assert np.array_equal(near[agent], want[1][0]), (sigma, r_h, tick, agent)
-                    assert np.array_equal(seen[rows == agent], want[2]), (sigma, r_h, tick, agent)
+                    assert want[1].tolist() == [counts[agent]], (sigma, r_h, tick, agent)
+                    assert np.array_equal(cols[mine], want[2]), (sigma, r_h, tick, agent)
+                    assert np.array_equal(seen[mine], want[3]), (sigma, r_h, tick, agent)
 
 
 def test_single_agent_holds_position():
@@ -442,6 +448,17 @@ def test_observation_delay_uses_stale_positions():
     for j, p in obs:
         assert (p.x, p.y, p.z) == tuple(prev[j]), (
             f"delayed observation of {j} is {p}, expected {tuple(prev[j])}")
+
+
+@pytest.mark.parametrize("delay", [0, 3])
+def test_position_history_holds_only_the_delay_window(delay):
+    # The tick reads the positions obs_delay_ticks back and keeps no older ones.
+    sim = Simulation(_scenario(duration=5.0, formation_time=1.0, obs_delay_ticks=delay))
+    records = []
+    for k in range(50):
+        records.append(sim.tick())
+        assert len(sim._position_history) == min(k + 1, delay + 1)
+        assert sim._position_history[0] is records[max(0, k - delay)].positions
 
 
 def test_obstacles_are_visible_to_cost():

@@ -69,9 +69,9 @@ def _params(rng, i, pos):
 
 def _flock(i):
     """Seeded flock: n from 1 to 40, finite and infinite r_h, coincident
-    agents, per-pair observation noise; returns (observed, seen, near,
-    params), seen holding the (k, 3) observations of near's True entries in
-    row-major order."""
+    agents, per-pair observation noise; returns (observed, seen, counts,
+    params), seen holding the (k, 3) neighbour observations, agent by agent
+    in order, counts[i] of them agent i's."""
     rng = np.random.default_rng(1000 + i)
     n = 1 + i % 40
     pos = rng.uniform(-1.0, 1.0, size=(n, 3)) * (0.2, 1.0, 3.0)[i % 3]
@@ -84,13 +84,13 @@ def _flock(i):
     noise = None
     if sigma > 0.0:
         noise = partial(_pair_noise, _round_keys(i), 2**32 - 1 - i, sigma=sigma)
-    observed, near, seen = _snapshot(pos, np.arange(n), r_h, noise)
-    return observed, seen, near, _params(rng, i, pos)
+    observed, counts, _, seen = _snapshot(pos, np.arange(n), r_h, noise)
+    return observed, seen, counts, _params(rng, i, pos)
 
 
-def _views(seen, near):
+def _views(seen, counts):
     """Each agent's neighbour observations (h_i, 3), in row order."""
-    return np.split(seen, np.cumsum(near.sum(axis=1))[:-1])
+    return np.split(seen, np.cumsum(counts)[:-1])
 
 
 def _controllers(rng):
@@ -107,10 +107,10 @@ def test_cases_reach_the_edges():
     # The generator covers what the kernel must get right.
     counts, flat, nan, moved = set(), 0, 0, 0
     for i in range(CASES):
-        observed, seen, near, params = _flock(i)
-        counts.update(near.sum(axis=1).tolist())
+        observed, seen, hood_counts, params = _flock(i)
+        counts.update(hood_counts.tolist())
         with np.errstate(over="ignore", invalid="ignore"):
-            d = _decide(observed, _neighborhoods(seen, near), params, _controllers(
+            d = _decide(observed, _neighborhoods(seen, hood_counts), params, _controllers(
                 np.random.default_rng(i))[0])
         flat += int((d.grad_norms == 0.0).sum())
         nan += int(np.isnan(d.grad_norms).sum())
@@ -122,11 +122,11 @@ def test_cases_reach_the_edges():
 @pytest.mark.parametrize("part", range(4))
 def test_flock_kernel_rows_equal_batch_of_one(part):
     for i in range(part, CASES, 4):
-        observed, seen, near, params = _flock(i)
+        observed, seen, counts, params = _flock(i)
         n = observed.shape[0]
-        hoods = _neighborhoods(seen, near)
-        assert hoods.counts.tolist() == near.sum(axis=1).tolist()
-        views = _views(seen, near)
+        hoods = _neighborhoods(seen, counts)
+        assert hoods.counts.tolist() == counts.tolist()
+        views = _views(seen, counts)
         rng = np.random.default_rng(i)
         points = observed[:, None] + rng.normal(0.0, 0.3, size=(n, int(rng.integers(1, 4)), 3))
         cfgs = _controllers(rng)
@@ -157,12 +157,12 @@ def test_relabelling_permutes_rows_exactly():
     # Agent a of the relabelled batch is agent perm[a] of the original, with
     # the same view of its neighbours: every output row moves with it.
     for i in range(CASES):
-        observed, seen, near, params = _flock(i)
+        observed, seen, counts, params = _flock(i)
         n = observed.shape[0]
         perm = np.random.default_rng(i).permutation(n)
-        views = _views(seen, near)
-        hoods = _neighborhoods(seen, near)
-        moved = _neighborhoods(np.concatenate([views[a] for a in perm]), near[perm])
+        views = _views(seen, counts)
+        hoods = _neighborhoods(seen, counts)
+        moved = _neighborhoods(np.concatenate([views[a] for a in perm]), counts[perm])
         assert moved.counts.tolist() == hoods.counts[perm].tolist()
         with np.errstate(over="ignore", invalid="ignore"):
             assert _hex(_gradient(observed[perm], moved, params)) == _hex(
@@ -201,7 +201,7 @@ def test_neighbour_sums_run_left_to_right_and_padding_adds_nothing():
     seen[0, near[0]] = nbr
     near[2] = False
     observed = np.array([p, p + 0.5, p - 0.5])
-    hoods = _neighborhoods(seen[near], near)
+    hoods = _neighborhoods(seen[near], near.sum(axis=1))
     assert hoods.nbr.shape == (3, 12, 3)
     grad = _gradient(observed, hoods, params)
     terms = _cost_terms(observed[:, None], hoods, params)  # m = 1, as in a PFC pass

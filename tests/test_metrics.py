@@ -7,6 +7,7 @@ import io
 import json
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -327,6 +328,20 @@ def test_markdown_table_layout_and_verdicts():
     # worst case across the three runs of the same cell: 0.14 and FAIL
     assert "0.14 FAIL" in body, f"table body:\n{body}"
     assert "-" in body  # clearance column dashes without obstacles
+
+
+def test_markdown_table_dashes_a_group_a_row_lacks():
+    # Each (size, obstacles) row shows "-" for a controller/family group that
+    # only other rows ran.
+    thr = Thresholds(0.2, 10.0, 0.28)
+    spc = aggregate(_trace([(1.0, [(0, 0, 1), (0.78, 0, 1)])]), thr)
+    pfc = aggregate(_trace([(1.0, [(0, 0, 1), (0.61, 0, 1), (0, 0.61, 1)])]), thr)
+    pfc = replace(pfc, controller_kind="PFC", llc_family="B")
+    lines = markdown_table([pfc, spc]).strip().split("\n")
+    assert lines[0] == ("| |D| | obstacles | SPC/A dist_min | SPC/A comp_max | SPC/A clear_obj "
+                        "| PFC/B dist_min | PFC/B comp_max | PFC/B clear_obj |")
+    assert lines[2:] == ["| 2 | 0 | 0.78 ok | 0.39 ok | - | - | - | - |",
+                         "| 3 | 0 | - | - | - | 0.61 ok | 0.45 ok | - |"]
 
 
 def test_markdown_table_rejects_empty():

@@ -106,6 +106,12 @@ def test_point_inputs_are_arrays_or_vec3():
         spc_setpoint(5.0, nbrs, params, ControllerConfig(kind="SPC"))
 
 
+@pytest.mark.parametrize("h", [0.0, -1e-6, math.nan, math.inf])
+def test_finite_difference_step_must_be_positive_and_finite(h):
+    with pytest.raises(ValueError, match=r"^step h must be positive and finite"):
+        finite_difference_gradient(Vec3(1, 0, 1), [Vec3(0, 0, 1)], CostParams(20, 9, 0, 0), h)
+
+
 def test_gradient_two_drone_oracle():
     params = CostParams(w_coh=20.0, w_sep=9.0, w_tar=0.0, w_obs=0.0)
     g = evaluate_gradient(Vec3(1, 0, 1), [Vec3(0, 0, 1)], params)
