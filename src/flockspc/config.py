@@ -89,6 +89,12 @@ class Waypoint:
     time: float
     target: Vec3
 
+    def __post_init__(self) -> None:
+        if not math.isfinite(self.time):
+            raise ValueError(f"Waypoint time must be finite, got {self.time}")
+        if not self.target.is_finite():
+            raise ValueError(f"Waypoint target must be finite, got {self.target}")
+
 
 @dataclass(frozen=True)
 class ScenarioConfig:

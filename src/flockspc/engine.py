@@ -43,7 +43,7 @@ from .config import ConfigError, ScenarioConfig, Waypoint
 from .controller import _decide
 from .llc import _plant_fault, fly
 from .model import CostParams, Vec3, _neighborhoods
-from .noise import _pair_noise, _round_keys, observation_stream
+from .noise import _check_seed, _pair_noise, _round_keys, observation_stream
 
 __all__ = [
     "DivergenceError",
@@ -66,7 +66,6 @@ class DivergenceError(Exception):
 
 # --- RNG streams -------------------------------------------------------------
 
-_MASK64 = (1 << 64) - 1
 # Second key word of the spawn stream.  Keys used to be passed as a Python
 # list, which numpy rounded through float64 whenever seed < 2**63, so this is
 # the salt every spawn was drawn with; seeds below 2**53 keep their spawns.
@@ -83,7 +82,8 @@ def spawn_stream(seed: int) -> np.random.Generator:
     """Stream used for random spawn placement: Philox keyed by the seed and
     _KEY_SALT, from counter zero.  Spawn draws candidates from it in blocks.
     Nothing else reads it, so draws left in the last block change nothing."""
-    key = np.array([seed & _MASK64, _KEY_SALT], dtype=np.uint64)
+    _check_seed(seed)
+    key = np.array([seed, _KEY_SALT], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 

@@ -204,6 +204,10 @@ def test_errors_name_the_json_path(mutation, field):
     (lambda: SpawnSpec(positions=(Vec3(0, 0, 1),), box_min=Vec3(0, 0, 0), box_max=Vec3(1, 1, 1)),
      r"^spawn: give either positions or a box"),
     (lambda: Obstacle(math.nan, 0.0, 0.15), r"^Obstacle center must be finite"),
+    # A NaN time passes the waypoint order check, and an infinite target
+    # only failed inside the first tick's cost params.
+    (lambda: Waypoint(math.nan, Vec3(9, 9, 9)), r"^Waypoint time must be finite"),
+    (lambda: Waypoint(0.0, Vec3(math.inf, 0, 1)), r"^Waypoint target must be finite"),
     (lambda: CostParams(20.0, 9.0, 0.0, 0.0, target=Vec3(math.nan, 0, 0)),
      r"^target must be finite"),
 ])

@@ -149,6 +149,16 @@ def test_seeds_past_2_53_get_their_own_streams():
                                   spawn_stream(seed + 1).uniform(size=3))
 
 
+def test_spawn_stream_rejects_aliasing_seeds():
+    # The key reads 64 bits of the seed: 2**64 would draw seed 0's spawns
+    # and -1 those of 2**64 - 1.
+    for bad in (2**64, -1, True, 1.0):
+        with pytest.raises(ValueError, match=r"^seed must be an integer in \[0, 2\*\*64\)"):
+            spawn_stream(bad)
+    first, last = spawn_stream(0).uniform(size=3), spawn_stream(2**64 - 1).uniform(size=3)
+    assert not np.array_equal(first, last)
+
+
 @pytest.mark.parametrize("n", [1, 2, 7, 30])
 def test_array_snapshot_equals_observe(n):
     # The simulator's flock-wide snapshot (one noise draw and one set of

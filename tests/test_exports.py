@@ -1,11 +1,12 @@
 """Export hygiene: every module's __all__ resolves, and the package
-re-exports only names its modules declare public."""
+re-exports exactly the names its modules declare public."""
 
 from __future__ import annotations
 
 import ast
 import importlib
 import pkgutil
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -25,13 +26,28 @@ def test_module_all_resolves(name):
 
 
 def test_package_imports_are_public_names():
+    # The package surface is its modules' __all__ lists, star-imported: no
+    # hand-kept list of names can drift from what the modules declare.
     tree = ast.parse(Path(flockspc.__file__).read_text())
-    imports = [node for node in tree.body if isinstance(node, ast.ImportFrom)]
+    imports = [node for node in tree.body if isinstance(node, (ast.Import, ast.ImportFrom))]
     assert imports, "the package re-exports nothing"
     for node in imports:
+        assert isinstance(node, ast.ImportFrom), ast.unparse(node)
         assert node.level == 1 and node.module in MODULES, ast.unparse(node)
-        module = importlib.import_module(f"flockspc.{node.module}")
-        for alias in node.names:
-            assert hasattr(flockspc, alias.asname or alias.name), alias.name
-            assert alias.name in module.__all__, (
-                f"flockspc re-exports {node.module}.{alias.name}, which is not in its __all__")
+        assert [alias.name for alias in node.names] == ["*"], ast.unparse(node)
+    modules = [importlib.import_module(f"flockspc.{node.module}") for node in imports]
+    declared = [name for module in modules for name in module.__all__]
+    assert flockspc.__all__ == declared
+    assert len(set(declared)) == len(declared), "two modules declare the same public name"
+    for module in modules:
+        for name in module.__all__:
+            assert getattr(flockspc, name) is getattr(module, name), f"{module.__name__}.{name}"
+
+
+def test_package_error_catches_a_diverged_rollout():
+    # A library caller catches a diverged run by the package's name for the
+    # error; noise of 1e308 makes this rollout diverge at tick 0.
+    cfg = replace(flockspc.build_scenario(3, "none", "PFC", "B", 0, duration=12.0),
+                  noise_sigma=1e308)
+    with pytest.raises(flockspc.DivergenceError, match=r"^tick 0 "):
+        flockspc.run_scenario(cfg)

@@ -48,6 +48,16 @@ def test_philox_known_answers():
     assert _words(2**64 - 1, (ones,) * 4) == ["408f276d", "41c83b0e", "a20bc7c6", "6d5451fd"]
 
 
+def test_observation_stream_rejects_aliasing_seeds():
+    # The key reads 64 bits of the seed: 2**64 would replay seed 0's normals
+    # and -1 those of 2**64 - 1.
+    for bad in (2**64, -1, True, 1.0):
+        with pytest.raises(ValueError, match=r"^seed must be an integer in \[0, 2\*\*64\)"):
+            observation_stream(bad, 3, 1, 0)
+    first, last = observation_stream(0, 3, 1, 0), observation_stream(2**64 - 1, 3, 1, 0)
+    assert first.shape == last.shape == (3,) and not np.array_equal(first, last)
+
+
 def _python_inv_cdf():
     """statistics' pure-Python AS241, loaded without its C accelerator:
     Python float arithmetic, math.log and math.sqrt."""
