@@ -16,7 +16,7 @@ from typing import Literal, NamedTuple
 import numpy as np
 
 from .model import CostBreakdown, CostParams, Neighbors, Point, Vec3, _Neighborhoods
-from .model import _cost_terms, _cost_totals, _gradient, _one_neighborhood, _points
+from .model import _cost_terms, _cost_totals, _gradient, _is_int, _one_neighborhood, _points
 
 __all__ = [
     "ControllerKind",
@@ -82,6 +82,8 @@ def dynamic_lookahead_count(n_star: int, dist_to_target: float) -> int:
     Grows with distance to the target so far-away flocks take longer strides;
     clamps keep the result in [n_star, 3 * n_star].
     """
+    if not _is_int(n_star):
+        raise ValueError(f"n_star must be an integer, got {n_star!r}")
     if n_star < 1:
         raise ValueError(f"n_star must be >= 1, got {n_star}")
     if dist_to_target < 0.0:

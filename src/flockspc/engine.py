@@ -33,7 +33,6 @@ import math
 from collections import deque
 from dataclasses import dataclass, replace
 from functools import partial
-from itertools import count
 from pathlib import Path
 from typing import IO, Callable
 
@@ -42,7 +41,7 @@ import numpy as np
 from .config import ConfigError, ScenarioConfig, Waypoint
 from .controller import _decide
 from .llc import _plant_fault, fly
-from .model import CostParams, Vec3, _neighborhoods
+from .model import CostParams, Vec3, _is_int, _neighborhoods
 from .noise import _check_seed, _pair_noise, _round_keys, observation_stream
 
 __all__ = [
@@ -70,7 +69,7 @@ class DivergenceError(Exception):
 # list, which numpy rounded through float64 whenever seed < 2**63, so this is
 # the salt every spawn was drawn with; seeds below 2**53 keep their spawns.
 _KEY_SALT = 0x9E3779B97F4A8000
-_SPAWN_BLOCK = 64  # box spawn candidates per uniform call (30 agents: ~35 attempts)
+_SPAWN_BLOCK = 16  # box spawn candidates per draw and array pass (100 agents: ~120 attempts)
 # Flocks of up to _BLOCK_AGENTS agents draw the noise of all n^2 ordered
 # pairs for the next _BLOCK_PAIRS // n^2 ticks in one kernel call: the
 # kernel's fixed cost of about 100 numpy calls outweighs the unused pairs.
@@ -155,29 +154,48 @@ class Trace:
 
 
 def _spawn_positions(cfg: ScenarioConfig) -> np.ndarray:
-    """The (n, 3) spawn positions.  Generator.uniform fills a block of box
-    candidates in C order, so they are the draws of one call per attempt."""
+    """The (n, 3) spawn positions.  Box candidates are drawn _SPAWN_BLOCK rows
+    per Generator.uniform call, which fills them in C order, so they are the
+    draws of one call per attempt.  A candidate is placed when it is at least
+    min_spacing from every row placed before it, in two checks: one array pass
+    over the block against the rows placed before the block (none for the
+    first block), then a Python loop against the rows placed earlier in the
+    block.  Both take sqrt((x - px)**2 + (y - py)**2 + (z - pz)**2), placed
+    minus candidate, summed left to right, and np.sqrt rounds correctly like
+    math.sqrt, so each decision is the one-attempt-at-a-time loop's."""
     spawn = cfg.spawn
     if spawn.positions is not None:
         return np.array([tuple(p) for p in spawn.positions], dtype=float)
     rng = spawn_stream(cfg.seed)
     lo = np.array(tuple(spawn.box_min), dtype=float)
     hi = np.array(tuple(spawn.box_max), dtype=float)
-    candidates = (p for _ in count() for p in rng.uniform(lo, hi, (_SPAWN_BLOCK, 3)).tolist())
-    placed: list[list[float]] = []
-    for i in range(cfg.agent_count):
-        for _ in range(10_000):
-            px, py, pz = p = next(candidates)
-            if all(math.sqrt((x - px) * (x - px) + (y - py) * (y - py) + (z - pz) * (z - pz))
-                   >= spawn.min_spacing for x, y, z in placed):
-                placed.append(p)
-                break
-        else:
-            raise ConfigError(
-                f"spawn.box_min/box_max: could not place agent {i} with "
-                f"min_spacing {spawn.min_spacing} after 10000 attempts"
-            )
-    return np.array(placed)
+    n, spacing = cfg.agent_count, spawn.min_spacing
+    placed = np.empty((n, 3))
+    k = misses = 0  # rows placed before this block; draws rejected since the last placed row
+    while k < n:
+        block = rng.uniform(lo, hi, (_SPAWN_BLOCK, 3))
+        far = [True] * _SPAWN_BLOCK
+        if k:
+            d = placed[:k, None] - block
+            d *= d
+            far = (np.sqrt(d[..., 0] + d[..., 1] + d[..., 2]) >= spacing).all(axis=0).tolist()
+        new: list[list[float]] = []
+        for p, ok in zip(block.tolist(), far):
+            px, py, pz = p
+            if ok and all(math.sqrt((x - px) * (x - px) + (y - py) * (y - py) + (z - pz) * (z - pz))
+                          >= spacing for x, y, z in new):
+                new.append(p)
+                misses = 0
+                if k + len(new) == n:
+                    break
+            elif (misses := misses + 1) == 10_000:
+                raise ConfigError(
+                    f"spawn.box_min/box_max: could not place agent {k + len(new)} with "
+                    f"min_spacing {spacing} after 10000 attempts"
+                )
+        placed[k:k + len(new)] = np.reshape(new, (-1, 3))  # [] alone is shape (0,)
+        k += len(new)
+    return placed
 
 
 def _advance(state: np.ndarray, sp: np.ndarray, cfg: ScenarioConfig, when: str) -> np.ndarray:
@@ -299,6 +317,8 @@ def run_scenario(cfg: ScenarioConfig) -> Trace:
 
 
 def _record(trace: Trace, tick_index: int) -> TickRecord:
+    if not _is_int(tick_index):
+        raise ValueError(f"tick_index must be an integer, got {tick_index!r}")
     if not 0 <= tick_index < len(trace.records):
         raise ValueError(f"tick_index {tick_index} out of range for {len(trace.records)} ticks")
     return trace.records[tick_index]
@@ -310,6 +330,8 @@ def tick_observation(trace: Trace, tick_index: int, agent: int) -> list[tuple[in
     its own true position, as (index, position) pairs in index order."""
     cfg = trace.config
     _record(trace, tick_index)  # raises unless the tick was recorded
+    if not _is_int(agent):
+        raise ValueError(f"agent must be an integer, got {agent!r}")
     if not 0 <= agent < cfg.agent_count:
         raise ValueError(f"agent index {agent} out of range for {cfg.agent_count} agents")
     basis = trace.records[max(0, tick_index - cfg.obs_delay_ticks)].positions

@@ -31,7 +31,7 @@ from typing import Literal, Sequence
 
 import numpy as np
 
-from .model import Vec3
+from .model import Vec3, _is_int
 
 __all__ = [
     "GRAVITY",
@@ -185,7 +185,7 @@ def fly(states: np.ndarray, refs: np.ndarray, cfg: LLCConfig, dt: float,
         raise ValueError(f"refs must have shape ({states.shape[0]}, 3), got {refs.shape}")
     if not 0.0 < dt < math.inf:
         raise ValueError(f"dt must be positive and finite, got {dt}")
-    if not (isinstance(steps, (int, np.integer)) and steps >= 1):
+    if not (_is_int(steps) and steps >= 1):
         raise ValueError(f"steps must be an integer >= 1, got {steps!r}")
     if cfg.family == "B" and states.shape[0] >= _BLOCK_ROWS:
         _fly_block(states, refs, cfg, dt, steps)

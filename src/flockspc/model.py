@@ -160,6 +160,11 @@ class CostGradient:
     total: Vec3
 
 
+def _is_int(value: object) -> bool:
+    """Whether value is a Python or numpy integer; a bool is none."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def _points(points: Neighbors, what: str) -> np.ndarray:
     """Outside points, a (k, 3) array or a sequence of Vec3, as a finite
     float (k, 3) array, (0, 3) when empty.  A ValueError names `what` and

@@ -41,6 +41,14 @@ def test_dynamic_lookahead_rejects_bad_arguments():
         dynamic_lookahead_count(5, -0.5)
 
 
+def test_dynamic_lookahead_takes_an_integer_n_star_only():
+    # ControllerConfig rejects n_star=True; this returned 3 for it.
+    for bad in (True, np.True_, 2.5, 5.0):
+        with pytest.raises(ValueError, match=r"^n_star must be an integer, got "):
+            dynamic_lookahead_count(bad, 1.0)
+    assert dynamic_lookahead_count(np.int64(5), 10.0) == dynamic_lookahead_count(5, 10.0) == 15
+
+
 def test_dynamic_lookahead_monotone_and_bounded():
     prev = 0
     for dist in np.linspace(0.0, 6.0, 61):

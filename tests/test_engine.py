@@ -124,6 +124,28 @@ def test_replay_rejects_out_of_range_agent():
             tick_observation(trace, 0, agent)
 
 
+def test_tick_observation_takes_integer_indices_only():
+    # A bool indexed the snapshot as a mask and 1.5 as a float: both raised a
+    # raw IndexError, and tick_index=True replayed tick 1.
+    trace = run_scenario(_scenario(duration=0.5, formation_time=0.0, noise_sigma=0.05))
+    for bad in (True, False, np.True_, 1.5, 1.0):
+        with pytest.raises(ValueError, match=r"^agent must be an integer, got "):
+            tick_observation(trace, 3, bad)
+        with pytest.raises(ValueError, match=r"^tick_index must be an integer, got "):
+            tick_observation(trace, bad, 0)
+    assert tick_observation(trace, np.int64(3), np.int32(1)) == tick_observation(trace, 3, 1)
+
+
+def test_tick_cost_params_takes_an_integer_tick_only():
+    wp = (Waypoint(0.0, Vec3(0, 0, 1)), Waypoint(0.2, Vec3(1, 0, 1)))
+    trace = run_scenario(_scenario(waypoints=wp, duration=0.5, formation_time=0.0))
+    for bad in (True, np.True_, 1.5):
+        with pytest.raises(ValueError, match=r"^tick_index must be an integer, got "):
+            tick_cost_params(trace, bad)
+    assert tick_cost_params(trace, np.uint8(3)) == tick_cost_params(trace, 3)
+    assert tick_cost_params(trace, 3).target == Vec3(1, 0, 1)
+
+
 def test_replay_rejects_out_of_range_tick():
     # -1 must not wrap to the last tick, and a delayed past-the-end tick
     # must not replay a snapshot from recorded positions.
@@ -274,6 +296,12 @@ _SPAWN_CASES = {
     "packed_20": lambda seed: _scenario(
         agent_count=20, seed=seed,
         spawn=SpawnSpec(box_min=Vec3(0, 0, 1.0), box_max=Vec3(1, 1, 1.4), min_spacing=0.25)),
+    # About half the draws are rejected over three or more candidate blocks,
+    # some by the array pass against earlier blocks and some by the loop
+    # against rows placed earlier in the same block.
+    "half_rejected": lambda seed: _scenario(
+        agent_count=3 * _SPAWN_BLOCK, seed=seed,
+        spawn=SpawnSpec(box_min=Vec3(0, 0, 1.0), box_max=Vec3(2, 2, 2.0), min_spacing=0.3)),
     # Every draw is accepted: two full candidate blocks and the first row of a third.
     "unspaced": lambda seed: _scenario(
         agent_count=2 * _SPAWN_BLOCK + 1, seed=seed,

@@ -282,6 +282,20 @@ def test_fly_checks_shapes_dt_and_steps(bad):
         fly(args["states"], args["refs"], LLCConfig(family="A"), args["dt"], args["steps"])
 
 
+def test_fly_takes_integer_steps_only():
+    # steps=True ran one step while np.True_ was rejected; both are bools.
+    states, refs = np.zeros((2, 8)), np.full((2, 3), 0.5)
+    for bad in (True, np.True_, 1.5, 2.0):
+        with pytest.raises(ValueError, match=r"^steps must be an integer >= 1, got "):
+            fly(states.copy(), refs, LLCConfig(family="A"), 0.01, steps=bad)
+    want = states.copy()
+    fly(want, refs, LLCConfig(family="A"), 0.01, steps=3)
+    for steps in (np.int64(3), np.uint16(3)):
+        got = states.copy()
+        fly(got, refs, LLCConfig(family="A"), 0.01, steps=steps)
+        assert got.tobytes() == want.tobytes()
+
+
 def test_fly_lets_non_finite_values_through():
     # Values are the divergence path's business, not fly()'s.
     states = np.zeros((3, 8))
