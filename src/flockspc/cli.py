@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
@@ -26,7 +25,7 @@ import numpy as np
 
 from .config import ConfigError, ScenarioConfig, SpawnSpec, load, load_scenario, scenario_to_dict
 from .controller import ControllerConfig, ControllerKind
-from .engine import DivergenceError, run_scenario, write_trace_csv
+from .engine import DivergenceError, _cpu_count, run_scenario, write_trace_csv
 from .llc import LLCConfig, LLCFamily, step_metrics, step_trajectory
 from .metrics import (
     RunSummary,
@@ -142,9 +141,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             spec.llc_families, spec.seeds,
         )
     ]
-    # One worker per CPU this process may run on (taskset or a cpuset caps it).
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    workers = min(len(jobs), cpus)
+    workers = min(len(jobs), _cpu_count())  # one worker per CPU this process may use
     with ProcessPoolExecutor(max_workers=workers) as pool:
         summaries = list(pool.map(_sweep_job, jobs))
 

@@ -30,6 +30,9 @@ finite ends the rollout with a DivergenceError.
 from __future__ import annotations
 
 import math
+import os
+import shutil
+import tempfile
 from collections import deque
 from dataclasses import dataclass, replace
 from functools import partial
@@ -353,19 +356,67 @@ TRACE_COLUMNS = (
 )
 
 
+# At most one trace CSV part per this many rows: a smaller part saves less
+# than its fork costs.
+_CSV_PART_ROWS = 1000
+
+
+def _cpu_count() -> int:
+    """The CPUs this process may run on (taskset or a cpuset caps them)."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+def _write_records(fh: IO[str], records: tuple[TickRecord, ...]) -> None:
+    """The CSV rows of `records`, one per agent per record."""
+    for rec in records:
+        t = repr(float(rec.time))
+        columns = (rec.positions, rec.velocities, rec.observed_self, rec.setpoints, rec.costs)
+        rows = np.hstack((*columns, rec.grad_norms[:, None]), dtype=float).tolist()
+        for i, row in enumerate(rows):
+            fh.write(f"{t},{i},{','.join(map(repr, row))}\n")
+
+
 def write_trace_csv(trace: Trace, dest: str | Path | IO[str]) -> None:
     """One row per agent per control tick; floats via repr() so identical
-    traces serialize to identical bytes."""
+    traces serialize to identical bytes.  The records are split into one
+    contiguous part per CPU this process may use, at most one per
+    _CSV_PART_ROWS rows, one without os.fork.  Forked children write all
+    parts but the first to temporary files, copied into dest in order; every
+    row comes from _write_records, so the bytes do not depend on the split."""
+    records = trace.records
+    rows = len(records) * trace.config.agent_count
+    cpus = _cpu_count() if hasattr(os, "fork") else 1
+    k = max(1, min(cpus, rows // _CSV_PART_ROWS, len(records)))
+    bounds = [len(records) * p // k for p in range(k + 1)]
     own = isinstance(dest, (str, Path))
     fh = open(dest, "w", newline="") if own else dest
+    parts: list[IO[str]] = []  # the temporary files of parts 1 to k - 1
+    pids: list[int] = []  # their children not yet reaped, in part order
     try:
+        for lo, hi in zip(bounds[1:], bounds[2:]):
+            parts.append(part := tempfile.TemporaryFile("w+", newline=""))
+            if (pid := os.fork()) == 0:  # the child exits without unwinding this stack
+                try:
+                    _write_records(part, records[lo:hi])
+                    part.flush()
+                    os._exit(0)
+                finally:
+                    os._exit(1)
+            pids.append(pid)
         fh.write(",".join(TRACE_COLUMNS) + "\n")
-        for rec in trace.records:
-            t = repr(float(rec.time))
-            columns = (rec.positions, rec.velocities, rec.observed_self, rec.setpoints, rec.costs)
-            rows = np.hstack((*columns, rec.grad_norms[:, None]), dtype=float).tolist()
-            for i, row in enumerate(rows):
-                fh.write(f"{t},{i},{','.join(map(repr, row))}\n")
+        _write_records(fh, records[:bounds[1]])
+        for p, part in enumerate(parts, 1):
+            status = os.waitpid(pids[0], 0)[1]
+            del pids[0]
+            if status:
+                raise RuntimeError(f"trace CSV part {p} of {k}: its writer exited with "
+                                   f"status {os.waitstatus_to_exitcode(status)}")
+            part.seek(0)
+            shutil.copyfileobj(part, fh, 1 << 16)
     finally:
+        for pid in pids:
+            os.waitpid(pid, 0)
+        for part in parts:
+            part.close()
         if own:
             fh.close()

@@ -75,6 +75,10 @@ class LLCConfig:
         if not -math.inf < self.tilt_min < 0.0 < self.tilt_max < math.inf:
             raise ValueError("tilt limits must be finite and straddle 0, "
                              f"got [{self.tilt_min}, {self.tilt_max}]")
+        for name in ("tilt_min", "tilt_max"):  # tan changes sign at +-pi/2
+            if not abs(getattr(self, name)) < math.pi / 2:
+                raise ValueError(f"{name} must lie within (-pi/2, pi/2) rad, "
+                                 f"got {getattr(self, name)}")
         for name in ("k_v", "k_p", "k_i"):
             if not 0.0 <= getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be >= 0 and finite, got {getattr(self, name)}")

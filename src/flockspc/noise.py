@@ -27,6 +27,8 @@ from functools import lru_cache
 
 import numpy as np
 
+from .model import _is_int
+
 __all__ = ["observation_stream"]
 
 _MASK32 = (1 << 32) - 1
@@ -148,6 +150,8 @@ def observation_stream(seed: int, tick: int, observer: int, observed: int) -> np
     `observed` at control tick `tick` under scenario seed `seed`."""
     _check_seed(seed)
     for name, value in (("tick", tick), ("observer", observer), ("observed", observed)):
+        if not _is_int(value):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
         if not 0 <= value <= _MASK32:
             raise ValueError(f"{name} must be in [0, 2**32), got {value}")
     return _pair_noise(_round_keys(seed), tick, np.array([observer]), np.array([observed]), 1.0)[0]

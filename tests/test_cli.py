@@ -171,6 +171,15 @@ def test_simulate_scenario_that_cannot_finish_exits_2(tmp_path, capsys, field, v
     assert not (tmp_path / "o").exists()
 
 
+def test_simulate_tilt_limit_past_a_quarter_turn_exits_2(tmp_path, capsys):
+    data = dict(TWO_AGENT_SCENARIO, llc={"family": "B", "tilt_min": -2.0})
+    sc = _write(tmp_path, "sc.json", data)
+    assert main(["simulate", "--scenario", sc, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "llc" in err and "tilt_min" in err and "Traceback" not in err, err
+    assert not (tmp_path / "o").exists()
+
+
 def test_simulate_rollout_fault_is_not_a_config_error(tmp_path, monkeypatch):
     # Only a ConfigError is the scenario's fault; any other error in the
     # rollout propagates instead of being reported as exit 2.

@@ -3,8 +3,10 @@ semantics, determinism, and scenario file parsing."""
 
 from __future__ import annotations
 
+import io
 import json
 import math
+import os
 import warnings
 from dataclasses import replace
 from functools import partial
@@ -12,6 +14,7 @@ from functools import partial
 import numpy as np
 import pytest
 
+import flockspc.engine as engine
 from flockspc import (
     ConfigError,
     ControllerConfig,
@@ -258,34 +261,73 @@ def test_box_spawn_respects_min_spacing_and_bounds():
             assert d >= 0.4, f"spawn spacing {d:.3f} < 0.4 between {i} and {j}"
 
 
-def test_unfillable_box_spawn_is_a_config_error():
+def _unfillable_box(seed=0):
     # 40 agents 0.5 m apart pass the packing bound of a 1 m box, but random
     # placement runs out of attempts at agent 11.
-    cfg = replace(hardware_scenario(0), agent_count=40,
-                  spawn=SpawnSpec(box_min=Vec3(0, 0, 0), box_max=Vec3(1, 1, 1), min_spacing=0.5))
+    return replace(hardware_scenario(seed), agent_count=40,
+                   spawn=SpawnSpec(box_min=Vec3(0, 0, 0), box_max=Vec3(1, 1, 1), min_spacing=0.5))
+
+
+def test_unfillable_box_spawn_is_a_config_error():
     with pytest.raises(ConfigError, match=r"^spawn\.box_min/box_max: could not place agent 11 "
                                           r"with min_spacing 0\.5 after 10000 attempts"):
-        Simulation(cfg)
+        Simulation(_unfillable_box())
 
 
-def _reference_spawn_positions(cfg):
+def _reference_spawn(cfg):
     """Box spawn placement as it was written before the one-pass distance
     check, kept as the reference: one np.linalg.norm per placed agent per
-    attempt."""
+    attempt.  Returns the placed rows and the number of candidates drawn,
+    stopping at the first agent that 10000 attempts in a row cannot place."""
     spawn = cfg.spawn
     rng = spawn_stream(cfg.seed)
     lo = np.array(tuple(spawn.box_min), dtype=float)
     hi = np.array(tuple(spawn.box_max), dtype=float)
     placed = []
+    draws = 0
     for _ in range(cfg.agent_count):
         for _ in range(10_000):
             p = rng.uniform(lo, hi)
+            draws += 1
             if all(float(np.linalg.norm(p - q)) >= spawn.min_spacing for q in placed):
                 placed.append(p)
                 break
         else:
-            raise AssertionError("reference placement failed")
-    return np.array(placed)
+            break
+    return np.array(placed), draws
+
+
+def _reference_spawn_positions(cfg):
+    placed, _ = _reference_spawn(cfg)
+    assert len(placed) == cfg.agent_count, "reference placement failed"
+    return placed
+
+
+def test_unfillable_box_spawn_draws_what_the_reference_draws(monkeypatch):
+    # Spawn draws whole blocks of candidates, so up to the rest of the last
+    # block more than the one-attempt reference.  Its miss counter runs
+    # across blocks: one that reset per block would draw without end, and
+    # fails here a block past the reference instead of hanging.
+    cfg = _unfillable_box()
+    placed, draws = _reference_spawn(cfg)
+    assert len(placed) == 11
+    limit = -(-draws // _SPAWN_BLOCK) * _SPAWN_BLOCK
+    drawn = 0
+
+    class Counted:
+        def __init__(self, rng):
+            self.rng = rng
+
+        def uniform(self, lo, hi, size):
+            nonlocal drawn
+            drawn += size[0]
+            assert drawn <= limit + _SPAWN_BLOCK, f"{drawn} candidates drawn, reference {draws}"
+            return self.rng.uniform(lo, hi, size)
+
+    monkeypatch.setattr(engine, "spawn_stream", lambda seed: Counted(spawn_stream(seed)))
+    with pytest.raises(ConfigError, match="could not place agent 11 "):
+        Simulation(cfg)
+    assert drawn == limit
 
 
 _SPAWN_CASES = {
@@ -630,3 +672,48 @@ def test_trace_csv_is_parseable_and_stable(tmp_path):
         assert len(cells) == len(header)
         float(cells[0])
         assert "np" not in row, f"numpy repr leaked into csv: {row}"
+
+
+def _split_trace_csv(monkeypatch, parts):
+    """A short rollout that write_trace_csv splits into `parts` parts."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(parts)), raising=False)
+    monkeypatch.setattr(engine, "_CSV_PART_ROWS", 1)
+    return run_scenario(_scenario(duration=1.0, formation_time=0.5))
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="the trace CSV is split only where os.fork exists")
+def test_split_trace_csv_raises_when_a_part_fails(monkeypatch, tmp_path):
+    trace = _split_trace_csv(monkeypatch, 3)
+    parent, write_records = os.getpid(), engine._write_records
+
+    def fail_in_children(fh, records):
+        if os.getpid() != parent:
+            raise RuntimeError("part writer fault")
+        write_records(fh, records)
+
+    monkeypatch.setattr(engine, "_write_records", fail_in_children)
+    with pytest.raises(RuntimeError, match=r"^trace CSV part 1 of 3: its writer exited with status 1$"):
+        write_trace_csv(trace, tmp_path / "trace.csv")
+    _assert_no_child_left()
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="the trace CSV is split only where os.fork exists")
+def test_split_trace_csv_passes_on_a_failing_dest(monkeypatch):
+    trace = _split_trace_csv(monkeypatch, 3)
+
+    class FullAfterHeader(io.StringIO):
+        def write(self, text):
+            if self.tell():
+                raise OSError("no space left on device")
+            return super().write(text)
+
+    dest = FullAfterHeader()
+    with pytest.raises(OSError, match="no space left"):
+        write_trace_csv(trace, dest)
+    assert dest.getvalue() == ",".join(engine.TRACE_COLUMNS) + "\n"
+    _assert_no_child_left()

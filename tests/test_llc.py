@@ -270,6 +270,15 @@ def test_llc_config_rejects_non_finite(name, value):
         LLCConfig(family="A", **{name: value})
 
 
+@pytest.mark.parametrize("name, value", [("tilt_max", 2.0), ("tilt_min", -2.0),
+                                         ("tilt_max", math.pi / 2), ("tilt_min", -math.pi / 2)])
+def test_llc_config_rejects_tilt_limits_past_a_quarter_turn(name, value):
+    # tan changes sign at +-pi/2, so family B's acceleration clamp would
+    # invert: at +-2.0 rad a_lo is +21.4 and a_hi -21.4 m/s^2.
+    with pytest.raises(ValueError, match=name):
+        LLCConfig(family="B", **{name: value})
+
+
 @pytest.mark.parametrize("bad", [
     dict(states=np.zeros((2, 7))), dict(states=np.zeros((2, 8), dtype=np.float32)),
     dict(states=np.zeros(8)), dict(states=[[0.0] * 8, [0.0] * 8]), dict(refs=np.zeros((3, 3))),

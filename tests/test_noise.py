@@ -156,6 +156,20 @@ def test_observation_stream_is_what_tick_observation_adds():
             observation_stream(0, 0, 0, bad)
 
 
+
+def test_observation_stream_takes_integers_only():
+    # A bool or a float would be truncated to another pair's counter word.
+    for bad in (True, 1.5):
+        for position, name in enumerate(("tick", "observer", "observed")):
+            args = [3, 0, 1]
+            args[position] = bad
+            with pytest.raises(ValueError, match=f"^{name} must be an integer, got {bad!r}"):
+                observation_stream(0, *args)
+    want = observation_stream(5, 3, 0, 1)
+    for kind in (np.int32, np.int64, np.uint32, np.uint64):
+        got = observation_stream(5, kind(3), kind(0), kind(1))
+        assert got.tobytes() == want.tobytes(), kind
+
 def _digest(cfg: ScenarioConfig) -> str:
     buf = io.StringIO()
     write_trace_csv(run_scenario(cfg), buf)

@@ -4,6 +4,9 @@ one noisy run with a delayed observation, and one family B flock large
 enough for fly()'s array step; and of the step_trajectory rows of both LLC
 families, tilt column included.
 
+write_trace_csv splits a trace into parts written by forked children; the
+rollouts here are checked to give the same bytes whatever the part count.
+
 A change that moves any of these digests changes the simulator's arithmetic
 and must say why in CHANGES.md.  No recorded value goes through a
 SIMD-dispatched transcendental ufunc, so the digests hold whatever SIMD
@@ -16,11 +19,13 @@ from __future__ import annotations
 import hashlib
 import io
 import math
+import os
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import flockspc.engine as engine
 from flockspc import (
     LLCConfig,
     Vec3,
@@ -98,3 +103,25 @@ def test_step_response_digest(family):
     rows = step_trajectory(LLCConfig(family=family), 1.0, duration=3.0, dt=0.001)
     digest = hashlib.sha256(rows.tobytes()).hexdigest()
     assert digest == STEP_DIGESTS[family], f"family {family}: step-response bytes changed ({digest})"
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="the trace CSV is split only where os.fork exists")
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_split_trace_csv_bytes_do_not_depend_on_parts(monkeypatch, tmp_path, name):
+    # The part count follows the CPU affinity; a part minimum of one row
+    # lets these short rollouts split.
+    trace = run_scenario(CASES[name]())
+    monkeypatch.setattr(engine, "_CSV_PART_ROWS", 1)
+    forks = []
+    fork = os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(None) or fork())
+    parts = {}
+    for k in (1, 2, 3, 7):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, k=k: set(range(k)), raising=False)
+        buf, path = io.StringIO(), tmp_path / f"{k}.csv"
+        write_trace_csv(trace, buf)
+        write_trace_csv(trace, path)
+        assert path.read_bytes() == buf.getvalue().encode(), k
+        parts[k] = buf.getvalue()
+    assert len(forks) == 2 * (1 + 2 + 6)
+    assert parts[2] == parts[3] == parts[7] == parts[1]
