@@ -31,6 +31,10 @@ __all__ = [
 # holds position instead of normalizing a numerically meaningless direction.
 HOLD_GRADIENT_NORM = 1e-9
 
+# A larger n_star is taken for a mistyped one: a decision scores up to
+# 1 + 3 * n_star points per agent at once, and int32 counts overflow past 2**31 / 3.
+_MAX_N_STAR = 1000
+
 ControllerKind = Literal["SPC", "PFC"]
 
 
@@ -54,8 +58,8 @@ class ControllerConfig:
             raise ValueError(f"controller kind must be 'SPC' or 'PFC', got {self.kind!r}")
         if not (self.epsilon > 0.0 and math.isfinite(self.epsilon)):
             raise ValueError(f"epsilon must be positive, got {self.epsilon}")
-        if not (type(self.n_star) is int and self.n_star >= 1):  # type(): True is no integer
-            raise ValueError(f"n_star must be an integer >= 1, got {self.n_star!r}")
+        if not (type(self.n_star) is int and 1 <= self.n_star <= _MAX_N_STAR):  # True is no int
+            raise ValueError(f"n_star must be an integer in [1, {_MAX_N_STAR}], got {self.n_star!r}")
         if self.kind == "PFC" and not (self.pfc_gain > 0.0 and math.isfinite(self.pfc_gain)):
             raise ValueError(f"pfc_gain must be positive for PFC, got {self.pfc_gain}")
 
@@ -86,6 +90,8 @@ def dynamic_lookahead_count(n_star: int, dist_to_target: float) -> int:
         raise ValueError(f"n_star must be an integer, got {n_star!r}")
     if n_star < 1:
         raise ValueError(f"n_star must be >= 1, got {n_star}")
+    if n_star > _MAX_N_STAR:
+        raise ValueError(f"n_star must be <= {_MAX_N_STAR}, got {n_star}")
     if dist_to_target < 0.0:
         raise ValueError(f"dist_to_target must be >= 0, got {dist_to_target}")
     return int(_lookahead_counts(n_star, np.array([dist_to_target]))[0])
@@ -123,10 +129,9 @@ def _decide(p: np.ndarray, hoods: _Neighborhoods, params: CostParams,
     """The SPC or PFC decisions of n agents at their own observed positions
     p (n, 3) against their neighbourhoods, in one pass on trusted arrays.
 
-    SPC ladders are padded to the batch's longest, hoods to its largest
-    neighbour count: a padded ladder row is scored but never chosen, like an
-    agent's that holds, and a padded slot adds -0.0 to each neighbour sum.
-    Rows are independent, so each agent's decision repeats its batch-of-1 bits.
+    SPC ladders are padded to the batch's longest: a padded ladder row is
+    scored but never chosen, like an agent's that holds.  Rows are
+    independent, so each agent's decision repeats its batch-of-1 bits.
     """
     n = p.shape[0]
     gradient = _gradient(p, hoods, params)[4]

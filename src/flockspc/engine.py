@@ -12,10 +12,10 @@ order or batch the pairs and decisions of a tick are evaluated in.  The
 snapshot (_snapshot) finds each agent's neighbours by true distance, draws
 noise for the self and in-range pairs only, O(n h) draws for h neighbours,
 in one vectorised call, and returns pair lists: per-agent counts, then the
-neighbour indices and noisy positions in row-major order, which
-model._neighborhoods packs into the padded block.  Flocks of up to
-_BLOCK_AGENTS agents draw every pair's noise for the next few ticks in one
-call instead.
+neighbour indices and noisy positions in row-major order, which the cost
+and gradient kernels score as they are (model._neighborhoods).  Flocks of
+up to _BLOCK_AGENTS agents draw every pair's noise for the next few ticks
+in one call instead.
 
 No SIMD-dispatched transcendental ufunc (np.power with an exponent other
 than 2, np.tan, np.arctan, np.exp, np.log) feeds a recorded value, here or in

@@ -184,34 +184,29 @@ def _points(points: Neighbors, what: str) -> np.ndarray:
 
 
 class _Neighborhoods(NamedTuple):
-    """The frozen neighbourhoods of a batch of n agents in one padded block:
-    nbr (n, H, 3) holds agent i's counts[i] neighbours in observation order,
-    then -0.0 in the slots where pad (n, H) is True, H being the batch's
-    largest count.  sums (n, 3) are the neighbour sums (+0.0 for none)."""
+    """The frozen neighbourhoods of n agents as pair lists: pair j is agent
+    rows[j]'s neighbour nbr[j] (k, 3), agent i's counts[i] (n,) pairs next in
+    observation order.  sums (n, 3) are the neighbour sums (+0.0 for none)."""
 
+    rows: np.ndarray
     nbr: np.ndarray
-    pad: np.ndarray
     counts: np.ndarray
     sums: np.ndarray
 
 
-def _slot_sum(x: np.ndarray, pad: np.ndarray) -> np.ndarray:
-    """0.0 + x_0 + x_1 + ... over the neighbour slots of x (n, k, H), in order
-    (numpy's .sum() adds 8 or more values pairwise), after writing -0.0, the
-    exact additive identity, into the slots where pad (n, H) is True."""
-    np.copyto(x, -0.0, where=pad[:, None])
-    if x.shape[2] == 0:
-        return x.sum(axis=2)
-    return np.add.accumulate(x, axis=2)[..., -1] + 0.0
+def _pair_sum(x: np.ndarray, rows: np.ndarray, n: int) -> np.ndarray:
+    """(n, c) per-agent sums of the pair values x (k, c), pair j agent rows[j]'s:
+    bincount adds each agent's pairs in order from +0.0, 0.0 + x_0 + x_1 + ...
+    (an order test_flock_kernel pins; .sum() adds 8 or more values pairwise)."""
+    c = x.shape[1]
+    bins = (rows[:, None] * c + np.arange(c)).ravel()
+    return np.bincount(bins, weights=x.ravel(), minlength=n * c).reshape(n, c)
 
 
 def _neighborhoods(seen: np.ndarray, counts: np.ndarray) -> _Neighborhoods:
-    """One padded block: agent i's neighbours are the next counts[i] (n,)
-    rows of seen (k, 3), agent by agent in order."""
-    pad = np.arange(counts.max(initial=0)) >= counts[:, None]
-    nbr = np.empty(pad.shape + (3,))
-    nbr[~pad] = seen  # row-major, like seen; _slot_sum writes the pads
-    return _Neighborhoods(nbr, pad, counts, _slot_sum(nbr.transpose(0, 2, 1), pad))
+    """Agent i's neighbours are the next counts[i] (n,) rows of seen (k, 3)."""
+    rows = np.repeat(np.arange(len(counts)), counts)
+    return _Neighborhoods(rows, seen, counts, _pair_sum(seen, rows, len(counts)))
 
 
 def _one_neighborhood(neighbors: Neighbors) -> _Neighborhoods:
@@ -230,23 +225,23 @@ def _centroids(points: np.ndarray, hoods: _Neighborhoods) -> np.ndarray:
 def _cost_terms(points: np.ndarray, hoods: _Neighborhoods, params: CostParams) -> np.ndarray:
     """The four cost terms at each point of points (n, m, 3), row i scored
     against agent i's neighbourhood: an (n, m, 4) array with columns coh,
-    sep, tar, obs.  Neighbour sums are _slot_sum's and obstacle sums run
+    sep, tar, obs.  Neighbour sums are _pair_sum's and obstacle sums run
     along the last axis, so each point repeats the single-point arithmetic
-    bit for bit whatever n, m and the padding are.  Inputs are trusted.
+    bit for bit whatever n and m are.  Inputs are trusted.
     """
     terms = np.zeros(points.shape[:2] + (4,))
 
     if params.w_coh > 0.0 or params.w_sep > 0.0:
         h = np.maximum(hoods.counts, 1)[:, None]  # no neighbours: a +0.0 sum over 1
-        # (n, m, H) in one expression, axis by axis: no 4-D temporary, and numpy reuses the others.
-        nbr = hoods.nbr[:, None]
-        d2 = ((points[..., 0, None] - nbr[..., 0]) ** 2 + (points[..., 1, None] - nbr[..., 1]) ** 2
-              + (points[..., 2, None] - nbr[..., 2]) ** 2)
-        if params.w_sep > 0.0:  # before cohesion pads d2
-            inv = 1.0 / np.maximum(np.sqrt(d2) - 2.0 * params.r_drone, params.zero_hat) ** 2
-            terms[..., 1] = params.w_sep * _slot_sum(inv, hoods.pad) / h
+        # (k, m): every point of the pair's agent against the pair's neighbour.
+        q, nbr = points[hoods.rows], hoods.nbr[:, None]
+        d2 = ((q[..., 0] - nbr[..., 0]) ** 2 + (q[..., 1] - nbr[..., 1]) ** 2
+              + (q[..., 2] - nbr[..., 2]) ** 2)
         if params.w_coh > 0.0:
-            terms[..., 0] = params.w_coh * _slot_sum(d2, hoods.pad) / h
+            terms[..., 0] = params.w_coh * _pair_sum(d2, hoods.rows, len(points)) / h
+        if params.w_sep > 0.0:
+            inv = 1.0 / np.maximum(np.sqrt(d2) - 2.0 * params.r_drone, params.zero_hat) ** 2
+            terms[..., 1] = params.w_sep * _pair_sum(inv, hoods.rows, len(points)) / h
 
     if params.w_tar > 0.0 and params.target is not None:
         centroid = _centroids(points, hoods)
@@ -283,7 +278,7 @@ def _gradient(p: np.ndarray, hoods: _Neighborhoods, params: CostParams) -> np.nd
     """Gradient at each agent's position p (n, 3) against its neighbourhood:
     a (5, n, 3) array of the terms coh, sep, tar, obs and their
     left-to-right sum total; an absent term is 0.  Neighbour sums are
-    _slot_sum's.  Inputs are trusted."""
+    _pair_sum's.  Inputs are trusted."""
     grad = np.zeros((5,) + p.shape)
 
     if params.w_coh > 0.0 or params.w_sep > 0.0:
@@ -291,13 +286,13 @@ def _gradient(p: np.ndarray, hoods: _Neighborhoods, params: CostParams) -> np.nd
         if params.w_coh > 0.0:
             np.multiply(2.0 * params.w_coh, p - hoods.sums / h, out=grad[0], where=has)
         if params.w_sep > 0.0:
-            diff = p[:, None] - hoods.nbr  # rows point from each neighbor toward p_i
-            d = np.sqrt(diff[..., 0] ** 2 + diff[..., 1] ** 2 + diff[..., 2] ** 2)
-            unit = diff / np.where(d > 0.0, d, 1.0)[..., None]
+            diff = p[hoods.rows] - hoods.nbr  # (k, 3), from each neighbour toward p_i
+            d = np.sqrt(diff[:, 0] ** 2 + diff[:, 1] ** 2 + diff[:, 2] ** 2)
+            unit = diff / np.where(d > 0.0, d, 1.0)[:, None]
             unit[d == 0.0] = (1.0, 0.0, 0.0)
             gap = np.maximum(d - 2.0 * params.r_drone, params.zero_hat)
             gap3 = gap * gap * gap
-            push = _slot_sum((unit / gap3[..., None]).transpose(0, 2, 1), hoods.pad)
+            push = _pair_sum(unit / gap3[:, None], hoods.rows, len(p))
             np.multiply(-(2.0 * params.w_sep / h), push, out=grad[1], where=has)
 
     if params.w_tar > 0.0 and params.target is not None:

@@ -171,6 +171,20 @@ def test_simulate_scenario_that_cannot_finish_exits_2(tmp_path, capsys, field, v
     assert not (tmp_path / "o").exists()
 
 
+def test_simulate_huge_n_star_exits_2(tmp_path, capsys):
+    data = scenario_to_dict(hardware_scenario())
+    data["controller"]["n_star"] = 10**9
+    # Checked at parse time first: if the check regressed, `simulate` below
+    # would try to allocate a ladder of up to 3e9 candidates per agent.
+    with pytest.raises(ConfigError, match=r"^controller: n_star must be an integer in \[1, "):
+        parse_scenario(data)
+    sc = _write(tmp_path, "sc.json", data)
+    assert main(["simulate", "--scenario", sc, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "controller: n_star" in err and "Traceback" not in err, err
+    assert not (tmp_path / "o").exists()
+
+
 def test_simulate_tilt_limit_past_a_quarter_turn_exits_2(tmp_path, capsys):
     data = dict(TWO_AGENT_SCENARIO, llc={"family": "B", "tilt_min": -2.0})
     sc = _write(tmp_path, "sc.json", data)

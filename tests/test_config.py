@@ -30,6 +30,7 @@ from flockspc import (
 )
 from flockspc.cli import SweepSpec
 from flockspc.config import load
+from flockspc.controller import _MAX_N_STAR
 
 
 def _vec(rng, lo=-3.0, hi=3.0) -> Vec3:
@@ -178,6 +179,9 @@ def test_huge_control_period_is_a_config_error():
     (lambda d: d.update(r_h="far"), "r_h"),
     (lambda d: d.update(seed=1.5), "seed"),
     (lambda d: d.update(cost=[1, 2]), "cost"),
+    # 10**9 overflowed the int32 candidate counts and would size the ladder block.
+    (lambda d: d["controller"].update(n_star=10**9),
+     f"controller: n_star must be an integer in [1, {_MAX_N_STAR}], got 1000000000"),
 ])
 def test_errors_name_the_json_path(mutation, field):
     data = scenario_to_dict(hardware_scenario())

@@ -18,7 +18,7 @@ from flockspc import (
     pfc_setpoint,
     spc_setpoint,
 )
-from flockspc.controller import _decide, _ladders, _norms
+from flockspc.controller import _MAX_N_STAR, _decide, _ladders, _norms
 from flockspc.model import _one_neighborhood
 
 TWO_DRONE = CostParams(w_coh=20.0, w_sep=9.0, w_tar=0.0, w_obs=0.0)
@@ -47,6 +47,19 @@ def test_dynamic_lookahead_takes_an_integer_n_star_only():
         with pytest.raises(ValueError, match=r"^n_star must be an integer, got "):
             dynamic_lookahead_count(bad, 1.0)
     assert dynamic_lookahead_count(np.int64(5), 10.0) == dynamic_lookahead_count(5, 10.0) == 15
+
+
+def test_n_star_has_a_maximum():
+    # dynamic_lookahead_count(10**9, 5.0) returned -2147483648 (int32
+    # overflow), and a rollout with such an n_star would allocate an
+    # (n, 1 + 3 n_star, 3) ladder.  Only the checks run here, no decision.
+    assert dynamic_lookahead_count(_MAX_N_STAR, 10.0) == 3 * _MAX_N_STAR
+    assert ControllerConfig(kind="SPC", n_star=_MAX_N_STAR).n_star == _MAX_N_STAR
+    for n_star in (_MAX_N_STAR + 1, 10**9, 2**31, 2**63):
+        with pytest.raises(ValueError, match=rf"^n_star must be <= {_MAX_N_STAR}, got {n_star}$"):
+            dynamic_lookahead_count(n_star, 5.0)
+        with pytest.raises(ValueError, match=rf"^n_star must be an integer in \[1, {_MAX_N_STAR}\]"):
+            ControllerConfig(kind="SPC", n_star=n_star)
 
 
 def test_dynamic_lookahead_monotone_and_bounded():

@@ -360,6 +360,22 @@ def test_box_spawn_matches_reference_loop(case):
         assert got.tobytes() == _reference_spawn_positions(cfg).tobytes(), (case, seed)
 
 
+def test_box_spawn_places_a_candidate_exactly_min_spacing_away():
+    # y and z span one subnormal, so dy*dy and dz*dz underflow to 0 and every
+    # distance is sqrt(dx*dx) == |dx| exactly.  min_spacing is the distance
+    # from row 0 to candidate 22, in a later block than row 0: the array pass
+    # must place it (>=), as the one-attempt loop does.
+    assert _SPAWN_BLOCK <= 22, "candidate 22 must be checked by the array pass"
+    tiny = float(np.nextafter(0.0, 1.0))
+    lo, hi = Vec3(0.0, 0.0, 0.0), Vec3(1.0, tiny, tiny)
+    x = spawn_stream(0).uniform(tuple(lo), tuple(hi), (23, 3))[:, 0].tolist()
+    spawn = SpawnSpec(box_min=lo, box_max=hi, min_spacing=abs(x[22] - x[0]))
+    cfg = _scenario(agent_count=4, seed=0, spawn=spawn)
+    got = _spawn_positions(cfg)
+    assert got.tobytes() == _reference_spawn_positions(cfg).tobytes()
+    assert x[0] == got[0, 0] and x[22] in got[:, 0].tolist()
+
+
 def test_explicit_spawn_positions_exact():
     pts = (Vec3(0.1, 0.2, 1.1), Vec3(-0.4, 0.5, 1.3))
     cfg = _scenario(spawn=SpawnSpec(positions=pts), duration=0.1, formation_time=0.0)

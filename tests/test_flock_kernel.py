@@ -1,9 +1,9 @@
 """Flock-wide decision kernel tests.
 
-The simulator scores every agent of a tick in one pass over a neighbour
-block padded to the tick's largest neighbour count.  Neighbour sums run left
-to right, a padded slot adds -0.0 and an agent without neighbours keeps
-+0.0.  Every row of that pass must equal the public batch-of-1 call for the
+The simulator scores every agent of a tick in one pass over the snapshot's
+neighbour pair lists.  Neighbour sums add each agent's pairs left to right
+into +0.0, so an agent without neighbours keeps +0.0.  Every row of that
+pass must equal the public batch-of-1 call for the
 same agent (evaluate_gradient, evaluate_cost, spc_setpoint,
 pfc_setpoint) bit for bit, compared with float.hex so -0.0 and NaN payloads
 count too, and relabelling the agents of a batch must permute its rows
@@ -194,7 +194,7 @@ def test_neighbour_sums_run_left_to_right_and_padding_adds_nothing():
     assert (c.coh, c.sep) == (coh, sep)
 
     # Agent 0 has those nine neighbours among three others it does not see,
-    # agent 1 has twelve (so agent 0's row is padded), agent 2 has none.
+    # agent 1 has twelve, agent 2 has none.
     seen = p + rng.normal(0.0, 1.0, size=(3, 12, 3))
     near = np.ones((3, 12), dtype=bool)
     near[0, [1, 5, 11]] = False
@@ -202,7 +202,7 @@ def test_neighbour_sums_run_left_to_right_and_padding_adds_nothing():
     near[2] = False
     observed = np.array([p, p + 0.5, p - 0.5])
     hoods = _neighborhoods(seen[near], near.sum(axis=1))
-    assert hoods.nbr.shape == (3, 12, 3)
+    assert hoods.nbr.shape == (21, 3)
     grad = _gradient(observed, hoods, params)
     terms = _cost_terms(observed[:, None], hoods, params)  # m = 1, as in a PFC pass
     # No neighbours: +0.0 sums, cohesion and separation (a -0.0 would reach the CSV).
