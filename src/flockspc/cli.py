@@ -26,6 +26,7 @@ import numpy as np
 from .config import ConfigError, ScenarioConfig, SpawnSpec, load, load_scenario, scenario_to_dict
 from .controller import ControllerConfig, ControllerKind
 from .engine import DivergenceError, _cpu_count, run_scenario, write_trace_csv
+from .floatrepr import _Lines
 from .llc import LLCConfig, LLCFamily, step_metrics, step_trajectory
 from .metrics import (
     RunSummary,
@@ -170,8 +171,9 @@ def cmd_step_response(args: argparse.Namespace) -> int:
     out.mkdir(parents=True, exist_ok=True)
     with open(out / "step_response.csv", "w") as fh:
         fh.write("time_s,position_m,velocity_m_s,tilt_rad\n")
-        for t, x, v, tilt in rows:
-            fh.write(f"{float(t)!r},{float(x)!r},{float(v)!r},{float(tilt)!r}\n")
+        lines = _Lines(b"\0,,,")  # each float as repr() writes it
+        for lo in range(0, len(rows), lines.rows):
+            fh.write(lines.text(rows[lo:lo + lines.rows]))
     rise, settle = (t if math.isfinite(t) else None
                     for t in (metrics.rise_time_90, metrics.settling_time_2pct))
     payload = {"family": args.family, "step_m": args.step, "rise_time_90_s": rise,

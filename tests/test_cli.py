@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from flockspc import (
-    ConfigError, hardware_scenario, parse_scenario, scenario_to_dict, step_trajectory,
+    ConfigError, LLCConfig, hardware_scenario, parse_scenario, scenario_to_dict, step_trajectory,
 )
 from flockspc.cli import main
 
@@ -324,6 +324,18 @@ def test_step_response_outputs(tmp_path):
     assert csv_lines[0] == "time_s,position_m,velocity_m_s,tilt_rad"
     assert len(csv_lines) > 1000
     assert "np" not in csv_lines[1]
+
+
+@pytest.mark.parametrize("family", ["A", "B"])
+def test_step_response_csv_writes_each_float_as_repr(tmp_path, family):
+    # The rows as the per-row f-string loop wrote them before the array
+    # formatter: the file's bytes must not change.
+    out = tmp_path / family
+    assert main(["step-response", "--family", family, "--out", str(out)]) == 0
+    rows = step_trajectory(LLCConfig(family=family), 1.0, duration=20.0)
+    expected = "time_s,position_m,velocity_m_s,tilt_rad\n" + "".join(
+        f"{float(t)!r},{float(x)!r},{float(v)!r},{float(tilt)!r}\n" for t, x, v, tilt in rows)
+    assert (out / "step_response.csv").read_bytes() == expected.encode()
 
 
 def test_step_response_zero_step(tmp_path):
