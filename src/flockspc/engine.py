@@ -372,33 +372,27 @@ def _cpu_count() -> int:
 
 def _write_records(fh: IO[str], records: tuple[TickRecord, ...]) -> None:
     """The CSV rows of `records`, one per agent per record, in blocks of
-    whole records (or of one record's rows, for a flock larger than a
-    block): time_s and agent as bytes, the 18 values through _Lines."""
+    whole records (one per block for a flock larger than a block): time_s
+    and agent as bytes, the agent column laid once, the 18 values through
+    _Lines."""
     n = len(records[0].grad_norms) if records else 0
     if n == 0:
         return
-    agents = [b",%d" % i for i in range(n)]
-    width = len(agents[-1])
-    agent_bytes = np.frombuffer(b"".join(a.ljust(width, b"\0") for a in agents), dtype=np.uint8)
-    agent_bytes = agent_bytes.reshape(n, width)
-    lines = _Lines(b"," * 18, 24 + width)
-    span = min(n, lines.rows)  # rows of one record per block
-    per = max(1, lines.rows // n)  # records per block
-    values = np.empty((per * span, 18))
+    width = len(b",%d" % (n - 1))
+    lines = _Lines(b"," * 18, 24 + width, least=n)
+    per = lines.rows // n  # records per block
+    prefix = lines.prefix[:per * n].reshape(per, n, -1)
+    prefix[:, :, 24:] = np.frombuffer(b"".join((b",%d" % i).ljust(width, b"\0") for i in range(n)),
+                                      dtype=np.uint8).reshape(n, width)
+    values = np.empty((per * n, 18))
     for start in range(0, len(records), per):
         group = records[start:start + per]
+        rows = len(group) * n
+        for name, columns in _CSV_FIELDS:
+            np.concatenate([getattr(rec, name) for rec in group], out=values[:rows, columns])
         times = b"".join(repr(float(rec.time)).encode().ljust(24, b"\0") for rec in group)
-        for lo in range(0, n, span):
-            hi = min(lo + span, n)
-            rows = len(group) * (hi - lo)
-            for name, columns in _CSV_FIELDS:
-                parts = [getattr(rec, name)[lo:hi] for rec in group] if span < n else [
-                    getattr(rec, name) for rec in group]
-                np.concatenate(parts, out=values[:rows, columns])
-            prefix = lines.prefix[:rows].reshape(len(group), hi - lo, -1)
-            prefix[:, :, :24] = np.frombuffer(times, dtype=np.uint8).reshape(len(group), 1, 24)
-            prefix[:, :, 24:] = agent_bytes[lo:hi]
-            fh.write(lines.text(values[:rows]))
+        prefix[:len(group), :, :24] = np.frombuffer(times, dtype=np.uint8).reshape(len(group), 1, 24)
+        fh.write(lines.text(values[:rows]))
 
 
 def write_trace_csv(trace: Trace, dest: str | Path | IO[str]) -> None:

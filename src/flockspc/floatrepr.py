@@ -393,9 +393,9 @@ def _take(table: np.ndarray, index: np.ndarray, out: np.ndarray) -> None:
     np.take(table, index, out=out, mode="clip")
 
 
-# Values per block of lines: a block's text stays under glibc's 128 KB mmap
-# threshold (a value takes at most 25 bytes), and the buffers _Lines holds
-# for it under 1 MB.
+# The least values per block of lines.  While a block is this size (trace
+# flocks of up to 256 agents), its text stays under glibc's 128 KB mmap
+# threshold (a value takes at most 25 bytes), and its buffers under 1 MB.
 _BLOCK_VALUES = 4608
 
 
@@ -403,11 +403,11 @@ class _Lines:
     """CSV lines of rows of float64 values.  A line is the row's prefix bytes
     (the caller writes them into `prefix`; NUL bytes are dropped), then each
     value's repr() after its column's byte in `seps` (NUL for none), then a
-    newline.  Holds the buffers of a block of `rows` rows, which every call
-    reuses."""
+    newline.  Holds the buffers of a block of `rows` rows, _BLOCK_VALUES
+    values' worth but at least `least`, which every call reuses."""
 
-    def __init__(self, seps: bytes, prefix: int = 0) -> None:
-        self.rows = rows = max(1, _BLOCK_VALUES // len(seps))
+    def __init__(self, seps: bytes, prefix: int = 0, least: int = 1) -> None:
+        self.rows = rows = max(least, _BLOCK_VALUES // len(seps))
         words = -(-prefix // 8)
         # Little-endian words, so that a word's low byte comes first.
         self._buf = np.zeros((rows, words + 4 * len(seps) + 1), dtype="<u8")

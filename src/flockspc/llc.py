@@ -82,9 +82,11 @@ class LLCConfig:
         for name in ("k_v", "k_p", "k_i"):
             if not 0.0 <= getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be >= 0 and finite, got {getattr(self, name)}")
-        for name in ("t_delta", "z_time_constant"):
-            if not 0.0 < getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)}")
+        for name in ("t_delta", "z_time_constant"):  # the plant divides by their squares
+            value = getattr(self, name)
+            if not (value > 0.0 and 0.0 < value * value < math.inf):
+                raise ValueError(f"{name} must be positive with a positive, finite square "
+                                 f"(about 1.6e-162 to 1.3e154), got {value}")
 
 
 @dataclass(frozen=True)

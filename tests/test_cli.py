@@ -218,6 +218,19 @@ def test_simulate_diverging_plant_exits_4(tmp_path, capsys):
     assert not (tmp_path / "o" / "trace.csv").exists()
 
 
+@pytest.mark.parametrize("value", [1e-170, 1e200])
+def test_simulate_time_constant_whose_square_is_zero_or_inf_exits_2(tmp_path, capsys, value):
+    # The plant divides by z_time_constant squared; 1e-170 squared is 0.0
+    # (a ZeroDivisionError once) and 1e200 squared overflows.
+    data = scenario_to_dict(hardware_scenario())
+    data["llc"]["z_time_constant"] = value
+    sc = _write(tmp_path, "sc.json", data)
+    assert main(["simulate", "--scenario", sc, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "llc: z_time_constant must be positive" in err and "Traceback" not in err, err
+    assert not (tmp_path / "o").exists()
+
+
 SWEEP_SMALL = {
     "flock_sizes": [2, 3],
     "obstacle_scenarios": ["none"],

@@ -688,6 +688,8 @@ def test_trace_csv_is_parseable_and_stable(tmp_path):
         assert len(cells) == len(header)
         float(cells[0])
         assert "np" not in row, f"numpy repr leaked into csv: {row}"
+    write_trace_csv(replace(trace, records=()), p1)  # no records: the header alone
+    assert p1.read_text() == ",".join(engine.TRACE_COLUMNS) + "\n"
 
 
 def _split_trace_csv(monkeypatch, parts):

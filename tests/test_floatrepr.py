@@ -17,7 +17,7 @@ import pytest
 
 import flockspc.floatrepr as floatrepr
 from flockspc import TRACE_COLUMNS, run_scenario, write_trace_csv
-from test_trace_digests import CASES
+from test_trace_digests import CASES, _preset
 
 
 def _written(values) -> list[str]:
@@ -136,13 +136,18 @@ def _reference_csv(trace) -> str:
 
 @pytest.fixture(scope="module")
 def traces():
-    return {name: run_scenario(case()) for name, case in CASES.items()}
+    traces = {name: run_scenario(case()) for name, case in CASES.items()}
+    # A flock larger than one block of _BLOCK_VALUES values (256 trace rows).
+    traces["pfc_B_none_300"] = run_scenario(_preset("PFC", "B", "none", seed=8, n=300, duration=1.0))
+    return traces
 
 
-@pytest.mark.parametrize("block_rows", [None, 7])
-@pytest.mark.parametrize("name", sorted(CASES))
+@pytest.mark.parametrize("name, block_rows", [
+    *((name, rows) for name in sorted(CASES) for rows in (7, None)), ("pfc_B_none_300", None)])
 def test_trace_csv_equals_the_repr_loop(monkeypatch, tmp_path, traces, name, block_rows):
-    # Seven rows per block split every record of these flocks of 10 and 64.
+    # Seven rows per block are fewer than one record of these flocks of 10
+    # and 64, so each block holds one record; so does each default block of
+    # the 300-agent flock.
     if block_rows is not None:
         monkeypatch.setattr(floatrepr, "_BLOCK_VALUES", 18 * block_rows)
     trace = traces[name]

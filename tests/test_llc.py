@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import pytest
@@ -21,6 +21,7 @@ from flockspc import (
     SpawnSpec,
     Vec3,
     fly,
+    step_metrics,
     step_response,
     step_trajectory,
 )
@@ -230,6 +231,9 @@ def test_step_response_flags_non_settling():
     # one-millisecond horizon cannot contain the transient
     m = step_response(LLCConfig(family="A"), 1.0, duration=0.001)
     assert not m.settled
+    # Rows that never leave the 2 % band settle at once.
+    m = step_metrics(np.array([[0.0, 0.99, 0.0, 0.0], [0.1, 1.01, 0.0, 0.0]]), 1.0)
+    assert m.settling_time_2pct == 0.0 and m.rise_time_90 == 0.0 and m.settled
 
 
 def test_step_trajectory_shape_and_start():
@@ -249,6 +253,10 @@ def test_step_trajectory_bounds_its_sample_count(duration):
         step_trajectory(LLCConfig(family="A"), 1.0, duration=duration)
 
 
+# The least time constant whose square is not 0.0 (it is 5e-324).
+_LEAST_TIME_CONSTANT = 1.5717277847026288e-162
+
+
 def test_llc_config_validation():
     with pytest.raises(ValueError):
         LLCConfig(family="C")
@@ -258,6 +266,12 @@ def test_llc_config_validation():
         LLCConfig(family="B", t_delta=0.0)
     with pytest.raises(ValueError):
         LLCConfig(family="A", k_p=-1.0)
+    # The plant divides by the squares of both time constants: below about
+    # 1.6e-162 the square is 0.0, above about 1.3e154 it overflows.
+    for name in ("t_delta", "z_time_constant"):
+        for value in (1e-170, math.nextafter(_LEAST_TIME_CONSTANT, 0.0), 1e200):
+            with pytest.raises(ValueError, match=f"^{name} must be positive with a positive, finite square"):
+                LLCConfig(family="B", **{name: value})
 
 
 @pytest.mark.parametrize("name, value", [
@@ -346,10 +360,16 @@ def test_block_step_equals_the_row_loop():
     # step; each row must get the per-row loop's bits, NaN and inf included,
     # and raise no numpy warning on the way.  The row loop, one row at a
     # time, gives each row's last tilts, to count clamped and free rows.
+    # The last two cases take the least t_delta and z_time_constant that
+    # LLCConfig accepts, whose squares are the least subnormal: the plant
+    # divides by them, so every tilt is clamped in the first and the z
+    # states leave the finite range in the second.
     rng = np.random.default_rng(41)
     clamped = free = 0
-    for i in range(120):
+    for i in range(122):
         cfg = _random_llc(rng, "B")
+        if i >= 120:
+            cfg = replace(cfg, **{("t_delta", "z_time_constant")[i - 120]: _LEAST_TIME_CONSTANT})
         dt, steps = float(rng.choice((0.001, 0.01))), (1, 10)[i % 2]
         n = (_BLOCK_ROWS - 1, _BLOCK_ROWS, 3 * _BLOCK_ROWS)[i % 3]
         start = rng.uniform(-3.0, 3.0, size=(n, 8))
@@ -367,6 +387,10 @@ def test_block_step_equals_the_row_loop():
             fly(states, refs, cfg, dt, steps)
         assert _hex_rows(states.tolist()) == _hex_rows(rows), f"case {i}"
         limits = np.isin(tilts, (cfg.tilt_min, cfg.tilt_max))
+        if i == 120:
+            assert limits.all()
+        if i == 121:
+            assert not np.isfinite(states[:, [2, 5]]).any()
         clamped += int(limits.any(axis=1).sum())
         free += int((~limits).all(axis=1).sum())
     print(f"{clamped} rows with a clamped tilt, {free} with none")

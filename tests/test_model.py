@@ -309,6 +309,10 @@ def test_equilibrium_distance_with_body_radius():
     assert abs(residual) <= 1e-6, f"residual {residual:.2e} at d={d}"
     assert abs(d - 0.9263) <= 5e-4, f"{d} not near 0.9263"
     assert d > 2 * 0.07
+    # More than 1 m past 2 r_drone: the bracket doubles before the bisection.
+    d = equilibrium_distance(1.0, 1000.0, 0.07)
+    residual = d * (d - 0.14) ** 3 - 1000.0
+    assert d > 0.14 + 1.0 and abs(residual) <= 1e-9, f"residual {residual:.2e} at d={d}"
 
 
 def test_equilibrium_distance_rejects_zero_cohesion():
