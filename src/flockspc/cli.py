@@ -23,7 +23,8 @@ from typing import Any
 
 import numpy as np
 
-from .config import ConfigError, ScenarioConfig, SpawnSpec, load, load_scenario, scenario_to_dict
+from .config import _AGENT_COUNT, _COUNTER_WORD, _SEED, ConfigError, ScenarioConfig, SpawnSpec
+from .config import load, load_scenario, scenario_to_dict
 from .controller import ControllerConfig, ControllerKind
 from .engine import DivergenceError, _cpu_count, run_scenario, write_trace_csv
 from .floatrepr import _Lines
@@ -36,8 +37,9 @@ from .metrics import (
     thresholds_for_scenario,
     write_summary_json,
 )
-from .model import equilibrium_distance, CostParams, Vec3
-from .presets import build_scenario, resolve_layout
+from .model import _NONNEGATIVE, CostParams, Vec3, _check_fields, _each, _field, _one_of, _Rule
+from .model import equilibrium_distance
+from .presets import _LAYOUT_KEYS, build_scenario, resolve_layout
 
 __all__ = ["main", "cmd_simulate", "cmd_sweep", "cmd_step_response", "cmd_equilibrium"]
 
@@ -94,29 +96,24 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 # --- sweep ---------------------------------------------------------------------
 
 
+_LIST = _Rule(bool, "a non-empty list")
+_LAYOUT = _Rule(lambda v: str(v) in _LAYOUT_KEYS, f"one of {list(_LAYOUT_KEYS)}")
+
+
 @dataclass(frozen=True)
 class SweepSpec:
     """Sweep manifest: the grid axes plus run length and noise level."""
 
-    flock_sizes: tuple[int, ...]
-    obstacle_scenarios: tuple[Any, ...]  # layout names or obstacle counts, see resolve_layout
-    controllers: tuple[ControllerKind, ...]
-    llc_families: tuple[LLCFamily, ...]
-    seeds: tuple[int, ...]
-    duration: float = 60.0  # this and noise_sigma are checked by ScenarioConfig
-    noise_sigma: float = 0.10
+    flock_sizes: tuple[int, ...] = _field(_LIST, _each(_AGENT_COUNT), _each(_COUNTER_WORD))
+    obstacle_scenarios: tuple[Any, ...] = _field(_LIST, _each(_LAYOUT))  # see resolve_layout
+    controllers: tuple[ControllerKind, ...] = _field(_LIST, _each(_one_of(ControllerKind)))
+    llc_families: tuple[LLCFamily, ...] = _field(_LIST, _each(_one_of(LLCFamily)))
+    seeds: tuple[int, ...] = _field(_LIST, _each(_SEED))
+    duration: float = 60.0  # checked by ScenarioConfig
+    noise_sigma: float = _field(_NONNEGATIVE, default=0.10)
 
     def __post_init__(self) -> None:
-        for name in ("flock_sizes", "obstacle_scenarios", "controllers", "llc_families", "seeds"):
-            if not getattr(self, name):
-                raise ConfigError(f"{name}: must be a non-empty list")
-        if min(self.flock_sizes) < 1:
-            raise ConfigError(f"flock_sizes: entries must be >= 1, got {list(self.flock_sizes)}")
-        for name in self.obstacle_scenarios:
-            try:
-                resolve_layout(name)
-            except ValueError as exc:
-                raise ConfigError(f"obstacle_scenarios: {exc}") from None
+        _check_fields(self)
 
 
 def _run_name(job: tuple) -> str:
@@ -272,7 +269,7 @@ def _check_out(out: str) -> None:
     while not path.exists():
         path = path.parent
     if not path.is_dir():
-        raise ConfigError(f"--out: {path} is not a directory")
+        raise ConfigError("--out", f"{path} is not a directory")
 
 
 def main(argv: list[str] | None = None) -> int:

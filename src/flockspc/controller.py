@@ -15,7 +15,8 @@ from typing import Literal, NamedTuple
 
 import numpy as np
 
-from .model import CostBreakdown, CostParams, Neighbors, Point, Vec3, _Neighborhoods
+from .model import _POSITIVE, ConfigError, CostBreakdown, CostParams, Neighbors, Point, Vec3
+from .model import _Neighborhoods, _Rule, _check_fields, _field, _one_of
 from .model import _cost_terms, _cost_totals, _gradient, _is_int, _one_neighborhood, _points
 
 __all__ = [
@@ -47,21 +48,18 @@ class ControllerConfig:
     dynamic_n enables distance-scaled candidate counts for SPC.
     """
 
-    kind: ControllerKind
-    epsilon: float = 0.06
-    n_star: int = 5
+    kind: ControllerKind = _field(_one_of(ControllerKind))
+    epsilon: float = _field(_POSITIVE, default=0.06)
+    n_star: int = _field(_Rule(lambda v: type(v) is int and 1 <= v <= _MAX_N_STAR,  # True is no int
+                               f"an integer in [1, {_MAX_N_STAR}]"), default=5)
     pfc_gain: float = 0.007
     dynamic_n: bool = True
 
     def __post_init__(self) -> None:
-        if self.kind not in ("SPC", "PFC"):
-            raise ValueError(f"controller kind must be 'SPC' or 'PFC', got {self.kind!r}")
-        if not (self.epsilon > 0.0 and math.isfinite(self.epsilon)):
-            raise ValueError(f"epsilon must be positive, got {self.epsilon}")
-        if not (type(self.n_star) is int and 1 <= self.n_star <= _MAX_N_STAR):  # True is no int
-            raise ValueError(f"n_star must be an integer in [1, {_MAX_N_STAR}], got {self.n_star!r}")
-        if self.kind == "PFC" and not (self.pfc_gain > 0.0 and math.isfinite(self.pfc_gain)):
-            raise ValueError(f"pfc_gain must be positive for PFC, got {self.pfc_gain}")
+        _check_fields(self)
+        if self.kind == "PFC" and not 0.0 < self.pfc_gain < math.inf:
+            raise ConfigError("pfc_gain", f"must be positive and finite for PFC, "
+                              f"got {self.pfc_gain}")
 
 
 @dataclass(frozen=True)

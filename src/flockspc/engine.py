@@ -193,10 +193,8 @@ def _spawn_positions(cfg: ScenarioConfig) -> np.ndarray:
                 if k + len(new) == n:
                     break
             elif (misses := misses + 1) == 10_000:
-                raise ConfigError(
-                    f"spawn.box_min/box_max: could not place agent {k + len(new)} with "
-                    f"min_spacing {spacing} after 10000 attempts"
-                )
+                raise ConfigError("spawn.box_min/box_max", f"could not place agent "
+                                  f"{k + len(new)} with min_spacing {spacing} after 10000 attempts")
         placed[k:k + len(new)] = np.reshape(new, (-1, 3))  # [] alone is shape (0,)
         k += len(new)
     return placed

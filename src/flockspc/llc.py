@@ -31,7 +31,7 @@ from typing import Literal, Sequence
 
 import numpy as np
 
-from .model import Vec3, _is_int
+from .model import _NONNEGATIVE, Vec3, _Rule, _check_fields, _field, _is_int, _one_of
 
 __all__ = [
     "GRAVITY",
@@ -49,6 +49,9 @@ _MAX_SAMPLES = 1_000_000  # step_trajectory's 32 MB of rows: 1000 s at dt 0.001
 _BLOCK_ROWS = 26  # from here on fly()'s array step beats family B's row loop
 
 LLCFamily = Literal["A", "B"]
+# The plant divides by the squares of t_delta and z_time_constant.
+_SQUARABLE = _Rule(lambda v: v > 0.0 and 0.0 < v * v < math.inf,
+                   "positive with a positive, finite square (about 1.6e-162 to 1.3e154)")
 
 
 @dataclass(frozen=True)
@@ -60,33 +63,20 @@ class LLCConfig:
     in well under half family A's time while overshooting roughly 50% more.
     """
 
-    family: LLCFamily
-    k_v: float = 1.4
-    k_p: float = 0.08
-    k_i: float = 0.01
-    tilt_min: float = -0.35
-    tilt_max: float = 0.35
-    t_delta: float = 0.5
-    z_time_constant: float = 0.4
+    family: LLCFamily = _field(_one_of(LLCFamily))
+    k_v: float = _field(_NONNEGATIVE, default=1.4)
+    k_p: float = _field(_NONNEGATIVE, default=0.08)
+    k_i: float = _field(_NONNEGATIVE, default=0.01)
+    # The limits straddle 0, and tan changes sign at +-pi/2.
+    tilt_min: float = _field(_Rule(lambda v: -math.pi / 2 < v < 0.0, "in (-pi/2, 0) rad"),
+                             default=-0.35)
+    tilt_max: float = _field(_Rule(lambda v: 0.0 < v < math.pi / 2, "in (0, pi/2) rad"),
+                             default=0.35)
+    t_delta: float = _field(_SQUARABLE, default=0.5)
+    z_time_constant: float = _field(_SQUARABLE, default=0.4)
 
     def __post_init__(self) -> None:
-        if self.family not in ("A", "B"):
-            raise ValueError(f"LLC family must be 'A' or 'B', got {self.family!r}")
-        if not -math.inf < self.tilt_min < 0.0 < self.tilt_max < math.inf:
-            raise ValueError("tilt limits must be finite and straddle 0, "
-                             f"got [{self.tilt_min}, {self.tilt_max}]")
-        for name in ("tilt_min", "tilt_max"):  # tan changes sign at +-pi/2
-            if not abs(getattr(self, name)) < math.pi / 2:
-                raise ValueError(f"{name} must lie within (-pi/2, pi/2) rad, "
-                                 f"got {getattr(self, name)}")
-        for name in ("k_v", "k_p", "k_i"):
-            if not 0.0 <= getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be >= 0 and finite, got {getattr(self, name)}")
-        for name in ("t_delta", "z_time_constant"):  # the plant divides by their squares
-            value = getattr(self, name)
-            if not (value > 0.0 and 0.0 < value * value < math.inf):
-                raise ValueError(f"{name} must be positive with a positive, finite square "
-                                 f"(about 1.6e-162 to 1.3e154), got {value}")
+        _check_fields(self)
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,7 @@ import numpy as np
 
 from .config import ScenarioConfig
 from .engine import Trace
-from .model import Obstacle, Vec3, _points
+from .model import _NONNEGATIVE, Obstacle, Vec3, _check_fields, _field, _points
 from .presets import R_SAFETY
 
 __all__ = [
@@ -57,15 +57,12 @@ class MetricsSample:
 class Thresholds:
     """Pass/fail boundaries in metres."""
 
-    dist_thr: float
-    comp_thr: float
-    clear_thr: float
+    dist_thr: float = _field(_NONNEGATIVE)
+    comp_thr: float = _field(_NONNEGATIVE)
+    clear_thr: float = _field(_NONNEGATIVE)
 
     def __post_init__(self) -> None:
-        for name in ("dist_thr", "comp_thr", "clear_thr"):
-            v = getattr(self, name)
-            if not (v >= 0.0 and math.isfinite(v)):
-                raise ValueError(f"{name} must be >= 0 and finite, got {v}")
+        _check_fields(self)
 
 
 @dataclass(frozen=True)

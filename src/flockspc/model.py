@@ -23,9 +23,9 @@ dispatch.  np.hypot comes from libm.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from functools import cached_property
-from typing import NamedTuple, Sequence
+from dataclasses import MISSING, dataclass, field, fields
+from functools import cache, cached_property
+from typing import Any, Callable, NamedTuple, Sequence, get_args
 
 import numpy as np
 
@@ -78,19 +78,89 @@ Point = Vec3 | np.ndarray
 Neighbors = np.ndarray | Sequence[Vec3]
 
 
+def _is_int(value: object) -> bool:
+    """Whether value is a Python or numpy integer; a bool is none."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+# --- config value rules: a config dataclass declares each rule on one field's
+# value on that field, and its __post_init__ calls _check_fields first.
+
+
+class ConfigError(ValueError):
+    """Scenario or sweep configuration problem: the `problem` with `field`,
+    a JSON path relative to the object that raised it."""
+
+    def __init__(self, field: str, problem: str) -> None:
+        super().__init__(field, problem)  # the args rebuild a pickled error
+        self.field, self.problem = field, problem
+
+    def __str__(self) -> str:
+        return f"{self.field}: {self.problem}"
+
+
+class _Rule(NamedTuple):
+    """A value `must be {expected}` unless ok(value); with each, every
+    entry of the value (None has none) must be, named field[i]."""
+
+    ok: Callable[[Any], bool]
+    expected: str
+    each: bool = False
+
+    def check(self, value: Any, name: str) -> None:
+        if not self.ok(value):
+            raise ConfigError(name, f"must be {self.expected}, got {value!r}")
+
+
+def _each(rule: _Rule) -> _Rule:
+    return rule._replace(each=True)
+
+
+def _one_of(literal: Any) -> _Rule:
+    options = get_args(literal)
+    return _Rule(lambda v: v in options, f"one of {list(options)}")
+
+
+def _field(*rules: _Rule, default: Any = MISSING, **metadata: Any) -> Any:
+    """A dataclass field that carries its value rules (and config metadata)."""
+    return field(default=default, metadata={"rules": rules, **metadata})
+
+
+@cache
+def _field_rules(cls: type) -> tuple[tuple[str, Callable, bool, _Rule], ...]:
+    return tuple((f.name, rule.ok, rule.each, rule)
+                 for f in fields(cls) for rule in f.metadata.get("rules", ()))
+
+
+def _check_fields(obj: Any) -> None:
+    """Raise a ConfigError for the first declared rule that a field of `obj` breaks."""
+    for name, ok, each, rule in _field_rules(type(obj)):
+        value = getattr(obj, name)
+        if not each:
+            if not ok(value):
+                rule.check(value, name)
+        elif not all(map(ok, value or ())):
+            for i, item in enumerate(value):
+                rule.check(item, f"{name}[{i}]")
+
+
+_FINITE = _Rule(math.isfinite, "finite")
+_POSITIVE = _Rule(lambda v, inf=math.inf: 0.0 < v < inf, "positive and finite")
+_NONNEGATIVE = _Rule(lambda v, inf=math.inf: 0.0 <= v < inf, ">= 0 and finite")
+_FINITE_POINT = _Rule(Vec3.is_finite, "finite")
+_FINITE_POINT_OR_NONE = _Rule(lambda v: v is None or v.is_finite(), "finite")
+
+
 @dataclass(frozen=True)
 class Obstacle:
     """Infinitely tall cylinder: center (x, y) on the ground plane, radius in metres."""
 
-    x: float
-    y: float
-    radius: float
+    x: float = _field(_FINITE)
+    y: float = _field(_FINITE)
+    radius: float = _field(_POSITIVE)
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.x) and math.isfinite(self.y)):
-            raise ValueError("Obstacle center must be finite")
-        if not (self.radius > 0.0 and math.isfinite(self.radius)):
-            raise ValueError(f"Obstacle radius must be positive, got {self.radius}")
+        _check_fields(self)
 
 
 @dataclass(frozen=True)
@@ -102,27 +172,18 @@ class CostParams:
     term).  ``zero_hat`` is the clamp floor for the reciprocal denominators.
     """
 
-    w_coh: float
-    w_sep: float
-    w_tar: float
-    w_obs: float
-    r_drone: float = 0.0
-    zero_hat: float = 1e-6
+    w_coh: float = _field(_NONNEGATIVE)
+    w_sep: float = _field(_NONNEGATIVE)
+    w_tar: float = _field(_NONNEGATIVE)
+    w_obs: float = _field(_NONNEGATIVE)
+    r_drone: float = _field(_NONNEGATIVE, default=0.0)
+    zero_hat: float = _field(_POSITIVE, default=1e-6)
     # Set per tick and per scenario by the engine, not read from scenario files.
-    target: Vec3 | None = field(default=None, metadata={"json": False})
+    target: Vec3 | None = _field(_FINITE_POINT_OR_NONE, default=None, json=False)
     obstacles: tuple[Obstacle, ...] = field(default=(), metadata={"json": False})
 
     def __post_init__(self) -> None:
-        for name in ("w_coh", "w_sep", "w_tar", "w_obs"):
-            w = getattr(self, name)
-            if not (w >= 0.0 and math.isfinite(w)):
-                raise ValueError(f"{name} must be a finite non-negative weight, got {w}")
-        if not (self.r_drone >= 0.0 and math.isfinite(self.r_drone)):
-            raise ValueError(f"r_drone must be non-negative, got {self.r_drone}")
-        if not (self.zero_hat > 0.0 and math.isfinite(self.zero_hat)):
-            raise ValueError(f"zero_hat must be positive, got {self.zero_hat}")
-        if self.target is not None and not self.target.is_finite():
-            raise ValueError("target must be finite")
+        _check_fields(self)
         object.__setattr__(self, "obstacles", tuple(self.obstacles))
 
     @cached_property
@@ -158,11 +219,6 @@ class CostGradient:
     tar: Vec3
     obs: Vec3
     total: Vec3
-
-
-def _is_int(value: object) -> bool:
-    """Whether value is a Python or numpy integer; a bool is none."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def _points(points: Neighbors, what: str) -> np.ndarray:

@@ -57,7 +57,9 @@ OBSTACLE_LAYOUTS: dict[str, tuple[Obstacle, ...]] = {
     ),
 }
 
-_LAYOUT_ALIASES = {"0": "none", "3": "three", "11": "eleven"}
+# Each layout's name and obstacle count, as str(), to its name.
+_LAYOUT_KEYS = {**{name: name for name in OBSTACLE_LAYOUTS},
+                "0": "none", "3": "three", "11": "eleven"}
 
 # Path end for each layout: far enough to clear the last obstacle row.
 _LAYOUT_GOAL_X = {"none": 4.0, "three": 5.2, "eleven": 7.0}
@@ -65,11 +67,9 @@ _LAYOUT_GOAL_X = {"none": 4.0, "three": 5.2, "eleven": 7.0}
 
 def resolve_layout(name: str | int) -> tuple[str, tuple[Obstacle, ...]]:
     """Accepts a layout name ('none', 'three', 'eleven') or obstacle count (0/3/11)."""
-    key = str(name)
-    key = _LAYOUT_ALIASES.get(key, key)
-    if key not in OBSTACLE_LAYOUTS:
-        known = sorted(OBSTACLE_LAYOUTS) + sorted(_LAYOUT_ALIASES)
-        raise ValueError(f"unknown obstacle layout {name!r}; expected one of {known}")
+    key = _LAYOUT_KEYS.get(str(name))
+    if key is None:
+        raise ValueError(f"unknown obstacle layout {name!r}; expected one of {list(_LAYOUT_KEYS)}")
     return key, OBSTACLE_LAYOUTS[key]
 
 

@@ -14,7 +14,8 @@ import pytest
 from flockspc import (
     ConfigError, LLCConfig, hardware_scenario, parse_scenario, scenario_to_dict, step_trajectory,
 )
-from flockspc.cli import main
+from flockspc.cli import SweepSpec, main
+from flockspc.config import load
 
 TWO_AGENT_SCENARIO = {
     "agent_count": 2,
@@ -176,12 +177,12 @@ def test_simulate_huge_n_star_exits_2(tmp_path, capsys):
     data["controller"]["n_star"] = 10**9
     # Checked at parse time first: if the check regressed, `simulate` below
     # would try to allocate a ladder of up to 3e9 candidates per agent.
-    with pytest.raises(ConfigError, match=r"^controller: n_star must be an integer in \[1, "):
+    with pytest.raises(ConfigError, match=r"^controller\.n_star: must be an integer in \[1, "):
         parse_scenario(data)
     sc = _write(tmp_path, "sc.json", data)
     assert main(["simulate", "--scenario", sc, "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
-    assert "controller: n_star" in err and "Traceback" not in err, err
+    assert "error: controller.n_star: must be" in err and "Traceback" not in err, err
     assert not (tmp_path / "o").exists()
 
 
@@ -227,7 +228,7 @@ def test_simulate_time_constant_whose_square_is_zero_or_inf_exits_2(tmp_path, ca
     sc = _write(tmp_path, "sc.json", data)
     assert main(["simulate", "--scenario", sc, "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
-    assert "llc: z_time_constant must be positive" in err and "Traceback" not in err, err
+    assert "error: llc.z_time_constant: must be positive" in err and "Traceback" not in err, err
     assert not (tmp_path / "o").exists()
 
 
@@ -304,11 +305,33 @@ def test_sweep_layout_given_as_obstacle_count(tmp_path):
 
 
 def test_sweep_field_errors_exit_2(tmp_path, capsys):
+    # A duration too short for one tick fails in the pool's workers, and their
+    # ConfigError reaches main() pickled.
     for key, value in (("controllers", ["MPC"]), ("flock_sizes", [0]), ("duration", "long"),
-                       ("seeds", [True]), ("noise_sigma", -0.1)):
+                       ("seeds", [True]), ("noise_sigma", -0.1), ("duration", 0.05)):
         sw = _write(tmp_path, "sweep.json", dict(SWEEP_SMALL, **{key: value}))
         assert main(["sweep", "--sweep", sw, "--out", str(tmp_path / "o")]) == 2
         assert key in capsys.readouterr().err, key
+
+
+@pytest.mark.parametrize("key, value, named", [
+    ("seeds", [0, -1], "seeds[1]: must be an integer in [0, 2**64), got -1"),
+    ("flock_sizes", [4294967296], "flock_sizes[0]: must be below 2**32, got 4294967296"),
+], ids=["seeds", "flock_sizes"])
+def test_sweep_entries_are_checked_before_the_pool_starts(tmp_path, capsys, monkeypatch, key,
+                                                         value, named):
+    # Once raised inside a worker as the scenario's seed or agent_count.
+    def no_pool(*args, **kwargs):
+        raise AssertionError("the sweep started its pool")
+
+    monkeypatch.setattr("flockspc.cli.ProcessPoolExecutor", no_pool)
+    sw = _write(tmp_path, "sweep.json", dict(SWEEP_SMALL, **{key: value}))
+    with pytest.raises(ConfigError) as exc:
+        load(SweepSpec, sw)
+    assert str(exc.value) == named
+    assert main(["sweep", "--sweep", sw, "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == f"error: {named}\n"
+    assert not (tmp_path / "o").exists()
 
 
 def test_sweep_empty_seed_list_exits_2(tmp_path, capsys):

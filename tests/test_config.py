@@ -6,7 +6,9 @@ from __future__ import annotations
 import copy
 import json
 import math
-from dataclasses import replace
+import pickle
+import re
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -29,7 +31,7 @@ from flockspc import (
     scenario_to_dict,
 )
 from flockspc.cli import SweepSpec
-from flockspc.config import load
+from flockspc.config import load, parse
 from flockspc.controller import _MAX_N_STAR
 
 
@@ -180,8 +182,10 @@ def test_huge_control_period_is_a_config_error():
     (lambda d: d.update(seed=1.5), "seed"),
     (lambda d: d.update(cost=[1, 2]), "cost"),
     # 10**9 overflowed the int32 candidate counts and would size the ladder block.
-    (lambda d: d["controller"].update(n_star=10**9),
-     f"controller: n_star must be an integer in [1, {_MAX_N_STAR}], got 1000000000"),
+    pytest.param(lambda d: d["controller"].update(n_star=10**9),
+                 f"controller.n_star: must be an integer in [1, {_MAX_N_STAR}], got 1000000000",
+                 id=f"<lambda>-controller: n_star must be an integer in [1, {_MAX_N_STAR}], "
+                    "got 1000000000"),  # the case's name from before the "<field>: " form
 ])
 def test_errors_name_the_json_path(mutation, field):
     data = scenario_to_dict(hardware_scenario())
@@ -204,21 +208,30 @@ def test_errors_name_the_json_path(mutation, field):
     (lambda: replace(hardware_scenario(0), agent_count=True), r"^agent_count: must be an integer"),
     (lambda: replace(hardware_scenario(0), obs_delay_ticks=True),
      r"^obs_delay_ticks: must be an integer"),
-    (lambda: ControllerConfig(kind="SPC", n_star=True), r"^n_star must be an integer"),
-    (lambda: SpawnSpec(positions=(Vec3(0, 0, 1),), box_min=Vec3(0, 0, 0), box_max=Vec3(1, 1, 1)),
-     r"^spawn: give either positions or a box"),
-    (lambda: Obstacle(math.nan, 0.0, 0.15), r"^Obstacle center must be finite"),
+    # The ids below are the cases' names from before their messages took the
+    # "<field>: <problem>" form, so each case keeps its name in the suite.
+    pytest.param(lambda: ControllerConfig(kind="SPC", n_star=True), r"^n_star: must be an integer",
+                 id="<lambda>-^n_star must be an integer"),
+    pytest.param(lambda: SpawnSpec(positions=(Vec3(0, 0, 1),), box_min=Vec3(0, 0, 0),
+                                   box_max=Vec3(1, 1, 1)),
+                 r"^positions: give either positions or a box",
+                 id="<lambda>-^spawn: give either positions or a box"),
+    pytest.param(lambda: Obstacle(math.nan, 0.0, 0.15), r"^x: must be finite, got nan",
+                 id="<lambda>-^Obstacle center must be finite"),
     # A NaN time passes the waypoint order check, and an infinite target
     # only failed inside the first tick's cost params.
-    (lambda: Waypoint(math.nan, Vec3(9, 9, 9)), r"^Waypoint time must be finite"),
-    (lambda: Waypoint(0.0, Vec3(math.inf, 0, 1)), r"^Waypoint target must be finite"),
-    (lambda: CostParams(20.0, 9.0, 0.0, 0.0, target=Vec3(math.nan, 0, 0)),
-     r"^target must be finite"),
+    pytest.param(lambda: Waypoint(math.nan, Vec3(9, 9, 9)), r"^time: must be finite",
+                 id="<lambda>-^Waypoint time must be finite"),
+    pytest.param(lambda: Waypoint(0.0, Vec3(math.inf, 0, 1)), r"^target: must be finite",
+                 id="<lambda>-^Waypoint target must be finite"),
+    pytest.param(lambda: CostParams(20.0, 9.0, 0.0, 0.0, target=Vec3(math.nan, 0, 0)),
+                 r"^target: must be finite", id="<lambda>-^target must be finite"),
 ])
 def test_values_built_in_python_name_their_field(build, message):
     # The constructors check their values for callers that build configs in
-    # Python, not only for scenario files.
-    with pytest.raises(ValueError, match=message):
+    # Python, not only for scenario files, and name the field relative to
+    # the object built.
+    with pytest.raises(ConfigError, match=message):
         build()
 
 
@@ -264,3 +277,121 @@ def test_shipped_scenario_files_load_and_equal_their_presets():
         assert load_scenario(_SHIPPED / name) == preset(), f"{name} drifted from its preset"
     for name in _SHIPPED_SWEEPS:
         assert isinstance(load(SweepSpec, _SHIPPED / name), SweepSpec)
+
+
+def test_r_h_reads_the_infinity_json_dumps_writes():
+    # json.dumps writes math.inf as Infinity, which json.loads reads back as a
+    # float; -Infinity and NaN stay errors.
+    cfg = replace(hardware_scenario(0), r_h=math.inf)
+    data = scenario_to_dict(cfg)
+    data["r_h"] = math.inf
+    text = json.dumps(data)
+    assert '"r_h": Infinity' in text
+    assert parse_scenario(json.loads(text)) == cfg
+    for value in (-math.inf, math.nan):
+        data["r_h"] = value
+        with pytest.raises(ConfigError, match=r"^r_h: must be finite, got "):
+            parse_scenario(json.loads(json.dumps(data)))
+
+
+_SWEEP = {"flock_sizes": [2], "obstacle_scenarios": ["none"], "controllers": ["SPC"],
+          "llc_families": ["A"], "seeds": [0], "duration": 2.0, "noise_sigma": 0.0}
+
+
+def _scenario_json() -> dict:
+    data = scenario_to_dict(hardware_scenario(0))
+    data["obstacles"] = [{"x": 2.0, "y": 0.5, "radius": 0.15}]
+    return data
+
+
+# (the dataclass that declares the rule, the field's JSON path, a value that
+# breaks the rule).  Scenario paths start at ScenarioConfig, sweep paths at
+# SweepSpec.  Where the walker rejects a value before the dataclass sees it
+# (a non-finite number), it names the same path.
+_RULE_CASES = [
+    (ScenarioConfig, "agent_count", 0),
+    (ScenarioConfig, "r_h", 0.0),
+    (ScenarioConfig, "r_h", -math.inf),
+    (ScenarioConfig, "noise_sigma", -0.1),
+    (ScenarioConfig, "physics_dt", 0.0),
+    (ScenarioConfig, "seed", -1),
+    (ScenarioConfig, "seed", 2**64),
+    (ScenarioConfig, "obs_delay_ticks", -1),
+    (SpawnSpec, "spawn.positions", [[0.0, 0.0, 1.0], [math.nan, 0.0, 1.0]]),
+    (SpawnSpec, "spawn.box_min", [0.0, -math.inf, 0.8]),
+    (SpawnSpec, "spawn.box_max", [0.8, 0.8, math.inf]),
+    (SpawnSpec, "spawn.min_spacing", -0.1),
+    (CostParams, "cost.w_coh", -1.0),
+    (CostParams, "cost.w_sep", -1.0),
+    (CostParams, "cost.w_tar", -1.0),
+    (CostParams, "cost.w_obs", -1.0),
+    (CostParams, "cost.r_drone", -0.07),
+    (CostParams, "cost.zero_hat", 0.0),
+    (ControllerConfig, "controller.kind", "MPC"),
+    (ControllerConfig, "controller.epsilon", 0.0),
+    (ControllerConfig, "controller.n_star", 0),
+    (ControllerConfig, "controller.n_star", _MAX_N_STAR + 1),
+    (LLCConfig, "llc.family", "C"),
+    (LLCConfig, "llc.k_v", -1.0),
+    (LLCConfig, "llc.k_p", -1.0),
+    (LLCConfig, "llc.k_i", -1.0),
+    (LLCConfig, "llc.tilt_min", 0.1),
+    (LLCConfig, "llc.tilt_min", -2.0),
+    (LLCConfig, "llc.tilt_max", -0.1),
+    (LLCConfig, "llc.tilt_max", 2.0),
+    (LLCConfig, "llc.t_delta", 1e-170),
+    (LLCConfig, "llc.z_time_constant", 1e200),
+    (Obstacle, "obstacles[0].x", math.nan),
+    (Obstacle, "obstacles[0].y", math.inf),
+    (Obstacle, "obstacles[0].radius", 0.0),
+    (Waypoint, "waypoints[1].time", math.nan),
+    (Waypoint, "waypoints[1].target", [math.inf, 0.0, 1.0]),
+    (SweepSpec, "flock_sizes", []),
+    (SweepSpec, "flock_sizes[0]", 0),
+    (SweepSpec, "flock_sizes[0]", 2**32),
+    (SweepSpec, "obstacle_scenarios", []),
+    (SweepSpec, "obstacle_scenarios[0]", "five"),
+    (SweepSpec, "controllers", []),
+    (SweepSpec, "llc_families", []),
+    (SweepSpec, "seeds", []),
+    (SweepSpec, "seeds[0]", -1),
+    (SweepSpec, "seeds[0]", 2**64),
+    (SweepSpec, "noise_sigma", -0.1),
+]
+
+
+def _put(data, path: str, value) -> None:
+    """Set the value at a JSON path like "obstacles[0].radius" in place."""
+    keys = [int(k[1:-1]) if k.startswith("[") else k for k in re.findall(r"\w+|\[\d+\]", path)]
+    for key in keys[:-1]:
+        data = data[key]
+    data[keys[-1]] = value
+
+
+@pytest.mark.parametrize("owner, path, value", _RULE_CASES,
+                         ids=[f"{o.__name__}:{path}={value!r}" for o, path, value in _RULE_CASES])
+def test_declared_rules_name_the_full_json_path(owner, path, value):
+    sweep = owner is SweepSpec
+    data = copy.deepcopy(_SWEEP) if sweep else _scenario_json()
+    _put(data, path, value)
+    with pytest.raises(ConfigError) as exc:
+        parse(SweepSpec, data) if sweep else parse_scenario(data)
+    error = exc.value
+    assert re.match(rf"{re.escape(path)}(\[\d+\])*: must be ", str(error)), str(error)
+    assert str(error) == f"{error.field}: {error.problem}"
+    # A sweep worker's error reaches the parent pickled, rebuilt from its args.
+    again = pickle.loads(pickle.dumps(error))
+    assert type(again) is ConfigError
+    assert (str(again), again.field, again.problem) == (str(error), error.field, error.problem)
+
+
+def test_rule_cases_cover_every_declared_rule():
+    # Every field of the two schemas that declares a rule has a case above;
+    # CostParams.target (no JSON form) is checked in Python above.
+    schemas = (ScenarioConfig, SpawnSpec, CostParams, ControllerConfig, LLCConfig, Obstacle,
+               Waypoint, SweepSpec)
+    declared = {(cls, f.name) for cls in schemas for f in fields(cls)
+                if f.metadata.get("rules") and f.metadata.get("json", True)}
+    covered = {(owner, re.sub(r"\[\d+\]$", "", path).rsplit(".", 1)[-1])
+               for owner, path, _ in _RULE_CASES}
+    assert declared == covered, sorted((c.__name__, n) for c, n in declared ^ covered)

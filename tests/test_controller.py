@@ -58,7 +58,7 @@ def test_n_star_has_a_maximum():
     for n_star in (_MAX_N_STAR + 1, 10**9, 2**31, 2**63):
         with pytest.raises(ValueError, match=rf"^n_star must be <= {_MAX_N_STAR}, got {n_star}$"):
             dynamic_lookahead_count(n_star, 5.0)
-        with pytest.raises(ValueError, match=rf"^n_star must be an integer in \[1, {_MAX_N_STAR}\]"):
+        with pytest.raises(ValueError, match=rf"^n_star: must be an integer in \[1, {_MAX_N_STAR}\]"):
             ControllerConfig(kind="SPC", n_star=n_star)
 
 

@@ -7,6 +7,7 @@ import io
 import json
 import math
 import os
+import re
 import warnings
 from dataclasses import replace
 from functools import partial
@@ -594,10 +595,12 @@ def test_config_validation_messages():
     (dict(positions=(Vec3(0, -math.inf, 1), Vec3(1, 0, 1))), r"spawn.positions\[0\]"),
 ])
 def test_non_finite_spawn_is_a_config_error(spawn, named):
-    # Rejected where the spawn is declared, naming the field, instead of an
-    # OverflowError or a bare ValueError from Simulation().
-    with pytest.raises(ConfigError, match=named):
+    # Rejected where the spawn is declared, naming the field relative to the
+    # spawn (config.parse prefixes "spawn."), instead of an OverflowError or a
+    # bare ValueError from Simulation().
+    with pytest.raises(ConfigError) as exc:
         _scenario(spawn=SpawnSpec(**spawn), duration=0.1, formation_time=0.0)
+    assert re.match(rf"{named}: ", f"spawn.{exc.value}"), str(exc.value)
 
 
 def _minimal_json() -> dict:

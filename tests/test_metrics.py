@@ -192,7 +192,7 @@ def test_threshold_formulas():
         with pytest.raises(ValueError, match=rf"^{named} must be >= 0 and finite"):
             thresholds_from_geometry(*args)
     for named, value in (("dist_thr", -0.01), ("comp_thr", math.nan), ("clear_thr", math.inf)):
-        with pytest.raises(ValueError, match=rf"^{named} must be >= 0 and finite"):
+        with pytest.raises(ValueError, match=rf"^{named}: must be >= 0 and finite"):
             Thresholds(**{"dist_thr": 0.2, "comp_thr": 10.0, "clear_thr": 0.28, named: value})
 
 
