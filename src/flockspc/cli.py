@@ -69,8 +69,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     cfg = load_scenario(args.scenario)
     if args.seed is not None:
         cfg = replace(cfg, seed=args.seed)
+    thresholds = thresholds_for_scenario(cfg)  # before the rollout: a huge r_drone fails it
     trace = run_scenario(cfg)  # spawn placement can still fail with a ConfigError
-    summary = aggregate(trace, thresholds_for_scenario(cfg))
+    summary = aggregate(trace, thresholds)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -123,11 +124,12 @@ def _run_name(job: tuple) -> str:
 
 def _sweep_job(job: tuple) -> RunSummary:
     cfg = build_scenario(*job)  # (size, layout, controller, family, seed, duration, sigma)
+    thresholds = thresholds_for_scenario(cfg)
     try:
         trace = run_scenario(cfg)
     except DivergenceError as exc:  # re-raised for main(), naming the run
         raise DivergenceError(f"{_run_name(job)}, {exc}") from None
-    return aggregate(trace, thresholds_for_scenario(cfg))
+    return aggregate(trace, thresholds)
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:

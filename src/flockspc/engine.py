@@ -15,7 +15,10 @@ in one vectorised call, and returns pair lists: per-agent counts, then the
 neighbour indices and noisy positions in row-major order, which the cost
 and gradient kernels score as they are (model._neighborhoods).  Flocks of
 up to _BLOCK_AGENTS agents draw every pair's noise for the next few ticks
-in one call instead.
+in one call instead.  "Strictly within r_h" is tested on squared distances
+without a sqrt: d2 < T for the least float T whose sqrt reaches r_h
+(_range_bound), the same answer as sqrt(d2) < r_h for every d2, because
+a correctly rounded sqrt is monotone.
 
 No SIMD-dispatched transcendental ufunc (np.power with an exponent other
 than 2, np.tan, np.arctan, np.exp, np.log) feeds a recorded value, here or in
@@ -35,7 +38,7 @@ import shutil
 import tempfile
 from collections import deque
 from dataclasses import dataclass, replace
-from functools import partial
+from functools import lru_cache, partial
 from pathlib import Path
 from typing import IO, Callable
 
@@ -96,6 +99,21 @@ def spawn_stream(seed: int) -> np.random.Generator:
 PairNoise = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
+@lru_cache(maxsize=64)
+def _range_bound(r_h: float) -> float:
+    """The least float64 T with sqrt(T) >= r_h, inf when no finite one has
+    it (r_h inf, or r_h**2 past the largest float).  sqrt is correctly
+    rounded (IEEE 754 section 5.4.1), so it is monotone, and for every d2,
+    NaN and inf included, sqrt(d2) < r_h is exactly d2 < T.  r_h * r_h is
+    within an ulp or so of T, so the loops take a few steps."""
+    t = r_h * r_h
+    while t > 0.0 and math.sqrt(math.nextafter(t, 0.0)) >= r_h:
+        t = math.nextafter(t, 0.0)
+    while t < math.inf and math.sqrt(t) < r_h:
+        t = math.nextafter(t, math.inf)
+    return t
+
+
 def _snapshot(pos: np.ndarray, agents: np.ndarray, r_h: float, noise: PairNoise | None
               ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """What each of the observing agents (a,) sees of the true positions
@@ -103,15 +121,17 @@ def _snapshot(pos: np.ndarray, agents: np.ndarray, r_h: float, noise: PairNoise 
     count (a,) int32, and the indices cols (k,) and noisy positions (k, 3)
     of the agents strictly within r_h of its true position, itself excluded,
     in row-major order: agent i's are its next counts[i] entries, cols
-    ascending.  Noise is drawn for those pairs and the self pairs only, in
-    one call; None adds none.  Inputs are trusted."""
+    ascending.  A squared distance d2 is in range when d2 <
+    _range_bound(r_h), which is exactly sqrt(d2) < r_h without the sqrt.
+    Noise is drawn for those pairs and the self pairs only, in one call;
+    None adds none.  Inputs are trusted."""
     a = agents.shape[0]
     d2 = (pos[:, 0] - pos[agents, 0, None]) ** 2  # summed x, y, z in place
     d2 += (pos[:, 1] - pos[agents, 1, None]) ** 2
     d2 += (pos[:, 2] - pos[agents, 2, None]) ** 2
-    near = np.sqrt(d2, out=d2) < r_h
+    near = d2 < _range_bound(r_h)
     near[np.arange(a), agents] = False
-    rows, cols = np.nonzero(near)
+    rows, cols = np.divmod(np.flatnonzero(near), pos.shape[0])  # np.nonzero's order and dtype
     counts = np.bincount(rows, minlength=a).astype(np.int32)
     if noise is None:
         return pos[agents], counts, cols, pos[cols]

@@ -148,21 +148,24 @@ def _fly_block(states: np.ndarray, refs: np.ndarray, cfg: LLCConfig, dt: float,
                steps: int) -> None:
     """Family B's _fly for many rows as one array step: the loop's IEEE
     operations in its order on a transposed (8, n) copy, so every row gets
-    the loop's bits."""
-    t_delta, tau, tau2 = cfg.t_delta, cfg.z_time_constant, cfg.z_time_constant**2
+    the loop's bits.  Every step writes into the same two (3, n) planes."""
+    t_delta, t_delta2 = cfg.t_delta, cfg.t_delta**2
+    tau, tau2 = cfg.z_time_constant, cfg.z_time_constant**2
     a_lo, a_hi = GRAVITY * tan(cfg.tilt_min), GRAVITY * tan(cfg.tilt_max)
     s, r = states.T.copy(), refs.T.copy()
     p, v = s[0:3], s[3:6]
+    a, tmp = np.empty_like(p), np.empty_like(p)  # rows x, y: the tilt law's acceleration; row z: az
+    axy, vxy, txy, az, vz, tz = a[:2], v[:2], tmp[:2], a[2], v[2], tmp[2]
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(steps):
-            a = r - p  # rows x, y: the tilt law's acceleration; row z: az
-            axy = a[:2]
-            axy -= v[:2] * t_delta
-            axy /= t_delta**2
+            np.subtract(r, p, out=a)
+            np.subtract(axy, np.multiply(vxy, t_delta, out=txy), out=axy)
+            np.divide(axy, t_delta2, out=axy)
             np.minimum(np.maximum(axy, a_lo, out=axy), a_hi, out=axy)
-            a[2] = a[2] / tau2 - 2.0 * v[2] / tau
-            v += a * dt
-            p += v * dt
+            np.divide(az, tau2, out=az)
+            np.subtract(az, np.divide(np.multiply(vz, 2.0, out=tz), tau, out=tz), out=az)
+            np.add(v, np.multiply(a, dt, out=tmp), out=v)
+            np.add(p, np.multiply(v, dt, out=tmp), out=p)
     states[:] = s.T
 
 

@@ -25,7 +25,7 @@ import numpy as np
 
 from .config import ScenarioConfig
 from .engine import Trace
-from .model import _NONNEGATIVE, Obstacle, Vec3, _check_fields, _field, _points
+from .model import _NONNEGATIVE, ConfigError, Obstacle, Vec3, _check_fields, _field, _points
 from .presets import R_SAFETY
 
 __all__ = [
@@ -118,26 +118,46 @@ def _obstacle_xy(obstacles: Sequence[Obstacle]) -> tuple[np.ndarray, np.ndarray]
     return np.array([o.x for o in obstacles]), np.array([o.y for o in obstacles])
 
 
+# _frames_worst scores blocks of frames of at most this many pair x frame
+# (or agent x obstacle x frame) elements, one frame where a frame holds more:
+# a 100-agent flock's 4950 pairs keep one frame per block.  A block's
+# (3, frames, pairs) differences then take about 96 KB, so aggregate's peak
+# stays near the stacked window's own size.
+_WINDOW_ELEMENTS = 4096
+
+
 def _frames_worst(pos: np.ndarray, obstacle_xy: tuple[np.ndarray, np.ndarray] | None
                   ) -> tuple[float | None, float, float | None]:
     """(dist_min, comp_max, clear_obj) of finite positions pos (T, n, 3) and
-    _obstacle_xy's arrays: each metric's worst over the T frames, scored one
-    frame at a time, so no temporary grows with T * n**2 or T * n * k.  The
-    sqrt of the least or greatest square is the least or greatest sqrt."""
+    _obstacle_xy's arrays: each metric's worst over the T frames, scored in
+    blocks of frames of at most _WINDOW_ELEMENTS elements, so no temporary
+    grows with T.  Each frame's squares are the one-frame arithmetic's and
+    min and max are exact, so the blocks do not change the result; the sqrt
+    of the least or greatest square is the least or greatest sqrt."""
     n = pos.shape[1]
     if n < 1:
         raise ValueError("compute_metrics needs at least one agent")
     ii, jj = _pairs(n)
+    k = 0 if obstacle_xy is None else len(obstacle_xy[0])
+    per = max(1, _WINDOW_ELEMENTS // max(len(ii), n * k, n))  # frames per block
+    centroids = pos.mean(axis=1)
     dist2, comp2, clear2 = [], [], []
-    for frame, centroid in zip(pos, pos.mean(axis=1)):
-        if n >= 2:
-            dx, dy, dz = (np.take(frame, ii, 0) - np.take(frame, jj, 0)).T
-            dist2.append((dx * dx + dy * dy + dz * dz).min())
-        cx, cy, cz = (frame - centroid).T
+    for lo in range(0, len(pos), per):
+        frames, centroid = pos[lo:lo + per], centroids[lo:lo + per, None]
+        if n >= 2:  # d[c] (b, pairs): coordinate c's differences, squared in place
+            xyz = frames.transpose(2, 0, 1).copy()
+            d = np.take(xyz, ii, 2)
+            d -= np.take(xyz, jj, 2)
+            d *= d
+            s = d[0] + d[1]
+            s += d[2]
+            dist2.append(s.min())
+        c = frames - centroid
+        cx, cy, cz = c[..., 0], c[..., 1], c[..., 2]
         comp2.append((cx * cx + cy * cy + cz * cz).max())
         if obstacle_xy is not None:
-            ex = frame[:, 0, None] - obstacle_xy[0]
-            ey = frame[:, 1, None] - obstacle_xy[1]
+            ex = frames[..., 0, None] - obstacle_xy[0]
+            ey = frames[..., 1, None] - obstacle_xy[1]
             clear2.append((ex * ex + ey * ey).min())
     return (math.sqrt(min(dist2)) if dist2 else None, math.sqrt(max(comp2)),
             math.sqrt(min(clear2)) if clear2 else None)
@@ -167,9 +187,20 @@ def thresholds_for_scenario(
     comp_thr: float = 10.0,
 ) -> Thresholds:
     """Thresholds implied by a scenario's geometry; r_k is the largest
-    obstacle radius present (0 when there are none)."""
+    obstacle radius present (0 when there are none).  A cost.r_drone whose
+    dist_thr or clear_thr is no longer finite is a ConfigError naming
+    cost.r_drone, raised before any rollout by the commands that call this."""
     r_k = max((o.radius for o in cfg.obstacles), default=0.0)
-    return thresholds_from_geometry(cfg.cost.r_drone, r_safety, r_k, comp_thr)
+    r_drone = cfg.cost.r_drone
+    try:
+        return thresholds_from_geometry(r_drone, r_safety, r_k, comp_thr)
+    except ConfigError as exc:
+        formula = {"dist_thr": "2 r_drone + r_safety",
+                   "clear_thr": f"r_drone + r_k + r_safety (largest obstacle radius r_k {r_k})"}
+        if exc.field not in formula:
+            raise
+        raise ConfigError("cost.r_drone", f"must keep {exc.field} = {formula[exc.field]} finite "
+                                          f"with r_safety {r_safety}, got {r_drone}") from None
 
 
 def _judged(dist: float | None, comp: float, clear: float | None, thr: Thresholds) -> tuple:

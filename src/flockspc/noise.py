@@ -134,7 +134,10 @@ def _pair_noise(keys: np.ndarray, ticks: int | np.ndarray, observers: np.ndarray
     a[0], a[1] = ticks, observed
     b[0], b[1] = observers, _PURPOSE_OBSERVE
     a, b = _philox(keys, a, b)
-    u = (np.stack((a[0], b[0], a[1]), axis=1) + 0.5) * 2.0**-32  # exact, inside (0, 1)
+    u = np.empty((observed.shape[0], 3))
+    u[:, 0], u[:, 1], u[:, 2] = a[0], b[0], a[1]
+    u += 0.5
+    u *= 2.0**-32  # exact, inside (0, 1)
     return sigma * _inverse_normal(u.ravel()).reshape(u.shape)
 
 

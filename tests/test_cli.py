@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -14,7 +15,7 @@ import pytest
 from flockspc import (
     ConfigError, LLCConfig, hardware_scenario, parse_scenario, scenario_to_dict, step_trajectory,
 )
-from flockspc.cli import SweepSpec, main
+from flockspc.cli import SweepSpec, _sweep_job, main
 from flockspc.config import load
 
 TWO_AGENT_SCENARIO = {
@@ -230,6 +231,36 @@ def test_simulate_time_constant_whose_square_is_zero_or_inf_exits_2(tmp_path, ca
     err = capsys.readouterr().err
     assert "error: llc.z_time_constant: must be positive" in err and "Traceback" not in err, err
     assert not (tmp_path / "o").exists()
+
+
+def _no_rollout(cfg):
+    raise AssertionError("the rollout started")
+
+
+def test_simulate_huge_r_drone_exits_2_before_any_tick(tmp_path, monkeypatch, capsys):
+    # 2 r_drone + r_safety overflows to an infinite dist_thr: a ConfigError
+    # that names the scenario field, raised before the rollout's work.
+    monkeypatch.setattr("flockspc.cli.run_scenario", _no_rollout)
+    data = json.loads(Path("scenarios/hardware_preset.json").read_text())
+    data["cost"]["r_drone"] = 1e308
+    sc = _write(tmp_path, "sc.json", data)
+    assert main(["simulate", "--scenario", sc, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cost.r_drone: must keep dist_thr = 2 r_drone + r_safety "
+                          "finite"), err
+    assert "1e+308" in err and "Traceback" not in err, err
+    assert not (tmp_path / "o").exists()
+
+
+def test_sweep_job_with_huge_r_drone_fails_before_its_rollout(monkeypatch):
+    # A sweep's worker checks its scenario's thresholds before the rollout too.
+    cfg = hardware_scenario()
+    monkeypatch.setattr("flockspc.cli.build_scenario",
+                        lambda *job: replace(cfg, cost=replace(cfg.cost, r_drone=1e308)))
+    monkeypatch.setattr("flockspc.cli.run_scenario", _no_rollout)
+    with pytest.raises(ConfigError, match=r"^cost\.r_drone: must keep dist_thr") as exc:
+        _sweep_job((4, "none", "SPC", "A", 0, 60.0, 0.1))
+    assert exc.value.field == "cost.r_drone"
 
 
 SWEEP_SMALL = {

@@ -45,7 +45,7 @@ from flockspc import (
     write_trace_csv,
 )
 from flockspc.controller import HOLD_GRADIENT_NORM, _ladders, _norms
-from flockspc.engine import _SPAWN_BLOCK, DivergenceError, _snapshot, _spawn_positions
+from flockspc.engine import _SPAWN_BLOCK, DivergenceError, _range_bound, _snapshot, _spawn_positions
 from flockspc.noise import _pair_noise, _round_keys
 
 DEFAULT_COST = CostParams(w_coh=20.0, w_sep=9.0, w_tar=0.0, w_obs=0.0)
@@ -214,6 +214,84 @@ def test_array_snapshot_equals_observe(n):
                     assert want[1].tolist() == [counts[agent]], (sigma, r_h, tick, agent)
                     assert np.array_equal(cols[mine], want[2]), (sigma, r_h, tick, agent)
                     assert np.array_equal(seen[mine], want[3]), (sigma, r_h, tick, agent)
+
+
+def _float_neighbours(x, steps=2):
+    """x and its `steps` nearest floats on each side, within [0, inf]."""
+    out, lo, hi = [x], x, x
+    for _ in range(steps):
+        lo, hi = math.nextafter(lo, 0.0), math.nextafter(hi, math.inf)
+        out += [lo, hi]
+    return out
+
+
+_SMALLEST_NORMAL = 2.2250738585072014e-308
+
+
+@pytest.mark.parametrize("r_h", [
+    0.9, 1.0, 0.3, 2.5, 1e-160, 1e-170, 5e-324, 2e154, 1.3407807929942596e154, math.inf,
+    *np.random.default_rng(26).uniform(0.05, 50.0, 6).tolist(),
+    *(2.0 ** np.random.default_rng(27).uniform(-1070, 1020, 6)).tolist(),
+])
+def test_range_bound_is_the_sqrt_test(r_h):
+    # _snapshot's d2 < T must be sqrt(d2) < r_h for every d2: at T and its
+    # neighbours, at r_h**2 and its neighbours, 0, subnormals, the smallest
+    # normal, the largest float, inf and NaN.  T is the least float whose
+    # sqrt reaches r_h, inf when no finite one does.
+    t = _range_bound(r_h)
+    assert t == math.inf or math.sqrt(t) >= r_h
+    assert t == 0.0 or math.sqrt(math.nextafter(t, 0.0)) < r_h
+    if r_h == math.inf or r_h * r_h == math.inf:
+        assert t == math.inf
+    d2 = np.array([
+        *_float_neighbours(t), *_float_neighbours(min(r_h * r_h, 1.7976931348623157e308)),
+        0.0, 5e-324, 1e-320, *_float_neighbours(_SMALLEST_NORMAL, 1), 1.7976931348623157e308,
+        math.inf, math.nan,
+    ])
+    with np.errstate(invalid="ignore"):
+        assert np.array_equal(np.sqrt(d2) < r_h, d2 < t), (r_h, t)
+
+
+def _snapshot_reference(pos, agents, r_h, noise):
+    """_snapshot as it was written with np.sqrt and np.nonzero."""
+    a = agents.shape[0]
+    d2 = (pos[:, 0] - pos[agents, 0, None]) ** 2
+    d2 += (pos[:, 1] - pos[agents, 1, None]) ** 2
+    d2 += (pos[:, 2] - pos[agents, 2, None]) ** 2
+    near = np.sqrt(d2, out=d2) < r_h
+    near[np.arange(a), agents] = False
+    rows, cols = np.nonzero(near)
+    counts = np.bincount(rows, minlength=a).astype(np.int32)
+    if noise is None:
+        return pos[agents], counts, cols, pos[cols]
+    noisy = noise(np.concatenate((agents, agents[rows])), np.concatenate((agents, cols)))
+    return pos[agents] + noisy[:a], counts, cols, pos[cols] + noisy[a:]
+
+
+@pytest.mark.parametrize("r_h", [0.9, 1.0, 1e-160, 2e154, math.inf])
+def test_snapshot_equals_the_sqrt_and_nonzero_reference(r_h):
+    # Rows with NaN and inf coordinates, agents 8e15 m out (a diverged PFC
+    # flock's z), pairs exactly r_h apart, one observer, and a flock with no
+    # pairs in range: the same pair lists, dtypes and noisy positions.
+    rng = np.random.default_rng(2600)
+    pos = rng.uniform(-1.5, 1.5, size=(40, 3))
+    pos[3] = (math.nan, 0.0, 1.0)
+    pos[7] = (0.0, math.inf, 1.0)
+    pos[8] = (-math.inf, 0.0, 1.0)
+    pos[11:15, 2] = (8e15, 8e15, -8e15, 8e15 + 1.0)
+    pos[20] = pos[21] + (r_h if r_h < 1e150 else 0.0, 0.0, 0.0)
+    pos[30] = pos[31]  # two agents in the same place
+    apart = np.arange(40.0)[:, None] * (1e3, 0.0, 0.0)  # nobody within 1 km of anyone
+    with np.errstate(invalid="ignore", over="ignore"):
+        for p in (pos, apart, pos[:1]):
+            n = len(p)
+            for agents in (np.arange(n), np.array([n - 1]), np.array([0])):
+                for noise in (None, _noise(26, 5, 0.1)):
+                    got = _snapshot(p, agents, r_h, noise)
+                    want = _snapshot_reference(p, agents, r_h, noise)
+                    for g, w in zip(got, want):
+                        assert g.dtype == w.dtype and g.shape == w.shape
+                        assert np.array_equal(g, w, equal_nan=True), (r_h, n, agents)
 
 
 def test_single_agent_holds_position():

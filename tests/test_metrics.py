@@ -12,7 +12,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import flockspc.metrics as metrics
+
 from flockspc import (
+    ConfigError,
     ControllerConfig,
     CostParams,
     LLCConfig,
@@ -205,6 +208,24 @@ def test_thresholds_for_scenario_uses_largest_obstacle():
     assert thresholds_for_scenario(bare.config).clear_thr == pytest.approx(0.13)
 
 
+def test_thresholds_for_scenario_names_an_r_drone_that_overflows_them():
+    # r_drone passes CostParams (finite, >= 0), but a threshold built from it
+    # overflows: dist_thr = 2 r_drone + r_safety, or clear_thr = r_drone +
+    # r_k + r_safety with the largest obstacle radius r_k.
+    tr = _trace([(0.0, [(0, 0, 1), (1, 0, 1)])])
+    huge = replace(tr.config, cost=replace(tr.config.cost, r_drone=1e308))
+    with pytest.raises(ConfigError, match=r"^cost\.r_drone: must keep dist_thr = 2 r_drone "
+                                          r"\+ r_safety finite with r_safety 0\.06, got 1e\+308$"):
+        thresholds_for_scenario(huge)
+    wide = _trace([(0.0, [(0, 0, 1), (1, 0, 1)])], obstacles=[Obstacle(3, 0, 1.7e308)])
+    big = replace(wide.config, cost=replace(wide.config.cost, r_drone=6e307))
+    with pytest.raises(ConfigError, match=r"^cost\.r_drone: must keep clear_thr = r_drone \+ r_k "
+                                          r"\+ r_safety \(largest obstacle radius r_k 1\.7e\+308\)"):
+        thresholds_for_scenario(big)
+    with pytest.raises(ConfigError, match=r"^comp_thr: must be >= 0 and finite"):
+        thresholds_for_scenario(tr.config, comp_thr=math.inf)
+
+
 def test_verdict_boundary_is_strict():
     thr = Thresholds(dist_thr=0.5, comp_thr=10.0, clear_thr=0.28)
     tr = _trace([(0.0, [(0, 0, 1), (0.5, 0, 1)])])  # exactly dist_thr apart
@@ -256,6 +277,46 @@ def test_aggregate_is_the_worst_of_compute_metrics_over_its_window(make):
     expected = (min(m.dist_min for m in samples), max(m.comp_max for m in samples),
                 min(clears) if cfg.obstacles else None)
     assert tuple(map(_hex, (s.dist_min, s.comp_max, s.clear_obj))) == tuple(map(_hex, expected))
+
+
+def _frames_worst_per_frame(pos, obstacle_xy):
+    """metrics._frames_worst as one frame at a time, the loop it replaced."""
+    ii, jj = np.triu_indices(pos.shape[1], k=1)
+    dist2, comp2, clear2 = [], [], []
+    for frame, centroid in zip(pos, pos.mean(axis=1)):
+        if pos.shape[1] >= 2:
+            dx, dy, dz = (np.take(frame, ii, 0) - np.take(frame, jj, 0)).T
+            dist2.append((dx * dx + dy * dy + dz * dz).min())
+        cx, cy, cz = (frame - centroid).T
+        comp2.append((cx * cx + cy * cy + cz * cz).max())
+        if obstacle_xy is not None:
+            ex = frame[:, 0, None] - obstacle_xy[0]
+            ey = frame[:, 1, None] - obstacle_xy[1]
+            clear2.append((ex * ex + ey * ey).min())
+    return (math.sqrt(min(dist2)) if dist2 else None, math.sqrt(max(comp2)),
+            math.sqrt(min(clear2)) if clear2 else None)
+
+
+@pytest.mark.parametrize("n", [1, 2, 4, 30, 100])
+@pytest.mark.parametrize("obstacles", [0, 11], ids=["none", "eleven"])
+def test_blocked_window_equals_the_per_frame_loop(n, obstacles):
+    # Blocks of frames under metrics._WINDOW_ELEMENTS (one frame each for 100
+    # agents), with a last, partial block: the same worst values, to the bit.
+    # Frames hold coincident agents, 8e15 m outliers and tiny offsets, so
+    # each metric's worst frame sits inside a block, not only at its start.
+    rng = np.random.default_rng(n + obstacles)
+    per = max(1, metrics._WINDOW_ELEMENTS // max(n * (n - 1) // 2, n * obstacles, n))
+    frames = 2 * per + 3
+    pos = rng.uniform(-3.0, 3.0, size=(frames, n, 3))
+    pos[frames // 2, :, 2] += 8e15 * rng.random(n)
+    if n >= 2:
+        pos[frames - 2, 1] = pos[frames - 2, 0] + 1e-9
+    xy = None
+    if obstacles:
+        xy = rng.uniform(-3.0, 3.0, obstacles), rng.uniform(-3.0, 3.0, obstacles)
+    for window in (pos, pos[:1], pos[1:per + 1], pos[: per + 1]):
+        got, want = metrics._frames_worst(window, xy), _frames_worst_per_frame(window, xy)
+        assert [_hex(v) for v in got] == [_hex(v) for v in want], (len(window), per)
 
 
 def test_aggregate_memory_does_not_grow_with_pairs_or_obstacles():
