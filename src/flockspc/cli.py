@@ -23,7 +23,7 @@ from typing import Any
 
 import numpy as np
 
-from .config import _AGENT_COUNT, _COUNTER_WORD, _SEED, ConfigError, ScenarioConfig, SpawnSpec
+from .config import _AGENT_COUNT, _COUNTER_WORD, ConfigError, ScenarioConfig, SpawnSpec
 from .config import load, load_scenario, scenario_to_dict
 from .controller import ControllerConfig, ControllerKind
 from .engine import DivergenceError, _cpu_count, run_scenario, write_trace_csv
@@ -37,8 +37,8 @@ from .metrics import (
     thresholds_for_scenario,
     write_summary_json,
 )
-from .model import _NONNEGATIVE, CostParams, Vec3, _check_fields, _each, _field, _one_of, _Rule
-from .model import equilibrium_distance
+from .model import _NONNEGATIVE, _SEED, CostParams, Vec3, _check_fields, _each, _field, _one_of
+from .model import _Rule, equilibrium_distance
 from .presets import _LAYOUT_KEYS, build_scenario, resolve_layout
 
 __all__ = ["main", "cmd_simulate", "cmd_sweep", "cmd_step_response", "cmd_equilibrium"]
@@ -115,6 +115,13 @@ class SweepSpec:
 
     def __post_init__(self) -> None:
         _check_fields(self)
+        layouts = [resolve_layout(layout)[0] for layout in self.obstacle_scenarios]
+        for name, axis in (("flock_sizes", self.flock_sizes), ("obstacle_scenarios", layouts),
+                           ("controllers", self.controllers), ("llc_families", self.llc_families),
+                           ("seeds", self.seeds)):
+            for i, entry in enumerate(axis):  # a repeat would run, and write, a cell twice
+                if entry in axis[:i]:
+                    raise ConfigError(f"{name}[{i}]", f"repeats {json.dumps(entry)}")
 
 
 def _run_name(job: tuple) -> str:
@@ -160,10 +167,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_step_response(args: argparse.Namespace) -> int:
-    try:  # step_trajectory names a negative or non-finite --step or --duration
-        rows = step_trajectory(LLCConfig(family=args.family), args.step, duration=args.duration)
-    except ValueError as exc:
-        return _fail(str(exc))
+    rows = step_trajectory(LLCConfig(family=args.family), args.step, duration=args.duration)
     metrics = step_metrics(rows, args.step)
 
     out = Path(args.out)
@@ -188,10 +192,7 @@ def cmd_step_response(args: argparse.Namespace) -> int:
 
 
 def cmd_equilibrium(args: argparse.Namespace) -> int:
-    try:  # names a non-finite, non-positive weight or a negative or non-finite radius
-        d_eq = equilibrium_distance(args.w_coh, args.w_sep, args.r_drone)
-    except ValueError as exc:
-        return _fail(str(exc))
+    d_eq = equilibrium_distance(args.w_coh, args.w_sep, args.r_drone)
     print(f"{d_eq:.5f}")
     if not args.verify:
         return EXIT_OK

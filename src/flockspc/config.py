@@ -24,7 +24,7 @@ from typing import Any, Callable, Literal, Union, get_args, get_origin, get_type
 
 from .controller import ControllerConfig
 from .llc import LLCConfig
-from .model import _FINITE, _FINITE_POINT, _FINITE_POINT_OR_NONE, _NONNEGATIVE, _POSITIVE
+from .model import _FINITE, _FINITE_POINT, _FINITE_POINT_OR_NONE, _NONNEGATIVE, _POSITIVE, _SEED
 from .model import ConfigError, CostParams, Obstacle, Vec3, _each, _check_fields, _field, _Rule
 
 __all__ = [
@@ -44,11 +44,9 @@ __all__ = [
 # physics_dt: every step is a Python-level plant update per agent.
 MAX_STEPS_PER_TICK = 10_000
 
-# type(), so that True is no integer.  The noise and spawn keys take the seed
-# modulo 2**64: no two seeds may share one.  Ticks and agents are 32-bit words
-# of the observation noise counter.
+# type(), so that True is no integer.  Ticks and agents are 32-bit words of
+# the observation noise counter.
 _AGENT_COUNT = _Rule(lambda v: type(v) is int and v >= 1, "an integer >= 1")
-_SEED = _Rule(lambda v: type(v) is int and 0 <= v < 2**64, "an integer in [0, 2**64)")
 _COUNTER_WORD = _Rule(lambda v: v < 2**32, "below 2**32")
 
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from .model import _POSITIVE, ConfigError, CostBreakdown, CostParams, Neighbors, Point, Vec3
 from .model import _Neighborhoods, _Rule, _check_fields, _field, _one_of
-from .model import _cost_terms, _cost_totals, _gradient, _is_int, _one_neighborhood, _points
+from .model import _INTEGER, _cost_terms, _cost_totals, _gradient, _one_neighborhood, _points
 
 __all__ = [
     "ControllerKind",
@@ -57,9 +57,8 @@ class ControllerConfig:
 
     def __post_init__(self) -> None:
         _check_fields(self)
-        if self.kind == "PFC" and not 0.0 < self.pfc_gain < math.inf:
-            raise ConfigError("pfc_gain", f"must be positive and finite for PFC, "
-                              f"got {self.pfc_gain}")
+        if self.kind == "PFC":  # an SPC config leaves pfc_gain unread
+            _POSITIVE.check(self.pfc_gain, "pfc_gain")
 
 
 @dataclass(frozen=True)
@@ -84,14 +83,11 @@ def dynamic_lookahead_count(n_star: int, dist_to_target: float) -> int:
     Grows with distance to the target so far-away flocks take longer strides;
     clamps keep the result in [n_star, 3 * n_star].
     """
-    if not _is_int(n_star):
-        raise ValueError(f"n_star must be an integer, got {n_star!r}")
-    if n_star < 1:
-        raise ValueError(f"n_star must be >= 1, got {n_star}")
-    if n_star > _MAX_N_STAR:
-        raise ValueError(f"n_star must be <= {_MAX_N_STAR}, got {n_star}")
-    if dist_to_target < 0.0:
-        raise ValueError(f"dist_to_target must be >= 0, got {dist_to_target}")
+    _INTEGER.check(n_star, "n_star")
+    if not 1 <= n_star <= _MAX_N_STAR:
+        raise ConfigError("n_star", f"must be in [1, {_MAX_N_STAR}], got {n_star}")
+    if dist_to_target < 0.0:  # NaN passes: _lookahead_counts gives it the factor 1
+        raise ConfigError("dist_to_target", f"must be >= 0, got {dist_to_target}")
     return int(_lookahead_counts(n_star, np.array([dist_to_target]))[0])
 
 

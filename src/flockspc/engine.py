@@ -48,8 +48,8 @@ from .config import ConfigError, ScenarioConfig, Waypoint
 from .controller import _decide
 from .floatrepr import _Lines
 from .llc import _plant_fault, fly
-from .model import CostParams, Vec3, _is_int, _neighborhoods
-from .noise import _check_seed, _pair_noise, _round_keys, observation_stream
+from .model import _INTEGER, _SEED, CostParams, Vec3, _neighborhoods
+from .noise import _pair_noise, _round_keys, observation_stream
 
 __all__ = [
     "DivergenceError",
@@ -88,7 +88,7 @@ def spawn_stream(seed: int) -> np.random.Generator:
     """Stream used for random spawn placement: Philox keyed by the seed and
     _KEY_SALT, from counter zero.  Spawn draws candidates from it in blocks.
     Nothing else reads it, so draws left in the last block change nothing."""
-    _check_seed(seed)
+    _SEED.check(seed, "seed")
     key = np.array([seed, _KEY_SALT], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
@@ -339,10 +339,9 @@ def run_scenario(cfg: ScenarioConfig) -> Trace:
 
 
 def _record(trace: Trace, tick_index: int) -> TickRecord:
-    if not _is_int(tick_index):
-        raise ValueError(f"tick_index must be an integer, got {tick_index!r}")
+    _INTEGER.check(tick_index, "tick_index")
     if not 0 <= tick_index < len(trace.records):
-        raise ValueError(f"tick_index {tick_index} out of range for {len(trace.records)} ticks")
+        raise ConfigError("tick_index", f"must be in [0, {len(trace.records)}), got {tick_index}")
     return trace.records[tick_index]
 
 
@@ -352,10 +351,9 @@ def tick_observation(trace: Trace, tick_index: int, agent: int) -> list[tuple[in
     its own true position, as (index, position) pairs in index order."""
     cfg = trace.config
     _record(trace, tick_index)  # raises unless the tick was recorded
-    if not _is_int(agent):
-        raise ValueError(f"agent must be an integer, got {agent!r}")
+    _INTEGER.check(agent, "agent")
     if not 0 <= agent < cfg.agent_count:
-        raise ValueError(f"agent index {agent} out of range for {cfg.agent_count} agents")
+        raise ConfigError("agent", f"must be in [0, {cfg.agent_count}), got {agent}")
     basis = trace.records[max(0, tick_index - cfg.obs_delay_ticks)].positions
     own, _, cols, seen = _snapshot(basis, np.array([agent]), cfg.r_h, _tick_noise(cfg, tick_index))
     points = sorted([(agent, own[0]), *zip(cols.tolist(), seen)], key=lambda pair: pair[0])

@@ -31,7 +31,8 @@ from typing import Literal, Sequence
 
 import numpy as np
 
-from .model import _NONNEGATIVE, Vec3, _Rule, _check_fields, _field, _is_int, _one_of
+from .model import _INTEGER, _NONNEGATIVE, _POSITIVE, ConfigError, Vec3, _Rule, _check_fields
+from .model import _field, _one_of
 
 __all__ = [
     "GRAVITY",
@@ -182,10 +183,10 @@ def fly(states: np.ndarray, refs: np.ndarray, cfg: LLCConfig, dt: float,
     refs = np.asarray(refs, dtype=float)
     if refs.shape != (states.shape[0], 3):
         raise ValueError(f"refs must have shape ({states.shape[0]}, 3), got {refs.shape}")
-    if not 0.0 < dt < math.inf:
-        raise ValueError(f"dt must be positive and finite, got {dt}")
-    if not (_is_int(steps) and steps >= 1):
-        raise ValueError(f"steps must be an integer >= 1, got {steps!r}")
+    _POSITIVE.check(dt, "dt")
+    _INTEGER.check(steps, "steps")
+    if steps < 1:
+        raise ConfigError("steps", f"must be >= 1, got {steps}")
     if cfg.family == "B" and states.shape[0] >= _BLOCK_ROWS:
         _fly_block(states, refs, cfg, dt, steps)
         return
@@ -215,14 +216,12 @@ def step_trajectory(
     Returns an (n, 4) array of rows (time_s, position_m, velocity_m_s,
     tilt_rad) sampled every dt, starting at t = 0 before any motion.
     """
-    if not 0.0 <= step < math.inf:
-        raise ValueError(f"step must be >= 0 and finite, got {step}")
-    for name, value in (("duration", duration), ("dt", dt)):
-        if not 0.0 < value < math.inf:
-            raise ValueError(f"{name} must be positive and finite, got {value}")
+    _NONNEGATIVE.check(step, "step")
+    _POSITIVE.check(duration, "duration")
+    _POSITIVE.check(dt, "dt")
     if not duration / dt <= _MAX_SAMPLES + 0.5:  # round() gives at most _MAX_SAMPLES
-        raise ValueError(f"duration / dt must give at most {_MAX_SAMPLES} samples, "
-                         f"got duration {duration} and dt {dt}")
+        raise ConfigError("duration / dt", f"must give at most {_MAX_SAMPLES} samples, "
+                          f"got duration {duration} and dt {dt}")
     row, ref = [0.0] * 8, (step, 0.0, 0.0)
     steps = round(duration / dt)
     rows = np.empty((steps + 1, 4))

@@ -172,8 +172,7 @@ def thresholds_from_geometry(
     """dist_thr = 2 r_drone + r_safety; clear_thr = r_drone + r_k + r_safety;
     comp_thr passes through (no geometric definition exists for it)."""
     for name, v in (("r_drone", r_drone), ("r_safety", r_safety), ("r_k", r_k)):
-        if not 0.0 <= v < math.inf:
-            raise ValueError(f"{name} must be >= 0 and finite, got {v}")
+        _NONNEGATIVE.check(v, name)
     return Thresholds(
         dist_thr=2.0 * r_drone + r_safety,
         comp_thr=comp_thr,

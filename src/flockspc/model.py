@@ -78,18 +78,14 @@ Point = Vec3 | np.ndarray
 Neighbors = np.ndarray | Sequence[Vec3]
 
 
-def _is_int(value: object) -> bool:
-    """Whether value is a Python or numpy integer; a bool is none."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-
-
-# --- config value rules: a config dataclass declares each rule on one field's
-# value on that field, and its __post_init__ calls _check_fields first.
+# --- value rules: a config dataclass declares each rule on one field's value
+# on that field, and its __post_init__ calls _check_fields first; a public
+# function checks an argument with the same rule, rule.check(value, name).
 
 
 class ConfigError(ValueError):
-    """Scenario or sweep configuration problem: the `problem` with `field`,
-    a JSON path relative to the object that raised it."""
+    """A rejected input value: the `problem` with `field`, a config field's
+    JSON path relative to the object that raised it, or an argument's name."""
 
     def __init__(self, field: str, problem: str) -> None:
         super().__init__(field, problem)  # the args rebuild a pickled error
@@ -147,6 +143,12 @@ def _check_fields(obj: Any) -> None:
 _FINITE = _Rule(math.isfinite, "finite")
 _POSITIVE = _Rule(lambda v, inf=math.inf: 0.0 < v < inf, "positive and finite")
 _NONNEGATIVE = _Rule(lambda v, inf=math.inf: 0.0 <= v < inf, ">= 0 and finite")
+# A public function's integer argument: a Python or numpy integer, no bool.
+_INTEGER = _Rule(lambda v: isinstance(v, (int, np.integer)) and not isinstance(v, bool),
+                 "an integer")
+# type(), so that True is no integer: a config echoes its value as JSON.  The
+# noise and spawn keys take the seed modulo 2**64: no two seeds may share one.
+_SEED = _Rule(lambda v: type(v) is int and 0 <= v < 2**64, "an integer in [0, 2**64)")
 _FINITE_POINT = _Rule(Vec3.is_finite, "finite")
 _FINITE_POINT_OR_NONE = _Rule(lambda v: v is None or v.is_finite(), "finite")
 
@@ -398,8 +400,7 @@ def finite_difference_gradient(
     for evaluate_gradient.  Accurate only when p_i is well clear (>> h) of
     the clamp boundaries, where the cost is smooth.
     """
-    if not (h > 0.0 and math.isfinite(h)):
-        raise ValueError(f"step h must be positive and finite, got {h}")
+    _POSITIVE.check(h, "h")
     p = _points([p_i], "position")
     shifts = np.eye(3) * h  # rows p + h e_i, then p - h e_i, scored in one batch
     points = np.vstack((p + shifts, p - shifts))[None]
@@ -416,14 +417,11 @@ def equilibrium_distance(w_coh: float, w_sep: float, r_drone: float = 0.0) -> fl
     bisection to machine precision (well past the 1e-9 m the callers need;
     the extra digits keep the residual gradient below 1e-9 too).
     """
-    if not 0.0 < w_coh < math.inf:  # finite, too: a NaN would spin the bisection below
-        raise ValueError(f"w_coh must be positive and finite for an equilibrium, got {w_coh}")
-    if not 0.0 < w_sep < math.inf:
-        raise ValueError(f"w_sep must be positive and finite, got {w_sep}")
-    if not 0.0 <= r_drone < math.inf:
-        raise ValueError(f"r_drone must be non-negative and finite, got {r_drone}")
-    if not 0.0 < w_sep / w_coh < math.inf:  # 0 or inf once under- or overflowed
-        raise ValueError(f"w_sep / w_coh must be positive and finite, got {w_sep} / {w_coh}")
+    _POSITIVE.check(w_coh, "w_coh")  # finite, too: a NaN would spin the bisection below
+    _POSITIVE.check(w_sep, "w_sep")
+    _NONNEGATIVE.check(r_drone, "r_drone")
+    if not _POSITIVE.ok(w_sep / w_coh):  # 0 or inf once under- or overflowed
+        raise ConfigError("w_sep / w_coh", f"must be positive and finite, got {w_sep} / {w_coh}")
     if r_drone == 0.0:
         return (w_sep / w_coh) ** 0.25
 

@@ -27,7 +27,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .model import _is_int
+from .model import _INTEGER, _SEED, ConfigError
 
 __all__ = ["observation_stream"]
 
@@ -141,22 +141,14 @@ def _pair_noise(keys: np.ndarray, ticks: int | np.ndarray, observers: np.ndarray
     return sigma * _inverse_normal(u.ravel()).reshape(u.shape)
 
 
-def _check_seed(seed: int) -> None:
-    """Reject a seed that is not an integer in [0, 2**64): the noise and spawn
-    keys read 64 bits of it, so such a seed would alias another."""
-    if not (type(seed) is int and 0 <= seed < 2**64):  # type(), so that True is no integer
-        raise ValueError(f"seed must be an integer in [0, 2**64), got {seed!r}")
-
-
 def observation_stream(seed: int, tick: int, observer: int, observed: int) -> np.ndarray:
     """The three standard normals (3,) behind `observer`'s noisy x, y, z of
     `observed` at control tick `tick` under scenario seed `seed`."""
-    _check_seed(seed)
+    _SEED.check(seed, "seed")
     for name, value in (("tick", tick), ("observer", observer), ("observed", observed)):
-        if not _is_int(value):
-            raise ValueError(f"{name} must be an integer, got {value!r}")
+        _INTEGER.check(value, name)
         if not 0 <= value <= _MASK32:
-            raise ValueError(f"{name} must be in [0, 2**32), got {value}")
+            raise ConfigError(name, f"must be in [0, 2**32), got {value}")
     return _pair_noise(_round_keys(seed), tick, np.array([observer]), np.array([observed]), 1.0)[0]
 
 

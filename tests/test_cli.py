@@ -348,10 +348,19 @@ def test_sweep_field_errors_exit_2(tmp_path, capsys):
 @pytest.mark.parametrize("key, value, named", [
     ("seeds", [0, -1], "seeds[1]: must be an integer in [0, 2**64), got -1"),
     ("flock_sizes", [4294967296], "flock_sizes[0]: must be below 2**32, got 4294967296"),
-], ids=["seeds", "flock_sizes"])
+    ("flock_sizes", [3, 2, 3], "flock_sizes[2]: repeats 3"),
+    ("obstacle_scenarios", ["three", 3], 'obstacle_scenarios[1]: repeats "three"'),
+    ("obstacle_scenarios", [0, "none"], 'obstacle_scenarios[1]: repeats "none"'),
+    ("controllers", ["SPC", "SPC"], 'controllers[1]: repeats "SPC"'),
+    ("llc_families", ["B", "A", "B"], 'llc_families[2]: repeats "B"'),
+    ("seeds", [0, 0], "seeds[1]: repeats 0"),
+], ids=["seeds", "flock_sizes", "repeated_flock_size", "repeated_layout_name_then_count",
+        "repeated_layout_count_then_name", "repeated_controller", "repeated_llc_family",
+        "repeated_seed"])
 def test_sweep_entries_are_checked_before_the_pool_starts(tmp_path, capsys, monkeypatch, key,
                                                          value, named):
-    # Once raised inside a worker as the scenario's seed or agent_count.
+    # Once raised inside a worker as the scenario's seed or agent_count; a
+    # repeated entry ran its cells twice, both runs writing one summary file.
     def no_pool(*args, **kwargs):
         raise AssertionError("the sweep started its pool")
 

@@ -35,16 +35,16 @@ def test_dynamic_lookahead_oracles():
 
 def test_dynamic_lookahead_rejects_bad_arguments():
     for n_star in (0, -3):
-        with pytest.raises(ValueError, match=rf"^n_star must be >= 1, got {n_star}$"):
+        with pytest.raises(ValueError, match=rf"^n_star: must be in \[1, {_MAX_N_STAR}\], got {n_star}$"):
             dynamic_lookahead_count(n_star, 1.0)
-    with pytest.raises(ValueError, match=r"^dist_to_target must be >= 0, got -0.5$"):
+    with pytest.raises(ValueError, match=r"^dist_to_target: must be >= 0, got -0.5$"):
         dynamic_lookahead_count(5, -0.5)
 
 
 def test_dynamic_lookahead_takes_an_integer_n_star_only():
     # ControllerConfig rejects n_star=True; this returned 3 for it.
     for bad in (True, np.True_, 2.5, 5.0):
-        with pytest.raises(ValueError, match=r"^n_star must be an integer, got "):
+        with pytest.raises(ValueError, match=r"^n_star: must be an integer, got "):
             dynamic_lookahead_count(bad, 1.0)
     assert dynamic_lookahead_count(np.int64(5), 10.0) == dynamic_lookahead_count(5, 10.0) == 15
 
@@ -56,7 +56,7 @@ def test_n_star_has_a_maximum():
     assert dynamic_lookahead_count(_MAX_N_STAR, 10.0) == 3 * _MAX_N_STAR
     assert ControllerConfig(kind="SPC", n_star=_MAX_N_STAR).n_star == _MAX_N_STAR
     for n_star in (_MAX_N_STAR + 1, 10**9, 2**31, 2**63):
-        with pytest.raises(ValueError, match=rf"^n_star must be <= {_MAX_N_STAR}, got {n_star}$"):
+        with pytest.raises(ValueError, match=rf"^n_star: must be in \[1, {_MAX_N_STAR}\], got {n_star}$"):
             dynamic_lookahead_count(n_star, 5.0)
         with pytest.raises(ValueError, match=rf"^n_star: must be an integer in \[1, {_MAX_N_STAR}\]"):
             ControllerConfig(kind="SPC", n_star=n_star)

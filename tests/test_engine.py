@@ -124,7 +124,7 @@ def test_observe_deterministic_per_key():
 def test_replay_rejects_out_of_range_agent():
     trace = _one_tick([[0.0, 0.0, 1.0], [1.0, 0.0, 1.0], [0.0, 1.0, 1.0]])
     for agent in (-1, 3):
-        with pytest.raises(ValueError, match=f"agent index {agent} out of range for 3 agents"):
+        with pytest.raises(ValueError, match=rf"^agent: must be in \[0, 3\), got {agent}$"):
             tick_observation(trace, 0, agent)
 
 
@@ -133,9 +133,9 @@ def test_tick_observation_takes_integer_indices_only():
     # raw IndexError, and tick_index=True replayed tick 1.
     trace = run_scenario(_scenario(duration=0.5, formation_time=0.0, noise_sigma=0.05))
     for bad in (True, False, np.True_, 1.5, 1.0):
-        with pytest.raises(ValueError, match=r"^agent must be an integer, got "):
+        with pytest.raises(ValueError, match=r"^agent: must be an integer, got "):
             tick_observation(trace, 3, bad)
-        with pytest.raises(ValueError, match=r"^tick_index must be an integer, got "):
+        with pytest.raises(ValueError, match=r"^tick_index: must be an integer, got "):
             tick_observation(trace, bad, 0)
     assert tick_observation(trace, np.int64(3), np.int32(1)) == tick_observation(trace, 3, 1)
 
@@ -144,7 +144,7 @@ def test_tick_cost_params_takes_an_integer_tick_only():
     wp = (Waypoint(0.0, Vec3(0, 0, 1)), Waypoint(0.2, Vec3(1, 0, 1)))
     trace = run_scenario(_scenario(waypoints=wp, duration=0.5, formation_time=0.0))
     for bad in (True, np.True_, 1.5):
-        with pytest.raises(ValueError, match=r"^tick_index must be an integer, got "):
+        with pytest.raises(ValueError, match=r"^tick_index: must be an integer, got "):
             tick_cost_params(trace, bad)
     assert tick_cost_params(trace, np.uint8(3)) == tick_cost_params(trace, 3)
     assert tick_cost_params(trace, 3).target == Vec3(1, 0, 1)
@@ -157,9 +157,9 @@ def test_replay_rejects_out_of_range_tick():
         trace = run_scenario(_scenario(duration=1.0, formation_time=0.5, obs_delay_ticks=delay))
         ticks = len(trace.records)
         for k in (-1, ticks, ticks + 1):
-            with pytest.raises(ValueError, match=f"tick_index {k} out of range"):
+            with pytest.raises(ValueError, match=rf"^tick_index: must be in \[0, {ticks}\), got {k}$"):
                 tick_observation(trace, k, 0)
-            with pytest.raises(ValueError, match=f"tick_index {k} out of range"):
+            with pytest.raises(ValueError, match=rf"^tick_index: must be in \[0, {ticks}\), got {k}$"):
                 tick_cost_params(trace, k)
         tick_observation(trace, ticks - 1, 0)
         tick_cost_params(trace, ticks - 1)
@@ -179,7 +179,7 @@ def test_spawn_stream_rejects_aliasing_seeds():
     # The key reads 64 bits of the seed: 2**64 would draw seed 0's spawns
     # and -1 those of 2**64 - 1.
     for bad in (2**64, -1, True, 1.0):
-        with pytest.raises(ValueError, match=r"^seed must be an integer in \[0, 2\*\*64\)"):
+        with pytest.raises(ValueError, match=r"^seed: must be an integer in \[0, 2\*\*64\)"):
             spawn_stream(bad)
     first, last = spawn_stream(0).uniform(size=3), spawn_stream(2**64 - 1).uniform(size=3)
     assert not np.array_equal(first, last)

@@ -192,7 +192,7 @@ def test_threshold_formulas():
     for args, named in (((-0.01, 0.06), "r_drone"), ((math.nan, 0.06), "r_drone"),
                         ((0.07, math.inf), "r_safety"), ((0.07, 0.06, math.inf), "r_k"),
                         ((0.07, 0.06, -math.inf), "r_k")):
-        with pytest.raises(ValueError, match=rf"^{named} must be >= 0 and finite"):
+        with pytest.raises(ValueError, match=rf"^{named}: must be >= 0 and finite"):
             thresholds_from_geometry(*args)
     for named, value in (("dist_thr", -0.01), ("comp_thr", math.nan), ("clear_thr", math.inf)):
         with pytest.raises(ValueError, match=rf"^{named}: must be >= 0 and finite"):

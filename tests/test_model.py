@@ -108,7 +108,7 @@ def test_point_inputs_are_arrays_or_vec3():
 
 @pytest.mark.parametrize("h", [0.0, -1e-6, math.nan, math.inf])
 def test_finite_difference_step_must_be_positive_and_finite(h):
-    with pytest.raises(ValueError, match=r"^step h must be positive and finite"):
+    with pytest.raises(ValueError, match=r"^h: must be positive and finite"):
         finite_difference_gradient(Vec3(1, 0, 1), [Vec3(0, 0, 1)], CostParams(20, 9, 0, 0), h)
 
 

@@ -52,7 +52,7 @@ def test_observation_stream_rejects_aliasing_seeds():
     # The key reads 64 bits of the seed: 2**64 would replay seed 0's normals
     # and -1 those of 2**64 - 1.
     for bad in (2**64, -1, True, 1.0):
-        with pytest.raises(ValueError, match=r"^seed must be an integer in \[0, 2\*\*64\)"):
+        with pytest.raises(ValueError, match=r"^seed: must be an integer in \[0, 2\*\*64\)"):
             observation_stream(bad, 3, 1, 0)
     first, last = observation_stream(0, 3, 1, 0), observation_stream(2**64 - 1, 3, 1, 0)
     assert first.shape == last.shape == (3,) and not np.array_equal(first, last)
@@ -150,9 +150,9 @@ def test_observation_stream_is_what_tick_observation_adds():
                 want = truth[j] + 0.2 * observation_stream(cfg.seed, k, agent, j)
                 assert tuple(p) == tuple(want.tolist()), (k, agent, j)
     for bad in (-1, 2**32):
-        with pytest.raises(ValueError, match="tick must be in"):
+        with pytest.raises(ValueError, match=rf"^tick: must be in \[0, 2\*\*32\), got {bad}$"):
             observation_stream(0, bad, 0, 0)
-        with pytest.raises(ValueError, match="observed must be in"):
+        with pytest.raises(ValueError, match=rf"^observed: must be in \[0, 2\*\*32\), got {bad}$"):
             observation_stream(0, 0, 0, bad)
 
 
@@ -163,7 +163,7 @@ def test_observation_stream_takes_integers_only():
         for position, name in enumerate(("tick", "observer", "observed")):
             args = [3, 0, 1]
             args[position] = bad
-            with pytest.raises(ValueError, match=f"^{name} must be an integer, got {bad!r}"):
+            with pytest.raises(ValueError, match=f"^{name}: must be an integer, got {bad!r}"):
                 observation_stream(0, *args)
     want = observation_stream(5, 3, 0, 1)
     for kind in (np.int32, np.int64, np.uint32, np.uint64):
