@@ -99,8 +99,8 @@ def _norms(v: np.ndarray) -> np.ndarray:
 def _ladders(p: np.ndarray, gradient: np.ndarray, norm: np.ndarray, epsilon: float,
              n: int) -> np.ndarray:
     """(g, n, 3) candidate ladders: row m - 1 (m = 1..n) of ladder i is
-    p[i] - m * epsilon * gradient[i] / norm[i], for norm[i] the non-zero
-    norm of gradient[i]."""
+    p[i] - m * epsilon * gradient[i] / norm[i], for norm[i] non-zero (the
+    norm of gradient[i], or any for a zero gradient: its rows are p[i])."""
     step = -epsilon * gradient / norm[:, None]
     return p[:, None] + np.arange(1.0, n + 1.0)[:, None] * step[:, None]
 
@@ -123,39 +123,41 @@ def _decide(p: np.ndarray, hoods: _Neighborhoods, params: CostParams,
     """The SPC or PFC decisions of n agents at their own observed positions
     p (n, 3) against their neighbourhoods, in one pass on trusted arrays.
 
-    SPC ladders are padded to the batch's longest: a padded ladder row is
-    scored but never chosen, like an agent's that holds.  Rows are
-    independent, so each agent's decision repeats its batch-of-1 bits.
+    PFC takes its own-position costs from the gradient pass; SPC scores row
+    0, the agent itself, with its ladder.  Ladders are padded to the batch's
+    longest: a padded row is scored but never chosen, and a holder's, along
+    a zeroed gradient, repeats its position.  Rows are independent, so each
+    agent's decision repeats its batch-of-1 bits.
     """
     n = p.shape[0]
+    costs = np.zeros((n, 5))  # columns total, coh, sep, tar, obs
+    if cfg.kind == "PFC":
+        gradient = _gradient(p, hoods, params, costs[:, 1:])[4]
+        costs[:, 0] = _cost_totals(costs[:, 1:])
+        return _Decisions(p - cfg.pfc_gain * gradient, costs, _norms(gradient),
+                          *np.zeros((2, n), dtype=np.int32))  # no candidates, none chosen
+
     gradient = _gradient(p, hoods, params)[4]
     norm = _norms(gradient)
-    counts = np.zeros(n, dtype=np.int32)
-    points = p[:, None]  # row 0 is the agent itself, all that PFC scores
-    if cfg.kind == "SPC":
-        moves = (HOLD_GRADIENT_NORM <= norm) & (norm < math.inf)  # a NaN norm holds too
-        counts[moves] = cfg.n_star
-        if cfg.dynamic_n and params.target is not None:
-            counts[moves] = _lookahead_counts(cfg.n_star, _norms(p[moves] - params._target_array))
-        longest = int(counts.max())
-        points = np.repeat(points, 1 + longest, axis=1)
-        points[moves, 1:] = _ladders(p[moves], gradient[moves], norm[moves], cfg.epsilon, longest)
+    moves = (HOLD_GRADIENT_NORM <= norm) & (norm < math.inf)  # a NaN norm holds too
+    lookahead = cfg.n_star
+    if cfg.dynamic_n and params.target is not None:
+        held = np.where(moves[:, None], p, params._target_array)  # a holder's distance is 0
+        lookahead = _lookahead_counts(cfg.n_star, _norms(held - params._target_array))
+    counts = moves.astype(np.int32) * lookahead
+    longest = int(counts.max())
+    along = np.where(moves[:, None], gradient, 0.0)  # a holder's ladder repeats p
+    ladders = _ladders(p, along, np.where(moves, norm, 1.0), cfg.epsilon, longest)
+    points = np.concatenate((p[:, None], ladders), axis=1)
     terms = _cost_terms(points, hoods, params)
     totals = _cost_totals(terms)
-
-    if cfg.kind == "PFC":
-        setpoints, chosen = p - cfg.pfc_gain * gradient, np.zeros(n, dtype=np.int32)
-    else:
-        # Row 0 (hold) counts as infinitely costly, so argmin picks the first
-        # minimum of the agent's own finite candidate costs, or holds.
-        m = np.arange(1 + longest)
-        own = (m > 0) & (m <= counts[:, None]) & (totals < math.inf)
-        chosen = np.where(own, totals, math.inf).argmin(axis=1).astype(np.int32)
-        setpoints = points[np.arange(n), chosen]
-    costs = np.empty((n, 5))
-    costs[:, 0] = totals[:, 0]
-    costs[:, 1:] = terms[:, 0]
-    return _Decisions(setpoints, costs, norm, counts, chosen)
+    # Row 0 (hold) counts as infinitely costly, so argmin picks the first
+    # minimum of the agent's own finite candidate costs, or holds.
+    m = np.arange(1 + longest)
+    own = (m > 0) & (m <= counts[:, None]) & (totals < math.inf)
+    chosen = np.where(own, totals, math.inf).argmin(axis=1).astype(np.int32)
+    costs[:, 0], costs[:, 1:] = totals[:, 0], terms[:, 0]
+    return _Decisions(points[np.arange(n), chosen], costs, norm, counts, chosen)
 
 
 def _setpoint(p_i: Point, neighbors: Neighbors, params: CostParams, cfg: ControllerConfig,

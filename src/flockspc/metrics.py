@@ -169,15 +169,14 @@ def thresholds_from_geometry(
     r_k: float = 0.0,
     comp_thr: float = 10.0,
 ) -> Thresholds:
-    """dist_thr = 2 r_drone + r_safety; clear_thr = r_drone + r_k + r_safety;
-    comp_thr passes through (no geometric definition exists for it)."""
+    """dist_thr = 2 r_drone + r_safety and clear_thr = r_drone + r_k + r_safety,
+    each finite; comp_thr passes through (no geometric definition exists for it)."""
     for name, v in (("r_drone", r_drone), ("r_safety", r_safety), ("r_k", r_k)):
         _NONNEGATIVE.check(v, name)
-    return Thresholds(
-        dist_thr=2.0 * r_drone + r_safety,
-        comp_thr=comp_thr,
-        clear_thr=r_drone + r_k + r_safety,
-    )
+    dist_thr, clear_thr = 2.0 * r_drone + r_safety, r_drone + r_k + r_safety
+    for expr, v in (("2 * r_drone + r_safety", dist_thr), ("r_drone + r_k + r_safety", clear_thr)):
+        _NONNEGATIVE.check(v, expr)  # a sum of finite values >= 0: inf once overflowed
+    return Thresholds(dist_thr=dist_thr, comp_thr=comp_thr, clear_thr=clear_thr)
 
 
 def thresholds_for_scenario(
@@ -194,11 +193,12 @@ def thresholds_for_scenario(
     try:
         return thresholds_from_geometry(r_drone, r_safety, r_k, comp_thr)
     except ConfigError as exc:
-        formula = {"dist_thr": "2 r_drone + r_safety",
-                   "clear_thr": f"r_drone + r_k + r_safety (largest obstacle radius r_k {r_k})"}
+        formula = {"2 * r_drone + r_safety": "dist_thr = 2 r_drone + r_safety",
+                   "r_drone + r_k + r_safety": "clear_thr = r_drone + r_k + r_safety "
+                                               f"(largest obstacle radius r_k {r_k})"}
         if exc.field not in formula:
             raise
-        raise ConfigError("cost.r_drone", f"must keep {exc.field} = {formula[exc.field]} finite "
+        raise ConfigError("cost.r_drone", f"must keep {formula[exc.field]} finite "
                                           f"with r_safety {r_safety}, got {r_drone}") from None
 
 

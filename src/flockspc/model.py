@@ -244,27 +244,33 @@ def _points(points: Neighbors, what: str) -> np.ndarray:
 class _Neighborhoods(NamedTuple):
     """The frozen neighbourhoods of n agents as pair lists: pair j is agent
     rows[j]'s neighbour nbr[j] (k, 3), agent i's counts[i] (n,) pairs next in
-    observation order.  sums (n, 3) are the neighbour sums (+0.0 for none)."""
+    observation order.  Built once a tick for every kernel: the neighbour sums
+    sums (n, 3) (+0.0 for none), h (n, 1) the counts clamped to 1, has (n, 1)
+    counts > 0, and the _pair_sum bins of 3 values a pair, for sums and pushes."""
 
     rows: np.ndarray
     nbr: np.ndarray
     counts: np.ndarray
     sums: np.ndarray
+    h: np.ndarray
+    has: np.ndarray
+    bins: np.ndarray
 
 
-def _pair_sum(x: np.ndarray, rows: np.ndarray, n: int) -> np.ndarray:
-    """(n, c) per-agent sums of the pair values x (k, c), pair j agent rows[j]'s:
-    bincount adds each agent's pairs in order from +0.0, 0.0 + x_0 + x_1 + ...
-    (an order test_flock_kernel pins; .sum() adds 8 or more values pairwise)."""
+def _pair_sum(x: np.ndarray, bins: np.ndarray, n: int) -> np.ndarray:
+    """(n, c) sums of the pair values x (k, c), value i of pair j in bins[j * c
+    + i] = rows[j] * c + i: bincount adds each agent's pairs in order from +0.0,
+    0.0 + x_0 + x_1 + ... (test_flock_kernel pins it; .sum() adds pairwise)."""
     c = x.shape[1]
-    bins = (rows[:, None] * c + np.arange(c)).ravel()
     return np.bincount(bins, weights=x.ravel(), minlength=n * c).reshape(n, c)
 
 
 def _neighborhoods(seen: np.ndarray, counts: np.ndarray) -> _Neighborhoods:
     """Agent i's neighbours are the next counts[i] (n,) rows of seen (k, 3)."""
     rows = np.repeat(np.arange(len(counts)), counts)
-    return _Neighborhoods(rows, seen, counts, _pair_sum(seen, rows, len(counts)))
+    bins = (rows[:, None] * 3 + np.arange(3)).ravel()
+    return _Neighborhoods(rows, seen, counts, _pair_sum(seen, bins, len(counts)),
+                          np.maximum(counts, 1)[:, None], (counts > 0)[:, None], bins)
 
 
 def _one_neighborhood(neighbors: Neighbors) -> _Neighborhoods:
@@ -280,6 +286,32 @@ def _centroids(points: np.ndarray, hoods: _Neighborhoods) -> np.ndarray:
     return np.where(h > 0, (points + hoods.sums[:, None]) / (h + 1), points)
 
 
+def _sep_gap(d: np.ndarray, params: CostParams) -> np.ndarray:
+    return np.maximum(d - 2.0 * params.r_drone, params.zero_hat)
+
+
+def _obs_gap(dxy: np.ndarray, params: CostParams) -> np.ndarray:
+    return np.maximum(dxy - params._obstacle_arrays[1] - params.r_drone, params.zero_hat)
+
+
+def _put_terms(terms: np.ndarray, hoods: _Neighborhoods, params: CostParams, d2, gap,
+               centroid, clear) -> np.ndarray:
+    """Write into terms (n, m, 4) the cost terms at m points per agent from
+    the pairs' squared distances d2 and separation gaps (k, m), the centroids
+    (n, m, 3) and the obstacle gaps clear (n, m, k); a None term stays 0."""
+    if d2 is not None:
+        bins = (hoods.rows[:, None] * d2.shape[1] + np.arange(d2.shape[1])).ravel()
+        if params.w_coh > 0.0:
+            terms[..., 0] = params.w_coh * _pair_sum(d2, bins, len(terms)) / hoods.h
+        if gap is not None:
+            terms[..., 1] = params.w_sep * _pair_sum(1.0 / gap**2, bins, len(terms)) / hoods.h
+    if centroid is not None:
+        terms[..., 2] = params.w_tar * ((params._target_array - centroid) ** 2).sum(axis=2)
+    if clear is not None:
+        terms[..., 3] = params.w_obs * (1.0 / clear**2).sum(axis=2) / len(params.obstacles)
+    return terms
+
+
 def _cost_terms(points: np.ndarray, hoods: _Neighborhoods, params: CostParams) -> np.ndarray:
     """The four cost terms at each point of points (n, m, 3), row i scored
     against agent i's neighbourhood: an (n, m, 4) array with columns coh,
@@ -287,32 +319,20 @@ def _cost_terms(points: np.ndarray, hoods: _Neighborhoods, params: CostParams) -
     along the last axis, so each point repeats the single-point arithmetic
     bit for bit whatever n and m are.  Inputs are trusted.
     """
-    terms = np.zeros(points.shape[:2] + (4,))
-
+    d2 = gap = centroid = clear = None
     if params.w_coh > 0.0 or params.w_sep > 0.0:
-        h = np.maximum(hoods.counts, 1)[:, None]  # no neighbours: a +0.0 sum over 1
         # (k, m): every point of the pair's agent against the pair's neighbour.
-        q, nbr = points[hoods.rows], hoods.nbr[:, None]
-        d2 = ((q[..., 0] - nbr[..., 0]) ** 2 + (q[..., 1] - nbr[..., 1]) ** 2
-              + (q[..., 2] - nbr[..., 2]) ** 2)
-        if params.w_coh > 0.0:
-            terms[..., 0] = params.w_coh * _pair_sum(d2, hoods.rows, len(points)) / h
+        diff = points[hoods.rows] - hoods.nbr[:, None]
+        d2 = diff[..., 0] ** 2 + diff[..., 1] ** 2 + diff[..., 2] ** 2
         if params.w_sep > 0.0:
-            inv = 1.0 / np.maximum(np.sqrt(d2) - 2.0 * params.r_drone, params.zero_hat) ** 2
-            terms[..., 1] = params.w_sep * _pair_sum(inv, hoods.rows, len(points)) / h
-
+            gap = _sep_gap(np.sqrt(d2), params)
     if params.w_tar > 0.0 and params.target is not None:
         centroid = _centroids(points, hoods)
-        terms[..., 2] = params.w_tar * ((params._target_array - centroid) ** 2).sum(axis=2)
-
-    k = len(params.obstacles)
-    if params.w_obs > 0.0 and k > 0:
-        centers, radii = params._obstacle_arrays
+    if params.w_obs > 0.0 and params.obstacles:
+        centers = params._obstacle_arrays[0]
         dxy = np.hypot(points[..., 0, None] - centers[:, 0], points[..., 1, None] - centers[:, 1])
-        clearance = np.maximum(dxy - radii - params.r_drone, params.zero_hat)
-        terms[..., 3] = params.w_obs * (1.0 / clearance**2).sum(axis=2) / k
-
-    return terms
+        clear = _obs_gap(dxy, params)
+    return _put_terms(np.zeros(points.shape[:2] + (4,)), hoods, params, d2, gap, centroid, clear)
 
 
 def _cost_totals(terms: np.ndarray) -> np.ndarray:
@@ -332,43 +352,47 @@ def evaluate_cost(p_i: Point, neighbors: Neighbors, params: CostParams) -> CostB
     return CostBreakdown(coh=coh, sep=sep, tar=tar, obs=obs, total=coh + sep + tar + obs)
 
 
-def _gradient(p: np.ndarray, hoods: _Neighborhoods, params: CostParams) -> np.ndarray:
+def _gradient(p: np.ndarray, hoods: _Neighborhoods, params: CostParams,
+              costs: np.ndarray | None = None) -> np.ndarray:
     """Gradient at each agent's position p (n, 3) against its neighbourhood:
     a (5, n, 3) array of the terms coh, sep, tar, obs and their
     left-to-right sum total; an absent term is 0.  Neighbour sums are
-    _pair_sum's.  Inputs are trusted."""
+    _pair_sum's.  Given costs, (n, 4) zeros, it also writes there the cost
+    terms at p, _cost_terms' bits, from the arrays it builds.  Inputs are trusted."""
     grad = np.zeros((5,) + p.shape)
+    d2 = gap = centroid = clear = None  # as _cost_terms builds them for m = 1
 
     if params.w_coh > 0.0 or params.w_sep > 0.0:
-        has, h = (hoods.counts > 0)[:, None], np.maximum(hoods.counts, 1)[:, None]
+        diff = p[hoods.rows] - hoods.nbr  # (k, 3), from each neighbour toward p_i
+        d2 = (diff[:, 0] ** 2 + diff[:, 1] ** 2 + diff[:, 2] ** 2)[:, None]
         if params.w_coh > 0.0:
-            np.multiply(2.0 * params.w_coh, p - hoods.sums / h, out=grad[0], where=has)
+            np.multiply(2.0 * params.w_coh, p - hoods.sums / hoods.h, out=grad[0], where=hoods.has)
         if params.w_sep > 0.0:
-            diff = p[hoods.rows] - hoods.nbr  # (k, 3), from each neighbour toward p_i
-            d = np.sqrt(diff[:, 0] ** 2 + diff[:, 1] ** 2 + diff[:, 2] ** 2)
-            unit = diff / np.where(d > 0.0, d, 1.0)[:, None]
-            unit[d == 0.0] = (1.0, 0.0, 0.0)
-            gap = np.maximum(d - 2.0 * params.r_drone, params.zero_hat)
-            gap3 = gap * gap * gap
-            push = _pair_sum(unit / gap3[:, None], hoods.rows, len(p))
-            np.multiply(-(2.0 * params.w_sep / h), push, out=grad[1], where=has)
+            d = np.sqrt(d2)
+            unit = diff / np.where(d > 0.0, d, 1.0)
+            unit[d[:, 0] == 0.0] = (1.0, 0.0, 0.0)
+            gap = _sep_gap(d, params)
+            push = _pair_sum(unit / (gap * gap * gap), hoods.bins, len(p))
+            np.multiply(-(2.0 * params.w_sep / hoods.h), push, out=grad[1], where=hoods.has)
 
     if params.w_tar > 0.0 and params.target is not None:
-        centroid = _centroids(p[:, None], hoods)[:, 0]
+        centroid = _centroids(p[:, None], hoods)
         scale = 2.0 * params.w_tar / (hoods.counts + 1)
-        grad[2] = scale[:, None] * (centroid - params._target_array)
+        grad[2] = scale[:, None] * (centroid[:, 0] - params._target_array)
 
     k = len(params.obstacles)
     if params.w_obs > 0.0 and k > 0:
-        centers, radii = params._obstacle_arrays
+        centers = params._obstacle_arrays[0]
         dvec = np.stack([p[:, 0, None] - centers[:, 0], p[:, 1, None] - centers[:, 1]], axis=2)
         dxy = np.hypot(dvec[..., 0], dvec[..., 1])
         unit2 = dvec / np.where(dxy > 0.0, dxy, 1.0)[..., None]
         unit2[dxy == 0.0] = (1.0, 0.0)
-        gap = np.maximum(dxy - radii - params.r_drone, params.zero_hat)
-        gap3 = gap * gap * gap
+        clear = _obs_gap(dxy[:, None], params)
+        gap3 = (clear * clear * clear)[:, 0]
         grad[3, :, :2] = -(2.0 * params.w_obs / k) * (unit2 / gap3[..., None]).sum(axis=1)
 
+    if costs is not None:
+        _put_terms(costs[:, None], hoods, params, d2, gap, centroid, clear)
     grad[4] = grad[0] + grad[1] + grad[2] + grad[3]
     return grad
 
@@ -426,19 +450,23 @@ def equilibrium_distance(w_coh: float, w_sep: float, r_drone: float = 0.0) -> fl
         return (w_sep / w_coh) ** 0.25
 
     def excess(d: float) -> float:
-        return w_coh * d * (d - 2.0 * r_drone) ** 3 - w_sep
+        try:
+            return w_coh * d * (d - 2.0 * r_drone) ** 3 - w_sep
+        except OverflowError:  # a float cube past the float range: d is past the root
+            return math.inf
 
     lo = 2.0 * r_drone  # excess(lo) = -w_sep < 0
+    _NONNEGATIVE.check(lo, "2 * r_drone")  # inf once overflowed
     span = 1.0
     while excess(lo + span) < 0.0:
         span *= 2.0
     hi = lo + span
     while True:
-        mid = 0.5 * (lo + hi)
+        mid = 0.5 * lo + 0.5 * hi  # 0.5 * (lo + hi), which overflows near the float maximum
         if mid <= lo or mid >= hi:
             break  # interval no longer representable
         if excess(mid) < 0.0:
             lo = mid
         else:
             hi = mid
-    return 0.5 * (lo + hi)
+    return 0.5 * lo + 0.5 * hi

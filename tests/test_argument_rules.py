@@ -71,7 +71,7 @@ CASES = {
                                    POSITIVE - {"5e-324"}, {"5e-324": "w_sep / w_coh"}),
     "equilibrium_distance-w_sep": (lambda v: equilibrium_distance(1.0, v), "w_sep", POSITIVE, {}),
     "equilibrium_distance-r_drone": (lambda v: equilibrium_distance(1.0, 1.0, v), "r_drone",
-                                     NONNEGATIVE, {}),
+                                     NONNEGATIVE - {"max"}, {"max": "2 * r_drone"}),
     "fly-dt": (lambda v: fly(np.zeros((1, 8)), np.zeros((1, 3)), A, v), "dt", POSITIVE, {}),
     "fly-steps": (lambda v: fly(np.zeros((1, 8)), np.zeros((1, 3)), A, 0.01, v), "steps",
                   {"int64(1)"}, {}),
@@ -82,7 +82,8 @@ CASES = {
     "step_trajectory-dt": (lambda v: step_trajectory(A, 0.0, duration=0.01, dt=v), "dt",
                            POSITIVE - {"5e-324"}, {"5e-324": "duration / dt"}),
     "thresholds_from_geometry-r_drone": (lambda v: thresholds_from_geometry(v, 0.0), "r_drone",
-                                         NONNEGATIVE - {"max"}, {"max": "dist_thr"}),
+                                         NONNEGATIVE - {"max"},
+                                         {"max": "2 * r_drone + r_safety"}),
     "thresholds_from_geometry-r_safety": (lambda v: thresholds_from_geometry(0.0, v),
                                           "r_safety", NONNEGATIVE, {}),
     "thresholds_from_geometry-r_k": (lambda v: thresholds_from_geometry(0.0, 0.0, v), "r_k",

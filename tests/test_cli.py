@@ -520,6 +520,17 @@ def test_equilibrium_unbounded_distance_exits_2(capsys, verify):
     assert "w_sep / w_coh" in captured.err and captured.out == "", captured
 
 
+@pytest.mark.parametrize("verify", [[], ["--verify"]])
+def test_equilibrium_overflowing_radius_exits_2(capsys, verify):
+    # 2 * 1e308 overflows: the error names that expression, before any
+    # distance is printed or a rollout spawns agents at it.
+    assert main(["equilibrium", "--w-coh", "1", "--w-sep", "1", "--r-drone", "1e308",
+                 *verify]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: 2 * r_drone: must be >= 0 and finite, got inf")
+    assert captured.out == "" and "Traceback" not in captured.err, captured
+
+
 def test_equilibrium_verify_against_rollout(capsys):
     assert main(["equilibrium", "--w-coh", "20", "--w-sep", "9", "--verify"]) == 0
     out = capsys.readouterr().out

@@ -4,6 +4,7 @@ dynamic lookahead, and the gradient-following baseline."""
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -287,3 +288,16 @@ def test_spc_setpoint_holds_on_nan_gradient():
     with np.errstate(over="ignore", invalid="ignore"):
         assert math.isnan(evaluate_gradient(p, [Vec3(0.0, 0.0, 1.0)], params).total.x)
         assert spc_setpoint(p, [Vec3(0.0, 0.0, 1.0)], params, cfg).position == p
+
+
+def test_flat_gradient_far_out_holds_without_a_warning():
+    # A lone agent with no target weight has a flat gradient and holds.  Its
+    # distance to the target (2.5e308 m here) would overflow, so no candidate
+    # count may be taken from it: with warnings as errors nothing is raised.
+    p = Vec3(1.5e308, -1.5e308, 1e308)
+    params = CostParams(w_coh=20.0, w_sep=9.0, w_tar=0.0, w_obs=0.0,
+                        target=Vec3(-1e308, 1e308, 1.4))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sp = spc_setpoint(p, [], params, ControllerConfig(kind="SPC"))
+    assert sp.position == p and sp.grad_norm == 0.0

@@ -27,12 +27,16 @@ from flockspc import (
     evaluate_cost,
     evaluate_gradient,
     pfc_setpoint,
+    run_scenario,
     spc_setpoint,
+    tick_cost_params,
+    tick_observation,
 )
 from flockspc.controller import _decide
 from flockspc.engine import _snapshot
 from flockspc.model import _cost_terms, _gradient, _neighborhoods, _one_neighborhood
 from flockspc.noise import _pair_noise, _round_keys
+from test_trace_digests import CASES as DIGEST_CASES
 
 CASES = 120
 
@@ -223,3 +227,114 @@ def test_neighbour_sums_run_left_to_right_and_padding_adds_nothing():
     for d in decisions:
         assert _hex(d.costs[0, 1:3]) == _hex((coh, sep))
         assert _hex(d.costs[2, 1:3]) == zero[:2]
+
+
+PFC_CASES = 120
+
+
+def _pfc_flock(i):
+    """Seeded flock for the PFC pass: each weight 0 in turn, 0, 3 or 11
+    obstacles with agent 0 on an axis or inside a cylinder, an r_drone that
+    clamps close pairs, agents without neighbours, coincident agents, and
+    coordinates near 8e15 m, where PFC runs leave the arena; returns
+    (observed, seen, counts, params) as _flock does."""
+    rng = np.random.default_rng(5000 + i)
+    n = 1 + i % 13
+    pos = rng.uniform(-1.0, 1.0, size=(n, 3)) * (0.3, 1.5)[i % 2]
+    if i % 6 == 2:
+        pos[n // 2:, 2] += 8e15  # half the flock far up in z
+    if i % 6 == 5:
+        pos += rng.uniform(7.9e15, 8.1e15, size=3)  # all of it: 1 m apart or coincident
+    if n > 2 and i % 4 == 1:
+        pos[1] = pos[0]
+    weights = rng.uniform(0.1, 200.0, size=4)
+    if i % 5 < 4:
+        weights[i % 5] = 0.0
+    k = (0, 3, 11)[i % 3]
+    xy, radii = rng.uniform(-2.0, 2.0, size=(k, 2)), rng.uniform(0.05, 0.6, size=k)
+    if k:
+        xy[0] = pos[0, :2] + (0.0, 0.5)[i % 2] * radii[0]  # on the axis or inside the cylinder
+    params = CostParams(
+        *weights.tolist(),
+        r_drone=float(rng.choice((0.0, 0.07, 0.3))),
+        zero_hat=float(rng.choice((1e-6, 0.05))),
+        target=None if i % 7 == 3 else Vec3(*rng.uniform(-4.0, 4.0, size=3)),
+        obstacles=tuple(Obstacle(*c, r) for c, r in zip(xy.tolist(), radii.tolist())),
+    )
+    noise = None
+    if i % 4 == 2:
+        noise = partial(_pair_noise, _round_keys(i), 7, sigma=0.05)
+    observed, counts, _, seen = _snapshot(pos, np.arange(n), (math.inf, 0.6)[(i // 2) % 2], noise)
+    return observed, seen, counts, params
+
+
+def test_pfc_costs_equal_evaluate_cost():
+    # A PFC decision takes its own-position cost terms from the gradient
+    # pass; evaluate_cost scores the same point in _cost_terms, a pass of
+    # its own, so it is an oracle for them.  (The batch-of-1 comparison in
+    # test_flock_kernel_rows_equal_batch_of_one runs the same pass on both
+    # sides.)  The generator must reach every edge it is written for.
+    edges = {"empty": 0, "sep_clamp": 0, "obs_clamp": 0, "coincident": 0, "far": 0}
+    zero_weights, obstacle_counts = set(), set()
+    cfg = ControllerConfig(kind="PFC")
+    for i in range(PFC_CASES):
+        observed, seen, counts, params = _pfc_flock(i)
+        d = _decide(observed, _neighborhoods(seen, counts), params, cfg)
+        for a, nbr in enumerate(_views(seen, counts)):
+            c = evaluate_cost(observed[a], nbr, params)
+            assert _hex(d.costs[a]) == _hex((c.total, c.coh, c.sep, c.tar, c.obs)), (i, a)
+            dist = np.sqrt(((observed[a] - nbr) ** 2).sum(axis=1))
+            edges["empty"] += len(nbr) == 0
+            edges["sep_clamp"] += int((dist - 2.0 * params.r_drone < params.zero_hat).sum())
+            edges["coincident"] += int((dist == 0.0).sum())
+            edges["far"] += bool(np.abs(observed[a]).max() > 1e15)
+            for o in params.obstacles:
+                gap = math.hypot(observed[a, 0] - o.x, observed[a, 1] - o.y) - o.radius
+                edges["obs_clamp"] += gap - params.r_drone < params.zero_hat
+        zero_weights.update(j for j, w in enumerate((params.w_coh, params.w_sep, params.w_tar,
+                                                     params.w_obs)) if w == 0.0)
+        obstacle_counts.add(len(params.obstacles))
+    assert min(edges.values()) > 0, edges
+    assert zero_weights == {0, 1, 2, 3} and obstacle_counts == {0, 3, 11}
+
+
+def test_pfc_rollout_costs_equal_evaluate_cost():
+    # Every recorded cost row of a PFC rollout through the eleven cylinders
+    # is evaluate_cost at the agent's observed position against the
+    # snapshot it observed that tick.
+    trace = run_scenario(DIGEST_CASES["pfc_B_eleven"]())
+    assert trace.config.controller.kind == "PFC" and trace.config.cost.w_obs > 0.0
+    for k, rec in enumerate(trace.records):
+        params = tick_cost_params(trace, k)
+        for agent, p in enumerate(rec.observed_self):
+            nbr = [q for j, q in tick_observation(trace, k, agent) if j != agent]
+            c = evaluate_cost(p, nbr, params)
+            assert _hex(rec.costs[agent]) == _hex((c.total, c.coh, c.sep, c.tar, c.obs)), (k, agent)
+
+
+def test_holders_keep_their_position_and_movers_their_bits():
+    # SPC steps every ladder along the gradient with a holder's zeroed, so a
+    # holder's padded rows repeat its position.  Agents 1 (no neighbours, no
+    # target weight: a flat gradient), 2 (a finite gradient whose norm
+    # overflows) and 4 (at +inf: a NaN gradient) hold between movers 0 and 3.
+    params = CostParams(w_coh=20.0, w_sep=9.0, w_tar=0.0, w_obs=0.0, r_drone=0.07,
+                        target=Vec3(2.0, 1.0, 1.4))
+    observed = np.array([[0.0, 0.0, 1.0], [-3.0, 2.0, 1.2], [1e300, 0.0, 0.0],
+                         [0.3, -0.2, 1.4], [math.inf, 0.0, 1.0]])
+    views = [np.array([[0.4, 0.1, 1.1], [-0.3, 0.2, 0.9]]), np.empty((0, 3)),
+             np.array([[-1e300, 0.0, 0.0]]), np.array([[0.0, 0.0, 1.0]]),
+             np.array([[0.0, 0.0, 1.0]])]
+    hoods = _neighborhoods(np.concatenate(views), np.array([len(v) for v in views]))
+    for cfg in (ControllerConfig(kind="SPC"), ControllerConfig(kind="SPC", dynamic_n=False)):
+        with np.errstate(over="ignore", invalid="ignore"):
+            d = _decide(observed, hoods, params, cfg)
+            for a in (0, 3):  # movers
+                one = _decide(observed[a:a + 1], _one_neighborhood(views[a]), params, cfg)
+                for name, values in one._asdict().items():
+                    assert _hex(getattr(d, name)[a]) == _hex(values[0]), (a, name)
+        assert (d.n_candidates[[0, 3]] > 0).all() and (d.chosen_m[[0, 3]] > 0).all()
+        for a in (1, 2, 4):  # holders
+            assert (d.n_candidates[a], d.chosen_m[a]) == (0, 0), a
+            assert _hex(d.setpoints[a]) == _hex(observed[a]), a
+        assert d.grad_norms[1] == 0.0 and d.grad_norms[2] == math.inf
+        assert math.isnan(d.grad_norms[4])

@@ -337,6 +337,15 @@ def test_equilibrium_distance_rejects_a_ratio_that_is_not_positive_and_finite(w_
         equilibrium_distance(w_coh, w_sep, r_drone)
 
 
+@pytest.mark.parametrize("r_drone", [1e200, 8e307])
+def test_equilibrium_distance_is_finite_up_to_the_overflow_of_2_r_drone(r_drone):
+    # The bracket's cubes pass the float range from about 5e118 on (a Python
+    # OverflowError), and lo + hi from about 4.5e307 on; the root still lies
+    # just past 2 r_drone.
+    d = equilibrium_distance(1.0, 1.0, r_drone)
+    assert 2.0 * r_drone <= d < math.inf, d
+
+
 def test_breakdown_total_is_sum_of_terms():
     rng = np.random.default_rng(99)
     for _ in range(50):
