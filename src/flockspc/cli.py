@@ -21,8 +21,6 @@ from itertools import product
 from pathlib import Path
 from typing import Any
 
-import numpy as np
-
 from .config import _AGENT_COUNT, _COUNTER_WORD, ConfigError, ScenarioConfig, SpawnSpec
 from .config import load, load_scenario, scenario_to_dict
 from .controller import ControllerConfig, ControllerKind
@@ -214,7 +212,7 @@ def cmd_equilibrium(args: argparse.Namespace) -> int:
     )
     trace = run_scenario(cfg)
     tail = [rec for rec in trace.records if rec.time >= 25.0]
-    seps = [float(np.linalg.norm(rec.positions[0] - rec.positions[1])) for rec in tail]
+    seps = [math.dist(rec.positions[0], rec.positions[1]) for rec in tail]  # no squares to overflow
     mean_sep = sum(seps) / len(seps)
     rel = abs(mean_sep - d_eq) / d_eq
     print(f"two-agent rollout: mean separation {mean_sep:.5f} m ({rel * 100:.2f}% off)")

@@ -98,11 +98,15 @@ def _norms(v: np.ndarray) -> np.ndarray:
 
 def _ladders(p: np.ndarray, gradient: np.ndarray, norm: np.ndarray, epsilon: float,
              n: int) -> np.ndarray:
-    """(g, n, 3) candidate ladders: row m - 1 (m = 1..n) of ladder i is
-    p[i] - m * epsilon * gradient[i] / norm[i], for norm[i] non-zero (the
-    norm of gradient[i], or any for a zero gradient: its rows are p[i])."""
-    step = -epsilon * gradient / norm[:, None]
-    return p[:, None] + np.arange(1.0, n + 1.0)[:, None] * step[:, None]
+    """Coordinate planes (3, g, 1 + n) of g candidate ladders: point 0 of
+    ladder i is p[i] and point m (m = 1..n) is p[i] + m * (-epsilon *
+    gradient[i] / norm[i]), for norm[i] non-zero (the norm of gradient[i],
+    or any for a zero gradient: its points are p[i])."""
+    step = (-epsilon * gradient / norm[:, None]).T[:, :, None]
+    planes = np.empty((3, len(p), 1 + n))  # C order: the scoring's inner loops run along m
+    planes[:, :, 0] = p.T
+    np.add(p.T[:, :, None], np.arange(1.0, n + 1.0) * step, out=planes[:, :, 1:])
+    return planes
 
 
 class _Decisions(NamedTuple):
@@ -123,17 +127,17 @@ def _decide(p: np.ndarray, hoods: _Neighborhoods, params: CostParams,
     """The SPC or PFC decisions of n agents at their own observed positions
     p (n, 3) against their neighbourhoods, in one pass on trusted arrays.
 
-    PFC takes its own-position costs from the gradient pass; SPC scores row
-    0, the agent itself, with its ladder.  Ladders are padded to the batch's
-    longest: a padded row is scored but never chosen, and a holder's, along
-    a zeroed gradient, repeats its position.  Rows are independent, so each
-    agent's decision repeats its batch-of-1 bits.
+    PFC takes its own-position costs from the gradient pass; SPC scores
+    point 0, the agent itself, with its ladder.  Ladders are padded to the
+    batch's longest: a padded point is scored but never chosen, and a
+    holder's, along a zeroed gradient, repeats its position.  Points are
+    independent, so each agent's decision repeats its batch-of-1 bits.
     """
     n = p.shape[0]
     costs = np.zeros((n, 5))  # columns total, coh, sep, tar, obs
     if cfg.kind == "PFC":
         gradient = _gradient(p, hoods, params, costs[:, 1:])[4]
-        costs[:, 0] = _cost_totals(costs[:, 1:])
+        costs[:, 0] = _cost_totals(costs[:, 1:].T)
         return _Decisions(p - cfg.pfc_gain * gradient, costs, _norms(gradient),
                           *np.zeros((2, n), dtype=np.int32))  # no candidates, none chosen
 
@@ -147,17 +151,16 @@ def _decide(p: np.ndarray, hoods: _Neighborhoods, params: CostParams,
     counts = moves.astype(np.int32) * lookahead
     longest = int(counts.max())
     along = np.where(moves[:, None], gradient, 0.0)  # a holder's ladder repeats p
-    ladders = _ladders(p, along, np.where(moves, norm, 1.0), cfg.epsilon, longest)
-    points = np.concatenate((p[:, None], ladders), axis=1)
+    points = _ladders(p, along, np.where(moves, norm, 1.0), cfg.epsilon, longest)
     terms = _cost_terms(points, hoods, params)
     totals = _cost_totals(terms)
-    # Row 0 (hold) counts as infinitely costly, so argmin picks the first
+    # Point 0 (hold) counts as infinitely costly, so argmin picks the first
     # minimum of the agent's own finite candidate costs, or holds.
     m = np.arange(1 + longest)
     own = (m > 0) & (m <= counts[:, None]) & (totals < math.inf)
     chosen = np.where(own, totals, math.inf).argmin(axis=1).astype(np.int32)
-    costs[:, 0], costs[:, 1:] = totals[:, 0], terms[:, 0]
-    return _Decisions(points[np.arange(n), chosen], costs, norm, counts, chosen)
+    costs[:, 0], costs[:, 1:] = totals[:, 0], terms[:, :, 0].T
+    return _Decisions(points[:, np.arange(n), chosen].T, costs, norm, counts, chosen)
 
 
 def _setpoint(p_i: Point, neighbors: Neighbors, params: CostParams, cfg: ControllerConfig,

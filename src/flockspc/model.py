@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import MISSING, dataclass, field, fields
-from functools import cache, cached_property
+from functools import cache, cached_property, reduce
 from typing import Any, Callable, NamedTuple, Sequence, get_args
 
 import numpy as np
@@ -190,10 +190,10 @@ class CostParams:
 
     @cached_property
     def _obstacle_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        # (k, 2) centers and (k,) radii, cached because params are reused
+        # (k, 2) centers and (k, 1, 1) radii, cached because params are reused
         # across every candidate evaluation of a control tick.
         centers = np.array([(o.x, o.y) for o in self.obstacles], dtype=float)
-        radii = np.array([o.radius for o in self.obstacles], dtype=float)
+        radii = np.array([o.radius for o in self.obstacles], dtype=float)[:, None, None]
         return centers, radii
 
     @cached_property
@@ -280,10 +280,9 @@ def _one_neighborhood(neighbors: Neighbors) -> _Neighborhoods:
 
 
 def _centroids(points: np.ndarray, hoods: _Neighborhoods) -> np.ndarray:
-    # Centroid of {point} u H for every point (n, m, 3); the point itself
-    # when agent i has no neighbours.
-    h = hoods.counts[:, None, None]
-    return np.where(h > 0, (points + hoods.sums[:, None]) / (h + 1), points)
+    # Centroid of {point} u H at every point of the planes (3, n, m), or the
+    # point itself for an agent without neighbours (whose h + 1 is unused).
+    return np.where(hoods.has, (points + hoods.sums.T[:, :, None]) / (hoods.h + 1), points)
 
 
 def _sep_gap(d: np.ndarray, params: CostParams) -> np.ndarray:
@@ -291,53 +290,76 @@ def _sep_gap(d: np.ndarray, params: CostParams) -> np.ndarray:
 
 
 def _obs_gap(dxy: np.ndarray, params: CostParams) -> np.ndarray:
+    # dxy (K, n, m) is obstacle-major.
     return np.maximum(dxy - params._obstacle_arrays[1] - params.r_drone, params.zero_hat)
+
+
+def _obstacle_sum(x: np.ndarray) -> np.ndarray:
+    """Sums over the obstacles of x (K, ...) in numpy's add.reduce order
+    along a contiguous row (pairwise_sum): left to right below 8 terms, 8
+    accumulators and their pairwise total up to 128, else halves split at a
+    multiple of 8.  So each point's sum repeats its single-point bits."""
+    k = len(x)
+    if k > 128:
+        half = k // 2 - k // 2 % 8
+        return _obstacle_sum(x[:half]) + _obstacle_sum(x[half:])
+    if k < 8:
+        return reduce(np.add, x[1:], x[0])
+    r = x[:8]
+    for i in range(8, k - k % 8, 8):
+        r = r + x[i:i + 8]
+    while len(r) > 1:  # ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))
+        r = r[0::2] + r[1::2]
+    return reduce(np.add, x[k - k % 8:], r[0])
 
 
 def _put_terms(terms: np.ndarray, hoods: _Neighborhoods, params: CostParams, d2, gap,
                centroid, clear) -> np.ndarray:
-    """Write into terms (n, m, 4) the cost terms at m points per agent from
-    the pairs' squared distances d2 and separation gaps (k, m), the centroids
-    (n, m, 3) and the obstacle gaps clear (n, m, k); a None term stays 0."""
+    """Write into the planes terms (4, n, m) the cost terms at m points per
+    agent from the pairs' squared distances d2 and separation gaps (k, m),
+    the centroid planes (3, n, m) and the obstacle gaps clear (K, n, m); a
+    None term stays 0."""
     if d2 is not None:
         bins = (hoods.rows[:, None] * d2.shape[1] + np.arange(d2.shape[1])).ravel()
         if params.w_coh > 0.0:
-            terms[..., 0] = params.w_coh * _pair_sum(d2, bins, len(terms)) / hoods.h
+            terms[0] = params.w_coh * _pair_sum(d2, bins, terms.shape[1]) / hoods.h
         if gap is not None:
-            terms[..., 1] = params.w_sep * _pair_sum(1.0 / gap**2, bins, len(terms)) / hoods.h
+            terms[1] = params.w_sep * _pair_sum(1.0 / gap**2, bins, terms.shape[1]) / hoods.h
     if centroid is not None:
-        terms[..., 2] = params.w_tar * ((params._target_array - centroid) ** 2).sum(axis=2)
+        sq = (params._target_array[:, None, None] - centroid) ** 2
+        terms[2] = params.w_tar * ((sq[0] + sq[1]) + sq[2])
     if clear is not None:
-        terms[..., 3] = params.w_obs * (1.0 / clear**2).sum(axis=2) / len(params.obstacles)
+        terms[3] = params.w_obs * _obstacle_sum(1.0 / clear**2) / len(params.obstacles)
     return terms
 
 
 def _cost_terms(points: np.ndarray, hoods: _Neighborhoods, params: CostParams) -> np.ndarray:
-    """The four cost terms at each point of points (n, m, 3), row i scored
-    against agent i's neighbourhood: an (n, m, 4) array with columns coh,
-    sep, tar, obs.  Neighbour sums are _pair_sum's and obstacle sums run
-    along the last axis, so each point repeats the single-point arithmetic
-    bit for bit whatever n and m are.  Inputs are trusted.
+    """The four cost terms, planes (4, n, m) of coh, sep, tar, obs, at the
+    points of the coordinate planes points (3, n, m), agent i's against its
+    neighbourhood.  Neighbour sums are _pair_sum's, x + y + z adds left to
+    right and obstacle sums are _obstacle_sum's, so each point repeats the
+    single-point bits whatever n and m are.  Inputs are trusted.
     """
     d2 = gap = centroid = clear = None
     if params.w_coh > 0.0 or params.w_sep > 0.0:
-        # (k, m): every point of the pair's agent against the pair's neighbour.
-        diff = points[hoods.rows] - hoods.nbr[:, None]
-        d2 = diff[..., 0] ** 2 + diff[..., 1] ** 2 + diff[..., 2] ** 2
+        # (3, k, m): every point of the pair's agent against the pair's neighbour.
+        sq = points.take(hoods.rows, axis=1)  # C order, unlike points[:, rows]
+        sq -= hoods.nbr.T[:, :, None]
+        sq *= sq
+        d2 = sq[0] + sq[1] + sq[2]
         if params.w_sep > 0.0:
             gap = _sep_gap(np.sqrt(d2), params)
     if params.w_tar > 0.0 and params.target is not None:
         centroid = _centroids(points, hoods)
     if params.w_obs > 0.0 and params.obstacles:
-        centers = params._obstacle_arrays[0]
-        dxy = np.hypot(points[..., 0, None] - centers[:, 0], points[..., 1, None] - centers[:, 1])
-        clear = _obs_gap(dxy, params)
-    return _put_terms(np.zeros(points.shape[:2] + (4,)), hoods, params, d2, gap, centroid, clear)
+        cx, cy = params._obstacle_arrays[0].T[:, :, None, None]  # (K, 1, 1) each
+        clear = _obs_gap(np.hypot(points[0] - cx, points[1] - cy), params)
+    return _put_terms(np.zeros((4,) + points.shape[1:]), hoods, params, d2, gap, centroid, clear)
 
 
 def _cost_totals(terms: np.ndarray) -> np.ndarray:
-    # Added left to right, like the scalar coh + sep + tar + obs.
-    return terms[..., 0] + terms[..., 1] + terms[..., 2] + terms[..., 3]
+    # The planes (4, ...) added left to right, like the scalar coh + sep + tar + obs.
+    return terms[0] + terms[1] + terms[2] + terms[3]
 
 
 def evaluate_cost(p_i: Point, neighbors: Neighbors, params: CostParams) -> CostBreakdown:
@@ -347,8 +369,8 @@ def evaluate_cost(p_i: Point, neighbors: Neighbors, params: CostParams) -> CostB
     contribute exactly 0.  Raises ValueError on non-finite inputs.
     """
     p = _points([p_i], "position")
-    terms = _cost_terms(p[None], _one_neighborhood(neighbors), params)
-    coh, sep, tar, obs = terms[0, 0].tolist()
+    terms = _cost_terms(p.T[:, :, None], _one_neighborhood(neighbors), params)
+    coh, sep, tar, obs = terms[:, 0, 0].tolist()
     return CostBreakdown(coh=coh, sep=sep, tar=tar, obs=obs, total=coh + sep + tar + obs)
 
 
@@ -376,23 +398,24 @@ def _gradient(p: np.ndarray, hoods: _Neighborhoods, params: CostParams,
             np.multiply(-(2.0 * params.w_sep / hoods.h), push, out=grad[1], where=hoods.has)
 
     if params.w_tar > 0.0 and params.target is not None:
-        centroid = _centroids(p[:, None], hoods)
+        centroid = _centroids(p.T[:, :, None], hoods)
         scale = 2.0 * params.w_tar / (hoods.counts + 1)
-        grad[2] = scale[:, None] * (centroid[:, 0] - params._target_array)
+        grad[2] = scale[:, None] * (centroid[:, :, 0].T - params._target_array)
 
     k = len(params.obstacles)
     if params.w_obs > 0.0 and k > 0:
         centers = params._obstacle_arrays[0]
-        dvec = np.stack([p[:, 0, None] - centers[:, 0], p[:, 1, None] - centers[:, 1]], axis=2)
-        dxy = np.hypot(dvec[..., 0], dvec[..., 1])
-        unit2 = dvec / np.where(dxy > 0.0, dxy, 1.0)[..., None]
-        unit2[dxy == 0.0] = (1.0, 0.0)
-        clear = _obs_gap(dxy[:, None], params)
-        gap3 = (clear * clear * clear)[:, 0]
-        grad[3, :, :2] = -(2.0 * params.w_obs / k) * (unit2 / gap3[..., None]).sum(axis=1)
+        unit = p[:, None, :2] - centers  # (n, K, 2), from each centre toward p_i
+        dxy = np.hypot(unit[..., 0], unit[..., 1])
+        unit /= np.where(dxy > 0.0, dxy, 1.0)[..., None]
+        if not dxy.all():  # a point on an axis (a NaN is truthy)
+            unit[dxy == 0.0] = (1.0, 0.0)
+        clear = _obs_gap(dxy.T[:, :, None], params)
+        gap3 = (clear * clear * clear)[:, :, 0].T
+        grad[3, :, :2] = -(2.0 * params.w_obs / k) * (unit / gap3[..., None]).sum(axis=1)
 
     if costs is not None:
-        _put_terms(costs[:, None], hoods, params, d2, gap, centroid, clear)
+        _put_terms(costs.T[:, :, None], hoods, params, d2, gap, centroid, clear)
     grad[4] = grad[0] + grad[1] + grad[2] + grad[3]
     return grad
 
@@ -426,8 +449,8 @@ def finite_difference_gradient(
     """
     _POSITIVE.check(h, "h")
     p = _points([p_i], "position")
-    shifts = np.eye(3) * h  # rows p + h e_i, then p - h e_i, scored in one batch
-    points = np.vstack((p + shifts, p - shifts))[None]
+    shifts = np.eye(3) * h  # points p + h e_i, then p - h e_i, scored in one batch
+    points = np.vstack((p + shifts, p - shifts)).T[:, None]
     costs = _cost_totals(_cost_terms(points, _one_neighborhood(neighbors), params))[0]
     return Vec3(*((costs[:3] - costs[3:]) / (2.0 * h)).tolist())
 

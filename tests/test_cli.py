@@ -4,9 +4,12 @@ and the sweep grid."""
 from __future__ import annotations
 
 import json
+import math
 import os
+import re
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -529,6 +532,23 @@ def test_equilibrium_overflowing_radius_exits_2(capsys, verify):
     captured = capsys.readouterr()
     assert captured.err.startswith("error: 2 * r_drone: must be >= 0 and finite, got inf")
     assert captured.out == "" and "Traceback" not in captured.err, captured
+
+
+def test_equilibrium_verify_measures_huge_separations_without_overflow(capsys):
+    # The agents spawn 2 * d_eq = 4e160 m apart and cannot move at that
+    # scale, so the rollout fails the 5 % check; a separation measured with
+    # squares (np.linalg.norm) overflowed to inf there, with a warning.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["equilibrium", "--w-coh", "1", "--w-sep", "1", "--r-drone", "1e160",
+                     "--verify"])
+    captured = capsys.readouterr()
+    line = captured.out.splitlines()[-1]
+    sep, off = re.fullmatch(r"two-agent rollout: mean separation (\S+) m \((\S+)% off\)",
+                            line).groups()
+    assert math.isfinite(float(sep)) and float(sep) > 3.9e160, line
+    assert off == "100.00", line
+    assert code == 3 and captured.err.startswith("verification failed"), captured.err
 
 
 def test_equilibrium_verify_against_rollout(capsys):

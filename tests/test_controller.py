@@ -76,7 +76,7 @@ def _ladder(p: Vec3, g: Vec3, epsilon: float, n: int) -> list[Vec3]:
     """The SPC ladder kernel for one agent."""
     grad = np.array([tuple(g)], dtype=float)
     ladder = _ladders(np.array([tuple(p)], dtype=float), grad, _norms(grad), epsilon, n)
-    return [Vec3(*row) for row in ladder[0].tolist()]
+    return [Vec3(*row) for row in ladder[:, 0, 1:].T.tolist()]
 
 
 def test_candidate_set_oracle():

@@ -567,7 +567,7 @@ def test_decision_diagnostics_match_replay():
             if n:
                 grad = np.array([tuple(g)])
                 ladder = _ladders(np.array([tuple(p_self)]), grad, _norms(grad), ctrl.epsilon, n)
-                cands = [Vec3(*q) for q in ladder[0].tolist()]
+                cands = [Vec3(*q) for q in ladder[:, 0, 1:].T.tolist()]
             chosen = next((m for m, q in enumerate(cands, start=1) if q == sp), 0)
             got = (int(rec.n_neighbors[agent]), int(rec.n_candidates[agent]),
                    int(rec.chosen_m[agent]))

@@ -136,7 +136,7 @@ def test_flock_kernel_rows_equal_batch_of_one(part):
         cfgs = _controllers(rng)
         with np.errstate(over="ignore", invalid="ignore"):
             grad = _gradient(observed, hoods, params)
-            terms = _cost_terms(points, hoods, params)
+            terms = _cost_terms(points.transpose(2, 0, 1), hoods, params)
             decisions = [_decide(observed, hoods, params, cfg) for cfg in cfgs]
             for a in range(n):
                 p, nbr = Vec3(*observed[a].tolist()), views[a]
@@ -144,7 +144,7 @@ def test_flock_kernel_rows_equal_batch_of_one(part):
                 assert _hex(grad[:, a]) == _hex([tuple(v) for v in g.__dict__.values()]), (i, a)
                 for j, point in enumerate(points[a]):
                     c = evaluate_cost(point, nbr, params)
-                    assert _hex(terms[a, j]) == _hex((c.coh, c.sep, c.tar, c.obs)), (i, a, j)
+                    assert _hex(terms[:, a, j]) == _hex((c.coh, c.sep, c.tar, c.obs)), (i, a, j)
                 for cfg, d in zip(cfgs, decisions):
                     setpoint = spc_setpoint if cfg.kind == "SPC" else pfc_setpoint
                     sp = setpoint(p, nbr, params, cfg)
@@ -208,18 +208,19 @@ def test_neighbour_sums_run_left_to_right_and_padding_adds_nothing():
     hoods = _neighborhoods(seen[near], near.sum(axis=1))
     assert hoods.nbr.shape == (21, 3)
     grad = _gradient(observed, hoods, params)
-    terms = _cost_terms(observed[:, None], hoods, params)  # m = 1, as in a PFC pass
+    terms = _cost_terms(observed.T[:, :, None], hoods, params)  # m = 1, as in a PFC pass
     # No neighbours: +0.0 sums, cohesion and separation (a -0.0 would reach the CSV).
     zero = [(0.0).hex()] * 3
     assert _hex(hoods.sums[2]) == _hex(grad[0, 2]) == _hex(grad[1, 2]) == zero
-    assert _hex(terms[2, 0, :2]) == zero[:2]
+    assert _hex(terms[:2, 2, 0]) == zero[:2]
     cfgs = (ControllerConfig(kind="SPC"), ControllerConfig(kind="PFC"))
     decisions = [_decide(observed, hoods, params, cfg) for cfg in cfgs]
     for a in range(3):
         one_hood = _one_neighborhood(seen[a][near[a]])
         assert _hex(hoods.sums[a]) == _hex(one_hood.sums[0])
         assert _hex(grad[:, a]) == _hex(_gradient(observed[a:a + 1], one_hood, params)[:, 0])
-        assert _hex(terms[a]) == _hex(_cost_terms(observed[a:a + 1, None], one_hood, params))
+        assert _hex(terms[:, a]) == _hex(_cost_terms(observed[a:a + 1].T[:, :, None], one_hood,
+                                                     params)[:, 0])
         for cfg, d in zip(cfgs, decisions):
             one = _decide(observed[a:a + 1], one_hood, params, cfg)
             for name, values in one._asdict().items():

@@ -22,7 +22,9 @@ from flockspc import (
     finite_difference_gradient,
     spc_setpoint,
 )
-from flockspc.model import _cost_terms, _cost_totals, _gradient, _one_neighborhood
+from flockspc.controller import _decide
+from flockspc.model import _cost_terms, _cost_totals, _gradient, _neighborhoods, _obstacle_sum
+from flockspc.model import _one_neighborhood
 
 
 def _close(a: float, b: float, tol: float = 1e-9) -> bool:
@@ -482,11 +484,11 @@ def test_cost_kernel_is_bit_identical_to_scalar_reference():
     for i in range(3000):
         p, nbr, params = _kernel_case(rng, i)
         points = np.vstack((p, p + rng.normal(0.0, 0.3, size=(int(rng.integers(0, 16)), 3))))
-        terms = _cost_terms(points[None], _one_neighborhood(nbr), params)[0]
+        terms = _cost_terms(points.T[:, None], _one_neighborhood(nbr), params)[:, 0]
         totals = _cost_totals(terms)
         for row, point in enumerate(points):
             want = _scalar_cost(point, nbr, params)
-            got = (*terms[row].tolist(), float(totals[row]))
+            got = (*terms[:, row].tolist(), float(totals[row]))
             assert got == want, f"case {i} row {row}: {got} != {want}"
         br = evaluate_cost(p, nbr, params)
         assert (br.coh, br.sep, br.tar, br.obs, br.total) == _scalar_cost(p, nbr, params)
@@ -508,6 +510,64 @@ def test_gradient_core_is_bit_identical_to_scalar_reference():
         assert _hex(_gradient(p[None], _one_neighborhood(nbr), params)[:, 0]) == want, f"case {i}"
         g = evaluate_gradient(Vec3(*p.tolist()), nbr, params)
         assert _hex((g.coh, g.sep, g.tar, g.obs, g.total)) == want, f"case {i}"
+
+
+def test_obstacle_sum_takes_numpy_reduce_order():
+    # The cost kernel sums each point's obstacle terms across planes (K, N)
+    # in the order numpy's add.reduce takes along a contiguous row: left to
+    # right below 8 terms, 8 accumulators up to 128, then halves split at a
+    # multiple of 8.  The scalar cost sums with .sum(), so a numpy whose
+    # order drifted from the written-out one fails here, digests or not.
+    rng = np.random.default_rng(29)
+    differs = []  # counts of terms at which left to right gives other bits
+    for k in range(1, 301):
+        x = rng.choice((-1.0, 1.0), size=(k, 64)) * 10.0 ** rng.uniform(-6.0, 6.0, size=(k, 64))
+        want = np.add.reduce(np.ascontiguousarray(x.T), axis=-1)
+        assert _hex([_obstacle_sum(x)]) == _hex([want]), k
+        if _hex([reduce(add, x)]) != _hex([want]):
+            differs.append(k)
+    assert min(differs) == 8 and any(k <= 128 for k in differs) and max(differs) > 128, differs
+
+
+def test_cost_kernel_with_200_obstacles():
+    # Past the 128-term split of numpy's pairwise sum: every point of a
+    # flock's candidate planes against the scalar cost (its .sum() is the
+    # independent oracle), and the flock's pass against batch-of-1 calls.
+    rng = np.random.default_rng(200)
+    n, m, k = 7, 6, 200
+    pos = rng.uniform(-5.0, 5.0, size=(n, 3))
+    xy = rng.uniform(-5.0, 5.0, size=(k, 2))
+    xy[0] = pos[0, :2]  # agent 0 on an obstacle's axis: clamped
+    radii = rng.uniform(0.05, 0.6, size=k)
+    params = CostParams(w_coh=20.0, w_sep=9.0, w_tar=150.0, w_obs=12.0, r_drone=0.07,
+                        target=Vec3(4.0, -1.0, 1.4),
+                        obstacles=tuple(Obstacle(*c, r) for c, r in zip(xy.tolist(),
+                                                                        radii.tolist())))
+    counts = rng.integers(0, n, size=n)
+    views = [pos[rng.choice(np.delete(np.arange(n), a), size=c, replace=False)]
+             for a, c in enumerate(counts)]
+    hoods = _neighborhoods(np.concatenate(views), counts)
+    points = pos[:, None] + rng.normal(0.0, 0.3, size=(n, m, 3))
+    points[:, 0] = pos
+    terms = _cost_terms(points.transpose(2, 0, 1), hoods, params)
+    totals = _cost_totals(terms)
+    left_to_right = 0
+    for a in range(n):
+        one = _cost_terms(points[a].T[:, None], _one_neighborhood(views[a]), params)
+        assert _hex(terms[:, a]) == _hex(one[:, 0]), a
+        for j, point in enumerate(points[a]):
+            want = _scalar_cost(point, views[a], params)
+            assert (*terms[:, a, j].tolist(), float(totals[a, j])) == want, (a, j)
+            inv = 1.0 / np.maximum(np.hypot(point[0] - xy[:, 0], point[1] - xy[:, 1]) - radii
+                                   - params.r_drone, params.zero_hat) ** 2
+            left_to_right += reduce(add, inv.tolist()) != float(inv.sum())
+    assert left_to_right > 0  # the case tells the two orders apart
+    for cfg in (ControllerConfig(kind="SPC"), ControllerConfig(kind="PFC")):
+        d = _decide(pos, hoods, params, cfg)
+        for a in range(n):
+            one = _decide(pos[a:a + 1], _one_neighborhood(views[a]), params, cfg)
+            for name, values in one._asdict().items():
+                assert _hex([getattr(d, name)[a:a + 1].ravel()]) == _hex([values.ravel()]), a
 
 
 def _hex(vectors) -> list[str]:
