@@ -214,6 +214,8 @@ def cmd_equilibrium(args: argparse.Namespace) -> int:
     tail = [rec for rec in trace.records if rec.time >= 25.0]
     seps = [math.dist(rec.positions[0], rec.positions[1]) for rec in tail]  # no squares to overflow
     mean_sep = sum(seps) / len(seps)
+    if mean_sep == math.inf:  # the sum overflowed: divide each separation first
+        mean_sep = sum(sep / len(seps) for sep in seps)
     rel = abs(mean_sep - d_eq) / d_eq
     print(f"two-agent rollout: mean separation {mean_sep:.5f} m ({rel * 100:.2f}% off)")
     if rel > 0.05:

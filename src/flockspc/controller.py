@@ -93,7 +93,8 @@ def dynamic_lookahead_count(n_star: int, dist_to_target: float) -> int:
 
 def _norms(v: np.ndarray) -> np.ndarray:
     # Row norms of v (n, 3), summed x, y, z like the scalar formula.
-    return np.sqrt(v[:, 0] * v[:, 0] + v[:, 1] * v[:, 1] + v[:, 2] * v[:, 2])
+    sq = v * v
+    return np.sqrt(sq[:, 0] + sq[:, 1] + sq[:, 2])
 
 
 def _ladders(p: np.ndarray, gradient: np.ndarray, norm: np.ndarray, epsilon: float,
@@ -156,8 +157,9 @@ def _decide(p: np.ndarray, hoods: _Neighborhoods, params: CostParams,
     totals = _cost_totals(terms)
     # Point 0 (hold) counts as infinitely costly, so argmin picks the first
     # minimum of the agent's own finite candidate costs, or holds.
-    m = np.arange(1 + longest)
-    own = (m > 0) & (m <= counts[:, None]) & (totals < math.inf)
+    own = np.arange(1 + longest) <= counts[:, None]
+    own[:, 0] = False
+    own &= totals < math.inf
     chosen = np.where(own, totals, math.inf).argmin(axis=1).astype(np.int32)
     costs[:, 0], costs[:, 1:] = totals[:, 0], terms[:, :, 0].T
     return _Decisions(points[:, np.arange(n), chosen].T, costs, norm, counts, chosen)

@@ -126,17 +126,21 @@ def _snapshot(pos: np.ndarray, agents: np.ndarray, r_h: float, noise: PairNoise 
     Noise is drawn for those pairs and the self pairs only, in one call;
     None adds none.  Inputs are trusted."""
     a = agents.shape[0]
-    d2 = (pos[:, 0] - pos[agents, 0, None]) ** 2  # summed x, y, z in place
-    d2 += (pos[:, 1] - pos[agents, 1, None]) ** 2
-    d2 += (pos[:, 2] - pos[agents, 2, None]) ** 2
+    own = pos[agents]
+    d2 = pos[:, 0] - own[:, 0, None]  # squared and summed x, y, z in place
+    d2 *= d2
+    for c in (1, 2):
+        d = pos[:, c] - own[:, c, None]
+        d2 += np.multiply(d, d, out=d)
     near = d2 < _range_bound(r_h)
     near[np.arange(a), agents] = False
     rows, cols = np.divmod(np.flatnonzero(near), pos.shape[0])  # np.nonzero's order and dtype
     counts = np.bincount(rows, minlength=a).astype(np.int32)
     if noise is None:
-        return pos[agents], counts, cols, pos[cols]
+        return own, counts, cols, pos[cols]
     noisy = noise(np.concatenate((agents, agents[rows])), np.concatenate((agents, cols)))
-    return pos[agents] + noisy[:a], counts, cols, pos[cols] + noisy[a:]
+    own += noisy[:a]
+    return own, counts, cols, pos[cols] + noisy[a:]
 
 
 def _tick_noise(cfg: ScenarioConfig, tick: int) -> PairNoise | None:
@@ -220,10 +224,10 @@ def _spawn_positions(cfg: ScenarioConfig) -> np.ndarray:
     return placed
 
 
-def _advance(state: np.ndarray, sp: np.ndarray, cfg: ScenarioConfig, when: str) -> np.ndarray:
-    """The (n, 8) state rows after one control period of LLC + plant steps
-    toward the setpoints sp (n, 3).  Raises DivergenceError, prefixed by
-    `when`, for the first physics step's first agent whose state is not finite."""
+def _advance(state: np.ndarray, sp: np.ndarray, cfg: ScenarioConfig, tick: int) -> np.ndarray:
+    """The (n, 8) state rows after control tick `tick`'s LLC + plant steps
+    toward the setpoints sp (n, 3).  Raises DivergenceError, naming the tick,
+    for the first physics step's first agent whose state is not finite."""
     new_state = state.copy()
     fly(new_state, sp, cfg.llc, cfg.physics_dt, cfg.steps_per_tick)
     if not np.isfinite(new_state[:, :6]).all():
@@ -234,7 +238,8 @@ def _advance(state: np.ndarray, sp: np.ndarray, cfg: ScenarioConfig, when: str) 
             fly(replay, sp, cfg.llc, cfg.physics_dt, 1)
             for i, row in enumerate(replay.tolist()):
                 if (fault := _plant_fault(row)) is not None:
-                    raise DivergenceError(f"{when}, agent {i}: {fault}")
+                    raise DivergenceError(f"tick {tick} (t={tick * cfg.control_period:g} s), "
+                                          f"agent {i}: {fault}")
     return new_state
 
 
@@ -256,6 +261,7 @@ class Simulation:
         self._position_history: deque[np.ndarray] = deque(maxlen=cfg.obs_delay_ticks + 1)
         self._block, self._block_start = np.empty((0, 0, 0, 3)), 0  # small flocks' noise
         self._params: dict[Waypoint | None, CostParams] = {}
+        self._agents = np.arange(cfg.agent_count)  # every agent observes
 
     def _active_params(self, now: float) -> CostParams:
         """Cost params with the target of the waypoint active at `now`, built
@@ -308,19 +314,15 @@ class Simulation:
 
         params = self._active_params(now)
         basis = self._position_history[0]
-        observed, counts, _, seen = _snapshot(basis, np.arange(cfg.agent_count), cfg.r_h,
-                                              self._noise(k))
+        observed, counts, _, seen = _snapshot(basis, self._agents, cfg.r_h, self._noise(k))
         hoods = _neighborhoods(seen, counts)
         decisions = _decide(observed, hoods, params, cfg.controller)
 
-        record = TickRecord(
-            index=k, time=now, target=params.target, positions=positions,
-            velocities=state[:, 3:6].copy(), observed_self=observed,
-            setpoints=decisions.setpoints, costs=decisions.costs,
-            grad_norms=decisions.grad_norms, n_neighbors=counts,
-            n_candidates=decisions.n_candidates, chosen_m=decisions.chosen_m,
-        )
-        self._state = _advance(state, decisions.setpoints, cfg, f"tick {k} (t={now:g} s)")
+        # Positional, in TickRecord's field order: faster than keywords.
+        setpoints, costs, grad_norms, n_candidates, chosen_m = decisions
+        record = TickRecord(k, now, params.target, positions, state[:, 3:6].copy(), observed,
+                            setpoints, costs, grad_norms, counts, n_candidates, chosen_m)
+        self._state = _advance(state, setpoints, cfg, k)
         self.tick_index = k + 1
         return record
 

@@ -245,14 +245,16 @@ class _Neighborhoods(NamedTuple):
     """The frozen neighbourhoods of n agents as pair lists: pair j is agent
     rows[j]'s neighbour nbr[j] (k, 3), agent i's counts[i] (n,) pairs next in
     observation order.  Built once a tick for every kernel: the neighbour sums
-    sums (n, 3) (+0.0 for none), h (n, 1) the counts clamped to 1, has (n, 1)
-    counts > 0, and the _pair_sum bins of 3 values a pair, for sums and pushes."""
+    sums (n, 3) (+0.0 for none), h (n, 1) the counts clamped to 1, h1 (n, 1)
+    the counts + 1, has (n, 1) counts > 0, and the _pair_sum bins of 3 values a
+    pair, for sums and pushes."""
 
     rows: np.ndarray
     nbr: np.ndarray
     counts: np.ndarray
     sums: np.ndarray
     h: np.ndarray
+    h1: np.ndarray
     has: np.ndarray
     bins: np.ndarray
 
@@ -270,7 +272,8 @@ def _neighborhoods(seen: np.ndarray, counts: np.ndarray) -> _Neighborhoods:
     rows = np.repeat(np.arange(len(counts)), counts)
     bins = (rows[:, None] * 3 + np.arange(3)).ravel()
     return _Neighborhoods(rows, seen, counts, _pair_sum(seen, bins, len(counts)),
-                          np.maximum(counts, 1)[:, None], (counts > 0)[:, None], bins)
+                          np.maximum(counts, 1)[:, None], (counts + 1)[:, None],
+                          (counts > 0)[:, None], bins)
 
 
 def _one_neighborhood(neighbors: Neighbors) -> _Neighborhoods:
@@ -281,8 +284,8 @@ def _one_neighborhood(neighbors: Neighbors) -> _Neighborhoods:
 
 def _centroids(points: np.ndarray, hoods: _Neighborhoods) -> np.ndarray:
     # Centroid of {point} u H at every point of the planes (3, n, m), or the
-    # point itself for an agent without neighbours (whose h + 1 is unused).
-    return np.where(hoods.has, (points + hoods.sums.T[:, :, None]) / (hoods.h + 1), points)
+    # point itself for an agent without neighbours.
+    return np.where(hoods.has, (points + hoods.sums.T[:, :, None]) / hoods.h1, points)
 
 
 def _sep_gap(d: np.ndarray, params: CostParams) -> np.ndarray:
@@ -320,14 +323,17 @@ def _put_terms(terms: np.ndarray, hoods: _Neighborhoods, params: CostParams, d2,
     the centroid planes (3, n, m) and the obstacle gaps clear (K, n, m); a
     None term stays 0."""
     if d2 is not None:
-        bins = (hoods.rows[:, None] * d2.shape[1] + np.arange(d2.shape[1])).ravel()
+        m = d2.shape[1]
+        bins = hoods.rows if m == 1 else (hoods.rows[:, None] * m + np.arange(m)).ravel()
         if params.w_coh > 0.0:
             terms[0] = params.w_coh * _pair_sum(d2, bins, terms.shape[1]) / hoods.h
         if gap is not None:
             terms[1] = params.w_sep * _pair_sum(1.0 / gap**2, bins, terms.shape[1]) / hoods.h
     if centroid is not None:
-        sq = (params._target_array[:, None, None] - centroid) ** 2
-        terms[2] = params.w_tar * ((sq[0] + sq[1]) + sq[2])
+        sq = params._target_array[:, None, None] - centroid
+        sq *= sq
+        tar = sq[0] + sq[1]
+        np.multiply(params.w_tar, np.add(tar, sq[2], out=tar), out=terms[2])
     if clear is not None:
         terms[3] = params.w_obs * _obstacle_sum(1.0 / clear**2) / len(params.obstacles)
     return terms
@@ -346,7 +352,8 @@ def _cost_terms(points: np.ndarray, hoods: _Neighborhoods, params: CostParams) -
         sq = points.take(hoods.rows, axis=1)  # C order, unlike points[:, rows]
         sq -= hoods.nbr.T[:, :, None]
         sq *= sq
-        d2 = sq[0] + sq[1] + sq[2]
+        d2 = sq[0] + sq[1]
+        d2 += sq[2]
         if params.w_sep > 0.0:
             gap = _sep_gap(np.sqrt(d2), params)
     if params.w_tar > 0.0 and params.target is not None:
@@ -386,21 +393,25 @@ def _gradient(p: np.ndarray, hoods: _Neighborhoods, params: CostParams,
 
     if params.w_coh > 0.0 or params.w_sep > 0.0:
         diff = p[hoods.rows] - hoods.nbr  # (k, 3), from each neighbour toward p_i
-        d2 = (diff[:, 0] ** 2 + diff[:, 1] ** 2 + diff[:, 2] ** 2)[:, None]
+        sq = diff * diff
+        d2 = (sq[:, 0] + sq[:, 1] + sq[:, 2])[:, None]
         if params.w_coh > 0.0:
             np.multiply(2.0 * params.w_coh, p - hoods.sums / hoods.h, out=grad[0], where=hoods.has)
         if params.w_sep > 0.0:
             d = np.sqrt(d2)
             unit = diff / np.where(d > 0.0, d, 1.0)
-            unit[d[:, 0] == 0.0] = (1.0, 0.0, 0.0)
+            if not d.all():  # a coincident pair (a NaN is truthy)
+                unit[d[:, 0] == 0.0] = (1.0, 0.0, 0.0)
             gap = _sep_gap(d, params)
-            push = _pair_sum(unit / (gap * gap * gap), hoods.bins, len(p))
-            np.multiply(-(2.0 * params.w_sep / hoods.h), push, out=grad[1], where=hoods.has)
+            unit /= gap * gap * gap
+            push = _pair_sum(unit, hoods.bins, len(p))
+            # -(2 w_sep / h) as one division: negation is exact
+            np.multiply((-2.0 * params.w_sep) / hoods.h, push, out=grad[1], where=hoods.has)
 
     if params.w_tar > 0.0 and params.target is not None:
         centroid = _centroids(p.T[:, :, None], hoods)
-        scale = 2.0 * params.w_tar / (hoods.counts + 1)
-        grad[2] = scale[:, None] * (centroid[:, :, 0].T - params._target_array)
+        scale = 2.0 * params.w_tar / hoods.h1
+        np.multiply(scale, centroid[:, :, 0].T - params._target_array, out=grad[2])
 
     k = len(params.obstacles)
     if params.w_obs > 0.0 and k > 0:
@@ -416,7 +427,9 @@ def _gradient(p: np.ndarray, hoods: _Neighborhoods, params: CostParams,
 
     if costs is not None:
         _put_terms(costs.T[:, :, None], hoods, params, d2, gap, centroid, clear)
-    grad[4] = grad[0] + grad[1] + grad[2] + grad[3]
+    total = np.add(grad[0], grad[1], out=grad[4])
+    total += grad[2]
+    total += grad[3]
     return grad
 
 

@@ -551,6 +551,22 @@ def test_equilibrium_verify_measures_huge_separations_without_overflow(capsys):
     assert code == 3 and captured.err.startswith("verification failed"), captured.err
 
 
+def test_equilibrium_verify_averages_huge_separations_without_overflow(capsys):
+    # 2 * d_eq is about 4e306 m: each separation is finite, but the 50 of
+    # them add up past the float range, so their plain sum reads inf.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["equilibrium", "--w-coh", "1", "--w-sep", "1", "--r-drone", "1e306",
+                     "--verify"])
+    captured = capsys.readouterr()
+    line = captured.out.splitlines()[-1]
+    sep, off = re.fullmatch(r"two-agent rollout: mean separation (\S+) m \((\S+)% off\)",
+                            line).groups()
+    assert math.isfinite(float(sep)) and 3.9e306 < float(sep) < 4.1e306, line
+    assert off == "100.00", line
+    assert code == 3 and captured.err.startswith("verification failed"), captured.err
+
+
 def test_equilibrium_verify_against_rollout(capsys):
     assert main(["equilibrium", "--w-coh", "20", "--w-sep", "9", "--verify"]) == 0
     out = capsys.readouterr().out

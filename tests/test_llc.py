@@ -610,7 +610,7 @@ def test_divergence_names_first_step_then_lowest_agent_like_the_reference():
         if family == "B" and n >= _BLOCK_ROWS:
             block_cases[expect is None] += 1
         try:
-            new_state = _advance(state, setpoints, cfg, "tick 7 (t=0.7 s)")
+            new_state = _advance(state, setpoints, cfg, 7)
         except DivergenceError as exc:
             assert str(exc) == expect, f"case {case}"
         else:

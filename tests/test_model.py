@@ -363,72 +363,100 @@ def test_breakdown_total_is_sum_of_terms():
 
 def _scalar_cost(p, nbr, params):
     """The single-point cost as it was written before the batched kernel,
-    kept as the bit-level reference: (coh, sep, tar, obs, total).  Its two
-    neighbour sums run left to right, 0.0 + v_0 + v_1 + ... (numpy's .sum()
-    would add 8 or more values pairwise)."""
-    h = nbr.shape[0]
+    kept as the bit-level reference on Python floats: (coh, sep, tar, obs,
+    total).  Its two neighbour sums run left to right, 0.0 + v_0 + v_1 + ...
+    (numpy's .sum() would add 8 or more values pairwise); the centroid adds
+    the neighbours row by row from the first, as nbr.sum(axis=0) does, and
+    x + y + z adds left to right, as a 3-value .sum() does.  The obstacle
+    distances take np.hypot (libm's; math.hypot rounds differently) and
+    their terms numpy's .sum().  `zh if g < zh else g` is np.maximum(g, zh)
+    for a positive zh, NaN included."""
+    px, py, pz = p.tolist()
+    rows = nbr.tolist()
+    h = len(rows)
     coh = sep = tar = obs = 0.0
     if h > 0:
-        diff = p - nbr
-        d2 = diff[:, 0] ** 2 + diff[:, 1] ** 2 + diff[:, 2] ** 2
+        d2 = [(px - x) * (px - x) + (py - y) * (py - y) + (pz - z) * (pz - z) for x, y, z in rows]
         if params.w_coh > 0.0:
-            coh = params.w_coh * reduce(add, d2.tolist(), 0.0) / h
+            coh = params.w_coh * reduce(add, d2, 0.0) / h
         if params.w_sep > 0.0:
-            gap = np.maximum(np.sqrt(d2) - 2.0 * params.r_drone, params.zero_hat)
-            sep = params.w_sep * reduce(add, (1.0 / gap**2).tolist(), 0.0) / h
+            r2, zh = 2.0 * params.r_drone, params.zero_hat
+            gaps = [math.sqrt(v) - r2 for v in d2]
+            sep = params.w_sep * reduce(add, [1.0 / (zh * zh) if g < zh else 1.0 / (g * g)
+                                              for g in gaps], 0.0) / h
     if params.w_tar > 0.0 and params.target is not None:
-        centroid = (p + nbr.sum(axis=0)) / (h + 1) if h > 0 else p
-        t = np.array(tuple(params.target), dtype=float)
-        tar = params.w_tar * float(((t - centroid) ** 2).sum())
+        cx, cy, cz = _scalar_centroid(px, py, pz, rows)
+        tx, ty, tz = params.target
+        tar = params.w_tar * ((tx - cx) * (tx - cx) + (ty - cy) * (ty - cy) + (tz - cz) * (tz - cz))
     k = len(params.obstacles)
     if params.w_obs > 0.0 and k > 0:
-        centers = np.array([(o.x, o.y) for o in params.obstacles], dtype=float)
-        radii = np.array([o.radius for o in params.obstacles], dtype=float)
-        dxy = np.hypot(p[0] - centers[:, 0], p[1] - centers[:, 1])
-        clearance = np.maximum(dxy - radii - params.r_drone, params.zero_hat)
-        obs = params.w_obs * float((1.0 / clearance**2).sum()) / k
+        zh = params.zero_hat
+        gaps = [d - o.radius - params.r_drone
+                for o, d in zip(params.obstacles, _scalar_hypots(px, py, params.obstacles))]
+        inv = [1.0 / (zh * zh) if g < zh else 1.0 / (g * g) for g in gaps]
+        obs = params.w_obs * float(np.array(inv).sum()) / k
     return coh, sep, tar, obs, coh + sep + tar + obs
+
+
+def _scalar_centroid(px, py, pz, rows):
+    # (p + the neighbours added row by row from the first) / (h + 1), or p.
+    if not rows:
+        return px, py, pz
+    sx, sy, sz = (reduce(add, column) for column in zip(*rows))
+    return (px + sx) / (len(rows) + 1), (py + sy) / (len(rows) + 1), (pz + sz) / (len(rows) + 1)
+
+
+def _scalar_hypots(px, py, obstacles):
+    # The xy distances from p to each obstacle axis, from np.hypot.
+    return np.hypot([px - o.x for o in obstacles], [py - o.y for o in obstacles]).tolist()
 
 
 def _scalar_gradient(p, nbr, params):
     """The gradient as it was written before the array core, kept as the
-    bit-level reference: Vec3 terms (coh, sep, tar, obs, total).  Its cubes
-    are two products, like the kernel's, since np.power's cube is a
-    SIMD-dispatched kernel."""
+    bit-level reference on Python floats: Vec3 terms (coh, sep, tar, obs,
+    total).  Its cubes are two products, like the kernel's; its sums over
+    neighbours and obstacles add row by row from the first, as .sum(axis=0)
+    and .mean(axis=0) do."""
+    px, py, pz = p.tolist()
+    rows = nbr.tolist()
+    h = len(rows)
+    zh = params.zero_hat
     zero = Vec3(0.0, 0.0, 0.0)
-    h = nbr.shape[0]
     g_coh = g_sep = g_tar = g_obs = zero
     if h > 0:
-        diff = p - nbr
-        d = np.sqrt(diff[:, 0] ** 2 + diff[:, 1] ** 2 + diff[:, 2] ** 2)
+        diff = [(px - x, py - y, pz - z) for x, y, z in rows]
         if params.w_coh > 0.0:
-            g_coh = Vec3(*(2.0 * params.w_coh * (p - nbr.mean(axis=0))).tolist())
+            mx, my, mz = (reduce(add, column) / h for column in zip(*rows))
+            scale = 2.0 * params.w_coh
+            g_coh = Vec3(scale * (px - mx), scale * (py - my), scale * (pz - mz))
         if params.w_sep > 0.0:
-            unit = np.empty_like(diff)
-            safe = d > 0.0
-            unit[safe] = diff[safe] / d[safe, None]
-            unit[~safe] = (1.0, 0.0, 0.0)
-            gap = np.maximum(d - 2.0 * params.r_drone, params.zero_hat)
-            gap3 = gap * gap * gap
-            g_sep = Vec3(*(-(2.0 * params.w_sep / h) * (unit / gap3[:, None]).sum(axis=0)).tolist())
+            pushes = []
+            for dx, dy, dz in diff:
+                d = math.sqrt(dx * dx + dy * dy + dz * dz)
+                ux, uy, uz = (dx / d, dy / d, dz / d) if d > 0.0 else (1.0, 0.0, 0.0)
+                gap = d - 2.0 * params.r_drone
+                gap = zh if gap < zh else gap  # np.maximum, NaN included
+                gap3 = gap * gap * gap
+                pushes.append((ux / gap3, uy / gap3, uz / gap3))
+            scale = -(2.0 * params.w_sep / h)
+            g_sep = Vec3(*(scale * reduce(add, column) for column in zip(*pushes)))
     if params.w_tar > 0.0 and params.target is not None:
-        centroid = (p + nbr.sum(axis=0)) / (h + 1) if h > 0 else p
-        t = np.array(tuple(params.target), dtype=float)
-        g_tar = Vec3(*((2.0 * params.w_tar / (h + 1)) * (centroid - t)).tolist())
+        cx, cy, cz = _scalar_centroid(px, py, pz, rows)
+        tx, ty, tz = params.target
+        scale = 2.0 * params.w_tar / (h + 1)
+        g_tar = Vec3(scale * (cx - tx), scale * (cy - ty), scale * (cz - tz))
     k = len(params.obstacles)
     if params.w_obs > 0.0 and k > 0:
-        centers = np.array([(o.x, o.y) for o in params.obstacles], dtype=float)
-        radii = np.array([o.radius for o in params.obstacles], dtype=float)
-        dvec = np.stack([p[0] - centers[:, 0], p[1] - centers[:, 1]], axis=1)
-        dxy = np.hypot(dvec[:, 0], dvec[:, 1])
-        unit2 = np.empty_like(dvec)
-        safe = dxy > 0.0
-        unit2[safe] = dvec[safe] / dxy[safe, None]
-        unit2[~safe] = (1.0, 0.0)
-        gap = np.maximum(dxy - radii - params.r_drone, params.zero_hat)
-        gap3 = gap * gap * gap
-        gxy = -(2.0 * params.w_obs / k) * (unit2 / gap3[:, None]).sum(axis=0)
-        g_obs = Vec3(float(gxy[0]), float(gxy[1]), 0.0)
+        pushes = []
+        for o, d in zip(params.obstacles, _scalar_hypots(px, py, params.obstacles)):
+            ux, uy = ((px - o.x) / d, (py - o.y) / d) if d > 0.0 else (1.0, 0.0)
+            gap = d - o.radius - params.r_drone
+            gap = zh if gap < zh else gap
+            gap3 = gap * gap * gap
+            pushes.append((ux / gap3, uy / gap3))
+        scale = -(2.0 * params.w_obs / k)
+        gx, gy = (scale * reduce(add, column) for column in zip(*pushes))
+        g_obs = Vec3(gx, gy, 0.0)
     return g_coh, g_sep, g_tar, g_obs, g_coh + g_sep + g_tar + g_obs
 
 
