@@ -139,10 +139,11 @@ class ScenarioConfig:
             raise ConfigError("spawn.positions", f"expected {self.agent_count} entries, "
                               f"got {len(self.spawn.positions)}")
         spawn = self.spawn
-        if spawn.positions is None and spawn.min_spacing > 0.0:
-            # Balls of radius r = min_spacing / 2 around the agents are disjoint and lie
-            # in the box grown by r (volumes are divided per axis, so none overflows).
-            r = spawn.min_spacing / 2.0
+        # Balls of radius r = min_spacing / 2 around the agents are disjoint and lie in
+        # the box grown by r (volumes are divided per axis, so none overflows).  A
+        # subnormal min_spacing halves to r = 0.0: points, which any box holds.
+        r = spawn.min_spacing / 2.0
+        if spawn.positions is None and r > 0.0:
             grown = [(hi - lo) / r + 2.0 for lo, hi in zip(spawn.box_min, spawn.box_max)]
             if self.agent_count > grown[0] * grown[1] * grown[2] / (4.0 / 3.0 * math.pi):
                 raise ConfigError("spawn.min_spacing", f"{self.agent_count} agents cannot be "

@@ -258,7 +258,9 @@ class Simulation:
         self._state[:, :3] = _spawn_positions(cfg)  # finite: SpawnSpec checks them
         self.tick_index = 0
         # The last obs_delay_ticks + 1 ticks' positions: [0] is the delayed snapshot's.
-        self._position_history: deque[np.ndarray] = deque(maxlen=cfg.obs_delay_ticks + 1)
+        # run() appends tick_count of them, so a longer delay keeps them all.
+        self._position_history: deque[np.ndarray] = deque(
+            maxlen=min(cfg.obs_delay_ticks, cfg.tick_count) + 1)
         self._block, self._block_start = np.empty((0, 0, 0, 3)), 0  # small flocks' noise
         self._params: dict[Waypoint | None, CostParams] = {}
         self._agents = np.arange(cfg.agent_count)  # every agent observes

@@ -17,14 +17,15 @@ No SIMD-dispatched transcendental ufunc (np.power with an exponent other
 than 2, np.tan, np.arctan, np.exp, np.log) feeds a recorded value, since
 numpy's SIMD kernels for them differ in the last bit between CPUs: a cube is
 two products, and squares, np.sqrt and + - * / round the same under every
-dispatch.  np.hypot comes from libm.
+dispatch.  np.hypot comes from libm.  Obstacle terms add left to right over
+K, an order this module writes out rather than numpy's own summation order.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import MISSING, dataclass, field, fields
-from functools import cache, cached_property, reduce
+from functools import cache, cached_property
 from typing import Any, Callable, NamedTuple, Sequence, get_args
 
 import numpy as np
@@ -297,31 +298,22 @@ def _obs_gap(dxy: np.ndarray, params: CostParams) -> np.ndarray:
     return np.maximum(dxy - params._obstacle_arrays[1] - params.r_drone, params.zero_hat)
 
 
-def _obstacle_sum(x: np.ndarray) -> np.ndarray:
-    """Sums over the obstacles of x (K, ...) in numpy's add.reduce order
-    along a contiguous row (pairwise_sum): left to right below 8 terms, 8
-    accumulators and their pairwise total up to 128, else halves split at a
-    multiple of 8.  So each point's sum repeats its single-point bits."""
-    k = len(x)
-    if k > 128:
-        half = k // 2 - k // 2 % 8
-        return _obstacle_sum(x[:half]) + _obstacle_sum(x[half:])
-    if k < 8:
-        return reduce(np.add, x[1:], x[0])
-    r = x[:8]
-    for i in range(8, k - k % 8, 8):
-        r = r + x[i:i + 8]
-    while len(r) > 1:  # ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))
-        r = r[0::2] + r[1::2]
-    return reduce(np.add, x[k - k % 8:], r[0])
+def _sum_over_obstacles(x: np.ndarray) -> np.ndarray:
+    """x (K, ...) summed left to right over K, x_0 + x_1 + ... + x_{K-1},
+    added in place into x[0], which it returns: so each point's sum repeats
+    its single-point bits."""
+    total = x[0]
+    for plane in x[1:]:
+        total += plane
+    return total
 
 
 def _put_terms(terms: np.ndarray, hoods: _Neighborhoods, params: CostParams, d2, gap,
                centroid, clear) -> np.ndarray:
     """Write into the planes terms (4, n, m) the cost terms at m points per
     agent from the pairs' squared distances d2 and separation gaps (k, m),
-    the centroid planes (3, n, m) and the obstacle gaps clear (K, n, m); a
-    None term stays 0."""
+    the centroid planes (3, n, m) and the obstacle gaps clear (K, n, m),
+    whose terms add left to right over K; a None term stays 0."""
     if d2 is not None:
         m = d2.shape[1]
         bins = hoods.rows if m == 1 else (hoods.rows[:, None] * m + np.arange(m)).ravel()
@@ -335,7 +327,7 @@ def _put_terms(terms: np.ndarray, hoods: _Neighborhoods, params: CostParams, d2,
         tar = sq[0] + sq[1]
         np.multiply(params.w_tar, np.add(tar, sq[2], out=tar), out=terms[2])
     if clear is not None:
-        terms[3] = params.w_obs * _obstacle_sum(1.0 / clear**2) / len(params.obstacles)
+        terms[3] = params.w_obs * _sum_over_obstacles(1.0 / clear**2) / len(params.obstacles)
     return terms
 
 
@@ -343,8 +335,8 @@ def _cost_terms(points: np.ndarray, hoods: _Neighborhoods, params: CostParams) -
     """The four cost terms, planes (4, n, m) of coh, sep, tar, obs, at the
     points of the coordinate planes points (3, n, m), agent i's against its
     neighbourhood.  Neighbour sums are _pair_sum's, x + y + z adds left to
-    right and obstacle sums are _obstacle_sum's, so each point repeats the
-    single-point bits whatever n and m are.  Inputs are trusted.
+    right and obstacle terms add left to right over K, so each point repeats
+    the single-point bits whatever n and m are.  Inputs are trusted.
     """
     d2 = gap = centroid = clear = None
     if params.w_coh > 0.0 or params.w_sep > 0.0:
@@ -415,15 +407,15 @@ def _gradient(p: np.ndarray, hoods: _Neighborhoods, params: CostParams,
 
     k = len(params.obstacles)
     if params.w_obs > 0.0 and k > 0:
-        centers = params._obstacle_arrays[0]
-        unit = p[:, None, :2] - centers  # (n, K, 2), from each centre toward p_i
+        # (K, n, 2), obstacle-major like the cost planes: from each centre toward p_i
+        unit = p[:, :2] - params._obstacle_arrays[0][:, None]
         dxy = np.hypot(unit[..., 0], unit[..., 1])
         unit /= np.where(dxy > 0.0, dxy, 1.0)[..., None]
         if not dxy.all():  # a point on an axis (a NaN is truthy)
             unit[dxy == 0.0] = (1.0, 0.0)
-        clear = _obs_gap(dxy.T[:, :, None], params)
-        gap3 = (clear * clear * clear)[:, :, 0].T
-        grad[3, :, :2] = -(2.0 * params.w_obs / k) * (unit / gap3[..., None]).sum(axis=1)
+        clear = _obs_gap(dxy[:, :, None], params)
+        unit /= clear * clear * clear
+        grad[3, :, :2] = -(2.0 * params.w_obs / k) * _sum_over_obstacles(unit)
 
     if costs is not None:
         _put_terms(costs.T[:, :, None], hoods, params, d2, gap, centroid, clear)

@@ -176,6 +176,17 @@ def test_simulate_scenario_that_cannot_finish_exits_2(tmp_path, capsys, field, v
     assert not (tmp_path / "o").exists()
 
 
+def test_simulate_subnormal_min_spacing_exits_0(tmp_path):
+    # min_spacing / 2 rounds to 0.0: the spawn box's volume check, which
+    # divides by it, is skipped as for min_spacing 0.0.
+    data = scenario_to_dict(hardware_scenario())
+    data.update(duration=1.0, formation_time=0.5)
+    data["spawn"]["min_spacing"] = 5e-324
+    sc = _write(tmp_path, "sc.json", data)
+    assert main(["simulate", "--scenario", sc, "--out", str(tmp_path / "o")]) == 0
+    assert (tmp_path / "o" / "trace.csv").exists()
+
+
 def test_simulate_huge_n_star_exits_2(tmp_path, capsys):
     data = scenario_to_dict(hardware_scenario())
     data["controller"]["n_star"] = 10**9

@@ -175,9 +175,11 @@ def test_seeds_past_2_53_get_their_own_streams():
                                   spawn_stream(seed + 1).uniform(size=3))
 
 
+@pytest.mark.byte_identity
 def test_spawn_stream_rejects_aliasing_seeds():
-    # The key reads 64 bits of the seed: 2**64 would draw seed 0's spawns
-    # and -1 those of 2**64 - 1.
+    """The key reads 64 bits of the seed: 2**64 would draw seed 0's spawns
+    and -1 those of 2**64 - 1, and so replay that seed's trace bytes.  The
+    stream rejects both."""
     for bad in (2**64, -1, True, 1.0):
         with pytest.raises(ValueError, match=r"^seed: must be an integer in \[0, 2\*\*64\)"):
             spawn_stream(bad)
@@ -185,14 +187,16 @@ def test_spawn_stream_rejects_aliasing_seeds():
     assert not np.array_equal(first, last)
 
 
+@pytest.mark.byte_identity
 @pytest.mark.parametrize("n", [1, 2, 7, 30])
 def test_array_snapshot_equals_observe(n):
-    # The simulator's flock-wide snapshot (one noise draw and one set of
-    # pair lists per tick; flocks of up to 16 read a block of every pair's
-    # noise) must give each agent's own batch-of-1 snapshot row for row, the
-    # one tick_observation replays, whatever order the ticks and agents are
-    # asked in.  The pair lists hold counts.sum() pairs, row-major, each
-    # agent's cols strictly ascending and never the agent itself.
+    """The simulator's flock-wide snapshot (one noise draw and one set of
+    pair lists per tick; flocks of up to 16 read a block of every pair's
+    noise) must give each agent's own batch-of-1 snapshot row for row, the
+    one tick_observation replays, whatever order the ticks and agents are
+    asked in.  This pins the pair-list format: the lists hold counts.sum()
+    pairs, row-major, each agent's cols strictly ascending and never the
+    agent itself."""
     rng = np.random.default_rng(n)
     pos = rng.uniform(-1.5, 1.5, size=(n, 3))
     agents = np.arange(n)
@@ -233,11 +237,13 @@ _SMALLEST_NORMAL = 2.2250738585072014e-308
     *np.random.default_rng(26).uniform(0.05, 50.0, 6).tolist(),
     *(2.0 ** np.random.default_rng(27).uniform(-1070, 1020, 6)).tolist(),
 ])
+@pytest.mark.byte_identity
 def test_range_bound_is_the_sqrt_test(r_h):
-    # _snapshot's d2 < T must be sqrt(d2) < r_h for every d2: at T and its
-    # neighbours, at r_h**2 and its neighbours, 0, subnormals, the smallest
-    # normal, the largest float, inf and NaN.  T is the least float whose
-    # sqrt reaches r_h, inf when no finite one does.
+    """_snapshot tests the range on squared distances with no sqrt: its
+    d2 < T must be sqrt(d2) < r_h for every d2, at T and its neighbours, at
+    r_h**2 and its neighbours, 0, subnormals, the smallest normal, the
+    largest float, inf and NaN.  T is the least float whose sqrt reaches
+    r_h, inf when no finite one does."""
     t = _range_bound(r_h)
     assert t == math.inf or math.sqrt(t) >= r_h
     assert t == 0.0 or math.sqrt(math.nextafter(t, 0.0)) < r_h
@@ -268,11 +274,13 @@ def _snapshot_reference(pos, agents, r_h, noise):
     return pos[agents] + noisy[:a], counts, cols, pos[cols] + noisy[a:]
 
 
+@pytest.mark.byte_identity
 @pytest.mark.parametrize("r_h", [0.9, 1.0, 1e-160, 2e154, math.inf])
 def test_snapshot_equals_the_sqrt_and_nonzero_reference(r_h):
-    # Rows with NaN and inf coordinates, agents 8e15 m out (a diverged PFC
-    # flock's z), pairs exactly r_h apart, one observer, and a flock with no
-    # pairs in range: the same pair lists, dtypes and noisy positions.
+    """The snapshot against the np.sqrt / np.nonzero code it replaced, on
+    rows with NaN and inf coordinates, agents 8e15 m out (a diverged PFC
+    flock's z), pairs exactly r_h apart, one observer, and a flock with no
+    pairs in range: the same pair lists, dtypes and noisy positions."""
     rng = np.random.default_rng(2600)
     pos = rng.uniform(-1.5, 1.5, size=(40, 3))
     pos[3] = (math.nan, 0.0, 1.0)
@@ -347,7 +355,12 @@ def _unfillable_box(seed=0):
                    spawn=SpawnSpec(box_min=Vec3(0, 0, 0), box_max=Vec3(1, 1, 1), min_spacing=0.5))
 
 
+@pytest.mark.byte_identity
 def test_unfillable_box_spawn_is_a_config_error():
+    """Pins spawn's miss counter, which runs across candidate blocks: one
+    that reset at a block boundary would place agents the reference never
+    places, or fail at a different agent (or, with blocks under 10000 rows,
+    never fail)."""
     with pytest.raises(ConfigError, match=r"^spawn\.box_min/box_max: could not place agent 11 "
                                           r"with min_spacing 0\.5 after 10000 attempts"):
         Simulation(_unfillable_box())
@@ -382,11 +395,13 @@ def _reference_spawn_positions(cfg):
     return placed
 
 
+@pytest.mark.byte_identity
 def test_unfillable_box_spawn_draws_what_the_reference_draws(monkeypatch):
-    # Spawn draws whole blocks of candidates, so up to the rest of the last
-    # block more than the one-attempt reference.  Its miss counter runs
-    # across blocks: one that reset per block would draw without end, and
-    # fails here a block past the reference instead of hanging.
+    """Spawn draws whole blocks of candidates, so up to the rest of the
+    last block more than the one-attempt reference.  Its miss counter runs
+    across blocks: one that reset per block would draw without end, and
+    fails here, counted from a wrapped stream, a block past the reference
+    instead of hanging."""
     cfg = _unfillable_box()
     placed, draws = _reference_spawn(cfg)
     assert len(placed) == 11
@@ -430,20 +445,24 @@ _SPAWN_CASES = {
 }
 
 
+@pytest.mark.byte_identity
 @pytest.mark.parametrize("case", sorted(_SPAWN_CASES))
 def test_box_spawn_matches_reference_loop(case):
-    # Same draws, same accept/reject decisions, same positions.
+    """Block spawn draws and one draw per attempt: the same draws, the same
+    accept/reject decisions, the same positions, which start every trace."""
     for seed in range(40):
         cfg = _SPAWN_CASES[case](seed)
         got = _spawn_positions(cfg)
         assert got.tobytes() == _reference_spawn_positions(cfg).tobytes(), (case, seed)
 
 
+@pytest.mark.byte_identity
 def test_box_spawn_places_a_candidate_exactly_min_spacing_away():
-    # y and z span one subnormal, so dy*dy and dz*dz underflow to 0 and every
-    # distance is sqrt(dx*dx) == |dx| exactly.  min_spacing is the distance
-    # from row 0 to candidate 22, in a later block than row 0: the array pass
-    # must place it (>=), as the one-attempt loop does.
+    """Spawn's array pass on an exact tie with min_spacing.  y and z span
+    one subnormal, so dy*dy and dz*dz underflow to 0 and every distance is
+    sqrt(dx*dx) == |dx| exactly.  min_spacing is the distance from row 0 to
+    candidate 22, in a later block than row 0: the array pass must place it
+    (>=), as the one-attempt loop does."""
     assert _SPAWN_BLOCK <= 22, "candidate 22 must be checked by the array pass"
     tiny = float(np.nextafter(0.0, 1.0))
     lo, hi = Vec3(0.0, 0.0, 0.0), Vec3(1.0, tiny, tiny)
@@ -634,6 +653,18 @@ def test_position_history_holds_only_the_delay_window(delay):
         records.append(sim.tick())
         assert len(sim._position_history) == min(k + 1, delay + 1)
         assert sim._position_history[0] is records[max(0, k - delay)].positions
+
+
+def test_delay_past_the_run_gives_the_bytes_of_a_whole_run_delay():
+    # Every tick of both runs observes the spawn positions; a delay of 2**63
+    # must not size the position history by itself (an OverflowError once).
+    def trace_csv(delay):
+        buf = io.StringIO()
+        write_trace_csv(run_scenario(_scenario(duration=1.0, formation_time=0.5, noise_sigma=0.05,
+                                               obs_delay_ticks=delay)), buf)
+        return buf.getvalue()
+
+    assert trace_csv(2**63) == trace_csv(_scenario(duration=1.0, formation_time=0.5).tick_count)
 
 
 def test_obstacles_are_visible_to_cost():

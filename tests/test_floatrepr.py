@@ -2,8 +2,9 @@
 repr(float(v)) for every float64 v, and write_trace_csv writes the bytes of
 the per-row repr loop it replaced, which lives on here as the oracle.
 
-Unlike the trace digests, nothing here depends on the numpy version, so
-these tests pin the CSV bytes on every numpy the package supports.
+The trace CSV's floats come from integer numpy arithmetic, which must equal
+repr() on every numpy the package supports; these tests pin the CSV bytes
+apart from the digests, so every test here is marked byte_identity.
 """
 
 from __future__ import annotations
@@ -18,6 +19,8 @@ import pytest
 import flockspc.floatrepr as floatrepr
 from flockspc import TRACE_COLUMNS, run_scenario, write_trace_csv
 from test_trace_digests import CASES, _preset
+
+pytestmark = pytest.mark.byte_identity
 
 
 def _written(values) -> list[str]:

@@ -178,9 +178,13 @@ def test_relabelling_permutes_rows_exactly():
                     assert _hex(getattr(got, name)) == _hex(values[perm]), (i, name, cfg)
 
 
+@pytest.mark.byte_identity
 def test_neighbour_sums_run_left_to_right_and_padding_adds_nothing():
-    # Nine neighbours whose cohesion and separation sums differ between
-    # numpy's .sum() (pairwise from 8 values up) and a left-to-right sum.
+    """The cost and gradient kernels sum the pairs per agent with
+    np.bincount, whose order of addition numpy does not document; this pins
+    it on every numpy.  Nine neighbours whose cohesion and separation sums
+    differ between numpy's .sum() (pairwise from 8 values up) and a
+    left-to-right sum."""
     rng = np.random.default_rng(8)
     for _ in range(1000):
         p = rng.uniform(-1.0, 1.0, size=3)
@@ -269,12 +273,14 @@ def _pfc_flock(i):
     return observed, seen, counts, params
 
 
+@pytest.mark.byte_identity
 def test_pfc_costs_equal_evaluate_cost():
-    # A PFC decision takes its own-position cost terms from the gradient
-    # pass; evaluate_cost scores the same point in _cost_terms, a pass of
-    # its own, so it is an oracle for them.  (The batch-of-1 comparison in
-    # test_flock_kernel_rows_equal_batch_of_one runs the same pass on both
-    # sides.)  The generator must reach every edge it is written for.
+    """A PFC decision takes its own-position cost terms, recorded in the
+    trace, from the gradient pass; evaluate_cost scores the same point in
+    _cost_terms, a pass of its own, so it is an oracle for them.  (The
+    batch-of-1 comparison in test_flock_kernel_rows_equal_batch_of_one runs
+    the same pass on both sides.)  The generator must reach every edge it is
+    written for."""
     edges = {"empty": 0, "sep_clamp": 0, "obs_clamp": 0, "coincident": 0, "far": 0}
     zero_weights, obstacle_counts = set(), set()
     cfg = ControllerConfig(kind="PFC")
@@ -299,10 +305,11 @@ def test_pfc_costs_equal_evaluate_cost():
     assert zero_weights == {0, 1, 2, 3} and obstacle_counts == {0, 3, 11}
 
 
+@pytest.mark.byte_identity
 def test_pfc_rollout_costs_equal_evaluate_cost():
-    # Every recorded cost row of a PFC rollout through the eleven cylinders
-    # is evaluate_cost at the agent's observed position against the
-    # snapshot it observed that tick.
+    """Every recorded cost row of a PFC rollout through the eleven
+    cylinders (the pfc_B_eleven digest case) is evaluate_cost at the
+    agent's observed position against the snapshot it observed that tick."""
     trace = run_scenario(DIGEST_CASES["pfc_B_eleven"]())
     assert trace.config.controller.kind == "PFC" and trace.config.cost.w_obs > 0.0
     for k, rec in enumerate(trace.records):

@@ -356,15 +356,17 @@ def _hex_rows(rows):
     return [[float(v).hex() for v in row] for row in rows]
 
 
+@pytest.mark.byte_identity
 def test_block_step_equals_the_row_loop():
-    # fly() steps family B batches of _BLOCK_ROWS rows or more as one array
-    # step; each row must get the per-row loop's bits, NaN and inf included,
-    # and raise no numpy warning on the way.  The row loop, one row at a
-    # time, gives each row's last tilts, to count clamped and free rows.
-    # The last two cases take the least t_delta and z_time_constant that
-    # LLCConfig accepts, whose squares are the least subnormal: the plant
-    # divides by them, so every tilt is clamped in the first and the z
-    # states leave the finite range in the second.
+    """fly() steps family B batches of _BLOCK_ROWS rows or more as one
+    array step; each row must get the per-row loop's bits, NaN and inf
+    included, and raise no numpy warning on the way, so the trace does not
+    depend on which of the two a flock takes.  The row loop, one row at a time,
+    gives each row's last tilts, to count clamped and free rows.  The last
+    two cases take the least t_delta and z_time_constant that LLCConfig
+    accepts, whose squares are the least subnormal: the plant divides by
+    them, so every tilt is clamped in the first and the z states leave the
+    finite range in the second."""
     rng = np.random.default_rng(41)
     clamped = free = 0
     for i in range(122):

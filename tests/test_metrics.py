@@ -297,13 +297,16 @@ def _frames_worst_per_frame(pos, obstacle_xy):
             math.sqrt(min(clear2)) if clear2 else None)
 
 
+@pytest.mark.byte_identity
 @pytest.mark.parametrize("n", [1, 2, 4, 30, 100])
 @pytest.mark.parametrize("obstacles", [0, 11], ids=["none", "eleven"])
 def test_blocked_window_equals_the_per_frame_loop(n, obstacles):
-    # Blocks of frames under metrics._WINDOW_ELEMENTS (one frame each for 100
-    # agents), with a last, partial block: the same worst values, to the bit.
-    # Frames hold coincident agents, 8e15 m outliers and tiny offsets, so
-    # each metric's worst frame sits inside a block, not only at its start.
+    """The summary's metrics, scored in blocks of frames under
+    metrics._WINDOW_ELEMENTS (one frame each for 100 agents) with a last,
+    partial block, against the per-frame loop: the same worst values, to
+    the bit.  Frames hold coincident agents, 8e15 m outliers and tiny
+    offsets, so each metric's worst frame sits inside a block, not only at
+    its start."""
     rng = np.random.default_rng(n + obstacles)
     per = max(1, metrics._WINDOW_ELEMENTS // max(n * (n - 1) // 2, n * obstacles, n))
     frames = 2 * per + 3

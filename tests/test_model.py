@@ -23,8 +23,8 @@ from flockspc import (
     spc_setpoint,
 )
 from flockspc.controller import _decide
-from flockspc.model import _cost_terms, _cost_totals, _gradient, _neighborhoods, _obstacle_sum
-from flockspc.model import _one_neighborhood
+from flockspc.model import _cost_terms, _cost_totals, _gradient, _neighborhoods
+from flockspc.model import _one_neighborhood, _sum_over_obstacles
 
 
 def _close(a: float, b: float, tol: float = 1e-9) -> bool:
@@ -369,8 +369,8 @@ def _scalar_cost(p, nbr, params):
     the neighbours row by row from the first, as nbr.sum(axis=0) does, and
     x + y + z adds left to right, as a 3-value .sum() does.  The obstacle
     distances take np.hypot (libm's; math.hypot rounds differently) and
-    their terms numpy's .sum().  `zh if g < zh else g` is np.maximum(g, zh)
-    for a positive zh, NaN included."""
+    their terms add left to right over K.  `zh if g < zh else g` is
+    np.maximum(g, zh) for a positive zh, NaN included."""
     px, py, pz = p.tolist()
     rows = nbr.tolist()
     h = len(rows)
@@ -394,7 +394,7 @@ def _scalar_cost(p, nbr, params):
         gaps = [d - o.radius - params.r_drone
                 for o, d in zip(params.obstacles, _scalar_hypots(px, py, params.obstacles))]
         inv = [1.0 / (zh * zh) if g < zh else 1.0 / (g * g) for g in gaps]
-        obs = params.w_obs * float(np.array(inv).sum()) / k
+        obs = params.w_obs * reduce(add, inv) / k
     return coh, sep, tar, obs, coh + sep + tar + obs
 
 
@@ -507,7 +507,11 @@ def _kernel_case(rng, i):
     return p, nbr, params
 
 
+@pytest.mark.byte_identity
 def test_cost_kernel_is_bit_identical_to_scalar_reference():
+    """_scalar_cost, on Python floats, is the independent oracle of the
+    cost kernel, whose squares and sums run in place: every point's terms
+    and total to the bit, and SPC's choice against the per-candidate loop."""
     rng = np.random.default_rng(31)
     for i in range(3000):
         p, nbr, params = _kernel_case(rng, i)
@@ -528,9 +532,12 @@ def test_cost_kernel_is_bit_identical_to_scalar_reference():
         assert sp.position == _scalar_spc_choice(p_i, nbr, params, cfg), f"case {i}"
 
 
+@pytest.mark.byte_identity
 def test_gradient_core_is_bit_identical_to_scalar_reference():
-    # Same generator as the cost kernel test, including coincident
-    # neighbours, points inside an obstacle and the clamp region.
+    """_scalar_gradient, on Python floats, is the independent oracle of the
+    gradient kernel, whose squares, sums and cubes run in place.  Same
+    generator as the cost kernel test, including coincident neighbours,
+    points inside an obstacle and the clamp region."""
     rng = np.random.default_rng(31)
     for i in range(3000):
         p, nbr, params = _kernel_case(rng, i)
@@ -540,27 +547,32 @@ def test_gradient_core_is_bit_identical_to_scalar_reference():
         assert _hex((g.coh, g.sep, g.tar, g.obs, g.total)) == want, f"case {i}"
 
 
-def test_obstacle_sum_takes_numpy_reduce_order():
-    # The cost kernel sums each point's obstacle terms across planes (K, N)
-    # in the order numpy's add.reduce takes along a contiguous row: left to
-    # right below 8 terms, 8 accumulators up to 128, then halves split at a
-    # multiple of 8.  The scalar cost sums with .sum(), so a numpy whose
-    # order drifted from the written-out one fails here, digests or not.
+@pytest.mark.byte_identity
+def test_obstacle_sum_runs_left_to_right():
+    """The cost kernel and the gradient sum each point's obstacle terms
+    across planes (K, N) left to right over K, an order written in the code.
+    Python floats added with reduce are the oracle, for 1 to 300 terms; from
+    8 terms on, numpy's pairwise .sum() gives other bits on some points, so a
+    return to numpy's order fails here."""
     rng = np.random.default_rng(29)
-    differs = []  # counts of terms at which left to right gives other bits
+    differs = []  # counts of terms at which numpy's pairwise .sum() gives other bits
     for k in range(1, 301):
         x = rng.choice((-1.0, 1.0), size=(k, 64)) * 10.0 ** rng.uniform(-6.0, 6.0, size=(k, 64))
-        want = np.add.reduce(np.ascontiguousarray(x.T), axis=-1)
-        assert _hex([_obstacle_sum(x)]) == _hex([want]), k
-        if _hex([reduce(add, x)]) != _hex([want]):
+        want = [reduce(add, column) for column in x.T.tolist()]
+        pairwise = np.ascontiguousarray(x.T).sum(axis=-1)
+        assert _hex([_sum_over_obstacles(x)]) == _hex([want]), k
+        if _hex([pairwise]) != _hex([want]):
             differs.append(k)
-    assert min(differs) == 8 and any(k <= 128 for k in differs) and max(differs) > 128, differs
+    assert min(differs) == 8 and max(differs) > 128, differs
 
 
+@pytest.mark.byte_identity
 def test_cost_kernel_with_200_obstacles():
-    # Past the 128-term split of numpy's pairwise sum: every point of a
-    # flock's candidate planes against the scalar cost (its .sum() is the
-    # independent oracle), and the flock's pass against batch-of-1 calls.
+    """200 obstacles, past the 128-term split of numpy's pairwise sum: every
+    point of a flock's candidate planes against the scalar cost (its
+    left-to-right sum is the independent oracle), and the flock's pass
+    against batch-of-1 calls.  The case tells the two orders apart, so a
+    kernel that summed in numpy's pairwise order fails here."""
     rng = np.random.default_rng(200)
     n, m, k = 7, 6, 200
     pos = rng.uniform(-5.0, 5.0, size=(n, 3))
@@ -579,7 +591,7 @@ def test_cost_kernel_with_200_obstacles():
     points[:, 0] = pos
     terms = _cost_terms(points.transpose(2, 0, 1), hoods, params)
     totals = _cost_totals(terms)
-    left_to_right = 0
+    pairwise = 0  # points where numpy's pairwise .sum() gives other bits
     for a in range(n):
         one = _cost_terms(points[a].T[:, None], _one_neighborhood(views[a]), params)
         assert _hex(terms[:, a]) == _hex(one[:, 0]), a
@@ -588,8 +600,8 @@ def test_cost_kernel_with_200_obstacles():
             assert (*terms[:, a, j].tolist(), float(totals[a, j])) == want, (a, j)
             inv = 1.0 / np.maximum(np.hypot(point[0] - xy[:, 0], point[1] - xy[:, 1]) - radii
                                    - params.r_drone, params.zero_hat) ** 2
-            left_to_right += reduce(add, inv.tolist()) != float(inv.sum())
-    assert left_to_right > 0  # the case tells the two orders apart
+            pairwise += float(inv.sum()) != reduce(add, inv.tolist())
+    assert pairwise > 0, "the case must tell the left-to-right and pairwise orders apart"
     for cfg in (ControllerConfig(kind="SPC"), ControllerConfig(kind="PFC")):
         d = _decide(pos, hoods, params, cfg)
         for a in range(n):

@@ -40,17 +40,21 @@ def _words(seed, counter):
     return [f"{int(w[0]):08x}" for w in (a[0], b[0], a[1], b[1])]
 
 
+@pytest.mark.byte_identity
 def test_philox_known_answers():
-    # Random123's kat_vectors for philox4x32_10: key (k0, k1) is
-    # (seed & 0xffffffff, seed >> 32).
+    """Random123's kat_vectors for philox4x32_10: key (k0, k1) is (seed &
+    0xffffffff, seed >> 32).  A wrong Philox word moves every noisy trace;
+    this names it before any digest fails."""
     assert _words(0, (0, 0, 0, 0)) == ["6627e8d5", "e169c58d", "bc57ac4c", "9b00dbd8"]
     ones = 0xFFFFFFFF
     assert _words(2**64 - 1, (ones,) * 4) == ["408f276d", "41c83b0e", "a20bc7c6", "6d5451fd"]
 
 
+@pytest.mark.byte_identity
 def test_observation_stream_rejects_aliasing_seeds():
-    # The key reads 64 bits of the seed: 2**64 would replay seed 0's normals
-    # and -1 those of 2**64 - 1.
+    """The key reads 64 bits of the seed: 2**64 would replay seed 0's
+    normals and -1 those of 2**64 - 1, and so that seed's trace bytes.  The
+    stream rejects both."""
     for bad in (2**64, -1, True, 1.0):
         with pytest.raises(ValueError, match=r"^seed: must be an integer in \[0, 2\*\*64\)"):
             observation_stream(bad, 3, 1, 0)
@@ -176,11 +180,12 @@ def _digest(cfg: ScenarioConfig) -> str:
     return hashlib.sha256(buf.getvalue().encode()).hexdigest()
 
 
+@pytest.mark.byte_identity
 @pytest.mark.parametrize("n, layout, family", [(4, "none", "A"), (9, "three", "B")])
 def test_block_schedule_gives_the_pair_bytes(monkeypatch, n, layout, family):
-    # Small flocks read their noise from a block of every pair's noise;
-    # larger ones draw the pairs in range each tick.  Both give each pair
-    # the same bits, so the trace is the same whichever a flock takes.
+    """Small flocks read their noise from a block of every pair's noise;
+    larger ones draw the pairs in range each tick.  Both give each pair the
+    same bits, so the trace is the same whichever a flock takes."""
     cfg = build_scenario(n, layout, "SPC", family, seed=n, duration=3.0, noise_sigma=0.1)
     assert n <= engine._BLOCK_AGENTS
     block = _digest(cfg)

@@ -10,8 +10,11 @@ rollouts here are checked to give the same bytes whatever the part count.
 A change that moves any of these digests changes the simulator's arithmetic
 and must say why in CHANGES.md.  No recorded value goes through a
 SIMD-dispatched transcendental ufunc, so the digests hold whatever SIMD
-targets numpy dispatches; they are checked wherever the numpy version
-matches the one they were recorded with.
+targets numpy dispatches, and every recorded sum adds in an order the code
+writes out (obstacle terms left to right over K, neighbour pairs in
+bincount's order, which test_flock_kernel pins), not in numpy's pairwise
+order, so the digests are checked on every numpy.  Every test here is
+marked byte_identity.
 """
 
 from __future__ import annotations
@@ -22,7 +25,6 @@ import math
 import os
 from dataclasses import replace
 
-import numpy as np
 import pytest
 
 import flockspc.engine as engine
@@ -37,8 +39,7 @@ from flockspc import (
 )
 from flockspc.llc import _BLOCK_ROWS
 
-# Recorded with numpy 2.4.6 on Python 3.11.7.
-RECORDED_NUMPY = "2.4.6"
+pytestmark = pytest.mark.byte_identity
 
 # Start at the origin, then head for a goal 1 s in so the dynamic candidate
 # count changes within the run.
@@ -65,11 +66,11 @@ CASES = {
 
 DIGESTS = {
     "spc_A_none": "c3dfb5a42cdca7dea21507ab84c484ac46bd073796351324bab645fb1256baab",
-    "spc_B_eleven": "d72d0234bbf0371ea7dc547fae0281572af839e7abf6f3c51dfe71e3e6b4aebc",
+    "spc_B_eleven": "47460a05a4cbd4ff0580ee9a114dfb8f3785fdf6ff8c88ec2c4b0d7c42fde4d8",
     "pfc_A_three": "020a6ddb5c9a8748d92ebd518dd008439094dd19e4956058fe3baa1ba5a8beef",
     "pfc_B_none": "0ba658b9d2b876a845a8fa003c906d2b94e82ba45d32627ce5e6bab8ebce4776",
-    "pfc_B_eleven": "6d757ec5897b5ac927cd90b6efe524501bb1e324292f5bbac1de5ca1cfd465f5",
-    "spc_A_eleven_noisy_delayed": "b4652a992d7efc56093d7bb4a39e03ec1211906db4453637cb55978a7d2d63ee",
+    "pfc_B_eleven": "2c306c1d90f7c98683ad4227a8a813a3a8f9ae64c1bb93c691e29c9a81fe66aa",
+    "spc_A_eleven_noisy_delayed": "4844be00374358ca497b464157d99f5af8c2f876abd3df7bdaa5956b29254284",
     "spc_B_three_block": "6a87dda874f1fc2037dbbcd673874209c62543d796ede452f5bd4457b6aa2430",
 }
 
@@ -86,8 +87,6 @@ def _digest(cfg) -> str:
     return hashlib.sha256(buf.getvalue().encode()).hexdigest()
 
 
-@pytest.mark.skipif(np.__version__ != RECORDED_NUMPY,
-                    reason=f"digests recorded with numpy {RECORDED_NUMPY}")
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_trace_digest(name):
     cfg = CASES[name]()
@@ -96,8 +95,6 @@ def test_trace_digest(name):
     assert digest == DIGESTS[name], f"{name}: trace bytes changed ({digest})"
 
 
-@pytest.mark.skipif(np.__version__ != RECORDED_NUMPY,
-                    reason=f"digests recorded with numpy {RECORDED_NUMPY}")
 @pytest.mark.parametrize("family", sorted(STEP_DIGESTS))
 def test_step_response_digest(family):
     rows = step_trajectory(LLCConfig(family=family), 1.0, duration=3.0, dt=0.001)
