@@ -305,10 +305,14 @@ class Simulation:
         """Observe, decide, record, then integrate physics for one control period.
 
         Raises DivergenceError, naming the tick, agent and state field, when
-        an agent's plant state stops being finite.
+        an agent's plant state stops being finite, and RuntimeError once all
+        cfg.tick_count ticks are taken: the position history holds only the
+        run's ticks, and tick_observation replays no later one.
         """
         cfg = self.cfg
         k = self.tick_index
+        if k >= cfg.tick_count:
+            raise RuntimeError(f"tick {k}: the run has {cfg.tick_count} ticks, all taken")
         now = k * cfg.control_period
         state = self._state
         positions = state[:, :3].copy()

@@ -126,6 +126,35 @@ def _obstacle_xy(obstacles: Sequence[Obstacle]) -> tuple[np.ndarray, np.ndarray]
 _WINDOW_ELEMENTS = 4096
 
 
+# A block whose worst square overflowed (a spread past about 1.3e154 m) is
+# scored again on its frames and obstacle centres times 2**-512, which is
+# exact for normal numbers; sqrt(2**-1024 x) is 2**-512 sqrt(x) exactly.
+_SCALE = 2.0 ** -512
+
+
+def _block_squares(frames: np.ndarray, centroid: np.ndarray, obstacle_xy, ii, jj) -> tuple:
+    """The least pair square (None for one agent), the greatest centroid
+    square and the least obstacle square (None without obstacles) of the
+    frames (b, n, 3), whose centroids are centroid (b, 1, 3)."""
+    dist2 = clear2 = None
+    if len(ii):  # d[c] (b, pairs): coordinate c's differences, squared in place
+        xyz = frames.transpose(2, 0, 1).copy()
+        d = np.take(xyz, ii, 2)
+        d -= np.take(xyz, jj, 2)
+        d *= d
+        dist2 = d[0] + d[1]
+        dist2 += d[2]
+        dist2 = dist2.min()
+    c = frames - centroid
+    cx, cy, cz = c[..., 0], c[..., 1], c[..., 2]
+    comp2 = (cx * cx + cy * cy + cz * cz).max()
+    if obstacle_xy is not None:
+        ex = frames[..., 0, None] - obstacle_xy[0]
+        ey = frames[..., 1, None] - obstacle_xy[1]
+        clear2 = (ex * ex + ey * ey).min()
+    return dist2, comp2, clear2
+
+
 def _frames_worst(pos: np.ndarray, obstacle_xy: tuple[np.ndarray, np.ndarray] | None
                   ) -> tuple[float | None, float, float | None]:
     """(dist_min, comp_max, clear_obj) of finite positions pos (T, n, 3) and
@@ -133,34 +162,32 @@ def _frames_worst(pos: np.ndarray, obstacle_xy: tuple[np.ndarray, np.ndarray] | 
     blocks of frames of at most _WINDOW_ELEMENTS elements, so no temporary
     grows with T.  Each frame's squares are the one-frame arithmetic's and
     min and max are exact, so the blocks do not change the result; the sqrt
-    of the least or greatest square is the least or greatest sqrt."""
+    of the least or greatest square is the least or greatest sqrt.  A metric
+    whose block square overflowed is taken from the block scaled by
+    _SCALE, so it reads inf only where the true value passes the float
+    range."""
     n = pos.shape[1]
     if n < 1:
         raise ValueError("compute_metrics needs at least one agent")
     ii, jj = _pairs(n)
     k = 0 if obstacle_xy is None else len(obstacle_xy[0])
     per = max(1, _WINDOW_ELEMENTS // max(len(ii), n * k, n))  # frames per block
-    centroids = pos.mean(axis=1)
-    dist2, comp2, clear2 = [], [], []
-    for lo in range(0, len(pos), per):
-        frames, centroid = pos[lo:lo + per], centroids[lo:lo + per, None]
-        if n >= 2:  # d[c] (b, pairs): coordinate c's differences, squared in place
-            xyz = frames.transpose(2, 0, 1).copy()
-            d = np.take(xyz, ii, 2)
-            d -= np.take(xyz, jj, 2)
-            d *= d
-            s = d[0] + d[1]
-            s += d[2]
-            dist2.append(s.min())
-        c = frames - centroid
-        cx, cy, cz = c[..., 0], c[..., 1], c[..., 2]
-        comp2.append((cx * cx + cy * cy + cz * cz).max())
-        if obstacle_xy is not None:
-            ex = frames[..., 0, None] - obstacle_xy[0]
-            ey = frames[..., 1, None] - obstacle_xy[1]
-            clear2.append((ex * ex + ey * ey).min())
-    return (math.sqrt(min(dist2)) if dist2 else None, math.sqrt(max(comp2)),
-            math.sqrt(min(clear2)) if clear2 else None)
+    blocks = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        centroids = pos.mean(axis=1)
+        for lo in range(0, len(pos), per):
+            frames = pos[lo:lo + per]
+            squares = _block_squares(frames, centroids[lo:lo + per, None], obstacle_xy, ii, jj)
+            roots = [None if s is None else math.sqrt(s) for s in squares]
+            if not all(r is None or math.isfinite(r) for r in roots):  # overflowed (or NaN)
+                small = frames * _SCALE
+                small_xy = None if obstacle_xy is None else tuple(a * _SCALE for a in obstacle_xy)
+                rescored = _block_squares(small, small.mean(axis=1)[:, None], small_xy, ii, jj)
+                roots = [r if r is None or math.isfinite(r) else math.sqrt(s) / _SCALE
+                         for r, s in zip(roots, rescored)]
+            blocks.append(roots)
+    dist, comp, clear = zip(*blocks)
+    return (None if n < 2 else min(dist), max(comp), None if obstacle_xy is None else min(clear))
 
 
 def thresholds_from_geometry(

@@ -17,8 +17,10 @@ No SIMD-dispatched transcendental ufunc (np.power with an exponent other
 than 2, np.tan, np.arctan, np.exp, np.log) feeds a recorded value, since
 numpy's SIMD kernels for them differ in the last bit between CPUs: a cube is
 two products, and squares, np.sqrt and + - * / round the same under every
-dispatch.  np.hypot comes from libm.  Obstacle terms add left to right over
-K, an order this module writes out rather than numpy's own summation order.
+dispatch.  Obstacle distances are the sqrt of the summed squares, not libm's
+hypot, so they too come from basic IEEE operations alone.  Obstacle terms add
+left to right over K, an order this module writes out rather than numpy's own
+summation order.
 """
 
 from __future__ import annotations
@@ -294,7 +296,7 @@ def _sep_gap(d: np.ndarray, params: CostParams) -> np.ndarray:
 
 
 def _obs_gap(dxy: np.ndarray, params: CostParams) -> np.ndarray:
-    # dxy (K, n, m) is obstacle-major.
+    # dxy (K, n, m) is obstacle-major, sqrt(dx*dx + dy*dy) in both kernels.
     return np.maximum(dxy - params._obstacle_arrays[1] - params.r_drone, params.zero_hat)
 
 
@@ -337,6 +339,14 @@ def _cost_terms(points: np.ndarray, hoods: _Neighborhoods, params: CostParams) -
     neighbourhood.  Neighbour sums are _pair_sum's, x + y + z adds left to
     right and obstacle terms add left to right over K, so each point repeats
     the single-point bits whatever n and m are.  Inputs are trusted.
+
+    The xy distance to an obstacle axis is sqrt(dx*dx + dy*dy), as in
+    _gradient; it differs from np.hypot by one ulp on about 17 % of
+    distances.  Past |dx| of about 1.34e154 the square overflows and the
+    distance is inf, so the term is 0, which 1/clear**2 is there in any case
+    (clear**2 overflows from the same point).  Below about 1e-154 m from an
+    axis the squares underflow and the distance is 0 or subnormal, deep
+    inside the zero_hat clamp.
     """
     d2 = gap = centroid = clear = None
     if params.w_coh > 0.0 or params.w_sep > 0.0:
@@ -352,7 +362,12 @@ def _cost_terms(points: np.ndarray, hoods: _Neighborhoods, params: CostParams) -
         centroid = _centroids(points, hoods)
     if params.w_obs > 0.0 and params.obstacles:
         cx, cy = params._obstacle_arrays[0].T[:, :, None, None]  # (K, 1, 1) each
-        clear = _obs_gap(np.hypot(points[0] - cx, points[1] - cy), params)
+        dx = points[0] - cx
+        dx *= dx
+        dy = points[1] - cy
+        dy *= dy
+        dx += dy
+        clear = _obs_gap(np.sqrt(dx, out=dx), params)
     return _put_terms(np.zeros((4,) + points.shape[1:]), hoods, params, d2, gap, centroid, clear)
 
 
@@ -379,7 +394,16 @@ def _gradient(p: np.ndarray, hoods: _Neighborhoods, params: CostParams,
     a (5, n, 3) array of the terms coh, sep, tar, obs and their
     left-to-right sum total; an absent term is 0.  Neighbour sums are
     _pair_sum's.  Given costs, (n, 4) zeros, it also writes there the cost
-    terms at p, _cost_terms' bits, from the arrays it builds.  Inputs are trusted."""
+    terms at p, _cost_terms' bits, from the arrays it builds.  Inputs are trusted.
+
+    The xy distance to an obstacle axis is sqrt(dx*dx + dy*dy), _cost_terms'
+    formula, not np.hypot (they differ by one ulp on about 17 % of
+    distances).  Past |dx| of about 1.34e154 the square overflows: the
+    distance is inf and the push 0, which it is there in any case (the cube
+    of the gap overflows from about 5.6e102).  Below about 1e-154 m from an axis the squares underflow:
+    a distance of 0 takes the on-axis direction (1, 0), and a subnormal one
+    gives a direction of length about 0.7 to 1.4; either way the gap is
+    clamped to zero_hat."""
     grad = np.zeros((5,) + p.shape)
     d2 = gap = centroid = clear = None  # as _cost_terms builds them for m = 1
 
@@ -409,7 +433,8 @@ def _gradient(p: np.ndarray, hoods: _Neighborhoods, params: CostParams,
     if params.w_obs > 0.0 and k > 0:
         # (K, n, 2), obstacle-major like the cost planes: from each centre toward p_i
         unit = p[:, :2] - params._obstacle_arrays[0][:, None]
-        dxy = np.hypot(unit[..., 0], unit[..., 1])
+        sq = unit * unit
+        dxy = np.sqrt(sq[..., 0] + sq[..., 1])
         unit /= np.where(dxy > 0.0, dxy, 1.0)[..., None]
         if not dxy.all():  # a point on an axis (a NaN is truthy)
             unit[dxy == 0.0] = (1.0, 0.0)

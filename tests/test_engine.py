@@ -25,6 +25,7 @@ from flockspc import (
     ScenarioConfig,
     Simulation,
     SpawnSpec,
+    Trace,
     Vec3,
     Waypoint,
     build_scenario,
@@ -665,6 +666,24 @@ def test_delay_past_the_run_gives_the_bytes_of_a_whole_run_delay():
         return buf.getvalue()
 
     assert trace_csv(2**63) == trace_csv(_scenario(duration=1.0, formation_time=0.5).tick_count)
+
+
+def test_tick_past_the_run_raises_and_keeps_the_trace():
+    # The position history holds the run's ticks only, so a fourth tick of a
+    # 3-tick run would observe the wrong delay; it raises before it touches
+    # the world.
+    cfg = _scenario(duration=0.3, formation_time=0.0, noise_sigma=0.05, obs_delay_ticks=5)
+    sim = Simulation(cfg)
+    records = tuple(sim.tick() for _ in range(cfg.tick_count))
+    state = sim._state.copy()
+    for _ in range(2):
+        with pytest.raises(RuntimeError, match=r"^tick 3: the run has 3 ticks, all taken$"):
+            sim.tick()
+    assert sim.tick_index == 3 and np.array_equal(sim._state, state)
+    got, want = io.StringIO(), io.StringIO()
+    write_trace_csv(Trace(config=cfg, records=records), got)
+    write_trace_csv(run_scenario(cfg), want)
+    assert got.getvalue() == want.getvalue()
 
 
 def test_obstacles_are_visible_to_cost():

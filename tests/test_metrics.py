@@ -106,6 +106,32 @@ def test_metrics_reject_non_finite_positions():
         aggregate(_trace(frames), Thresholds(0.2, 10.0, 0.28))
 
 
+def test_metrics_past_the_square_range_are_the_finite_values(monkeypatch):
+    # A spread past about 1.3e154 m overflows a square.  That block is
+    # scored again scaled by 2**-512, so the true values come out, with no
+    # RuntimeWarning (an error under the test filter); the metrics that did
+    # not overflow keep the unscaled arithmetic's bits.
+    frame = np.array([[0.0, 0, 1], [1, 0, 1], [0, 1, 1]])
+    s = compute_metrics(frame, (Obstacle(1e300, 0.0, 0.15),))
+    assert (s.dist_min, s.comp_max, s.clear_obj) == (1.0, 0.7453559924999299, 1e300)
+    assert s.comp_max == compute_metrics(frame).comp_max
+    s = compute_metrics(np.array([[-1e300, 0, 1], [1e300, 0, 1]]))
+    assert (s.dist_min, s.comp_max, s.clear_obj) == (2e300, 1e300, None)
+    # A centroid sum of +inf and -inf halves (NaN) and a distance past the
+    # float range (inf, the true value's float).
+    s = compute_metrics(np.array([[1.5e308, 0, 1], [1.5e308, 0, 1], [-1.5e308, 0, 1],
+                                  [-1.5e308, 0, 1]]))
+    assert (s.dist_min, s.comp_max) == (0.0, 1.5e308)
+    assert compute_metrics(np.array([[-1.5e308, 0, 1], [1.5e308, 0, 1]])).dist_min == math.inf
+    # aggregate takes the worst of a frame that overflowed and one that did
+    # not, scored in one block or in a block each.
+    frames = [(0.0, [(0, 0, 1), (0.5, 0, 1)]), (0.1, [(-1e300, 0, 1), (1e300, 0, 1)])]
+    for elements in (metrics._WINDOW_ELEMENTS, 1):
+        monkeypatch.setattr(metrics, "_WINDOW_ELEMENTS", elements)
+        summary = aggregate(_trace(frames), Thresholds(0.2, 10.0, 0.28))
+        assert (summary.dist_min, summary.comp_max) == (0.5, 1e300), elements
+
+
 def test_metrics_comp_zero_iff_coincident():
     s = compute_metrics([Vec3(1, 1, 1), Vec3(1, 1, 1), Vec3(1, 1, 1)])
     assert s.comp_max == 0.0

@@ -191,9 +191,7 @@ def _random_config(rng):
             Obstacle(float(x), float(y), 0.15)
             for x, y in rng.uniform(-2.5, 2.5, size=(2, 2))
         )
-        xy = np.hypot(pts[0, 0] - np.array([o.x for o in obstacles]),
-                      pts[0, 1] - np.array([o.y for o in obstacles]))
-        if xy.min() < 0.15 + 0.07 + 0.1:
+        if min(_scalar_hypots(*pts[0, :2].tolist(), obstacles)) < 0.15 + 0.07 + 0.1:
             continue
         params = CostParams(
             w_coh=20.0, w_sep=9.0, w_tar=150.0, w_obs=12.0, r_drone=0.07,
@@ -368,9 +366,9 @@ def _scalar_cost(p, nbr, params):
     (numpy's .sum() would add 8 or more values pairwise); the centroid adds
     the neighbours row by row from the first, as nbr.sum(axis=0) does, and
     x + y + z adds left to right, as a 3-value .sum() does.  The obstacle
-    distances take np.hypot (libm's; math.hypot rounds differently) and
-    their terms add left to right over K.  `zh if g < zh else g` is
-    np.maximum(g, zh) for a positive zh, NaN included."""
+    distances are _scalar_hypots' and their terms add left to right over K.
+    `zh if g < zh else g` is np.maximum(g, zh) for a positive zh, NaN
+    included."""
     px, py, pz = p.tolist()
     rows = nbr.tolist()
     h = len(rows)
@@ -407,8 +405,9 @@ def _scalar_centroid(px, py, pz, rows):
 
 
 def _scalar_hypots(px, py, obstacles):
-    # The xy distances from p to each obstacle axis, from np.hypot.
-    return np.hypot([px - o.x for o in obstacles], [py - o.y for o in obstacles]).tolist()
+    # The xy distances from p to each obstacle axis on Python floats: the sqrt
+    # of the summed squares, basic IEEE operations only (no libm hypot).
+    return [math.sqrt((px - o.x) * (px - o.x) + (py - o.y) * (py - o.y)) for o in obstacles]
 
 
 def _scalar_gradient(p, nbr, params):
@@ -598,8 +597,8 @@ def test_cost_kernel_with_200_obstacles():
         for j, point in enumerate(points[a]):
             want = _scalar_cost(point, views[a], params)
             assert (*terms[:, a, j].tolist(), float(totals[a, j])) == want, (a, j)
-            inv = 1.0 / np.maximum(np.hypot(point[0] - xy[:, 0], point[1] - xy[:, 1]) - radii
-                                   - params.r_drone, params.zero_hat) ** 2
+            dxy = np.array(_scalar_hypots(*point[:2].tolist(), params.obstacles))
+            inv = 1.0 / np.maximum(dxy - radii - params.r_drone, params.zero_hat) ** 2
             pairwise += float(inv.sum()) != reduce(add, inv.tolist())
     assert pairwise > 0, "the case must tell the left-to-right and pairwise orders apart"
     for cfg in (ControllerConfig(kind="SPC"), ControllerConfig(kind="PFC")):

@@ -13,8 +13,9 @@ SIMD-dispatched transcendental ufunc, so the digests hold whatever SIMD
 targets numpy dispatches, and every recorded sum adds in an order the code
 writes out (obstacle terms left to right over K, neighbour pairs in
 bincount's order, which test_flock_kernel pins), not in numpy's pairwise
-order, so the digests are checked on every numpy.  Every test here is
-marked byte_identity.
+order, so the digests are checked on every numpy.  Obstacle distances are
+the sqrt of the summed squares, not libm's hypot; every digest case also
+runs with np.hypot made to raise.  Every test here is marked byte_identity.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ import math
 import os
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 import flockspc.engine as engine
@@ -66,12 +68,12 @@ CASES = {
 
 DIGESTS = {
     "spc_A_none": "c3dfb5a42cdca7dea21507ab84c484ac46bd073796351324bab645fb1256baab",
-    "spc_B_eleven": "47460a05a4cbd4ff0580ee9a114dfb8f3785fdf6ff8c88ec2c4b0d7c42fde4d8",
-    "pfc_A_three": "020a6ddb5c9a8748d92ebd518dd008439094dd19e4956058fe3baa1ba5a8beef",
+    "spc_B_eleven": "f8b9065402df789e7606b156dd72c836cd41551cf6824a43725bef66dbaa1b09",
+    "pfc_A_three": "b56ee4d4e1bece8f556da98f49f8001fa4d1643c340ec6a285cefe7cb43e51be",
     "pfc_B_none": "0ba658b9d2b876a845a8fa003c906d2b94e82ba45d32627ce5e6bab8ebce4776",
-    "pfc_B_eleven": "2c306c1d90f7c98683ad4227a8a813a3a8f9ae64c1bb93c691e29c9a81fe66aa",
-    "spc_A_eleven_noisy_delayed": "4844be00374358ca497b464157d99f5af8c2f876abd3df7bdaa5956b29254284",
-    "spc_B_three_block": "6a87dda874f1fc2037dbbcd673874209c62543d796ede452f5bd4457b6aa2430",
+    "pfc_B_eleven": "aeb8472d02b21965399eba003b499ab0daabce957e0103ebc5f4408b84fb9174",
+    "spc_A_eleven_noisy_delayed": "5c2bd0dc9e87e9897f8357671b25c4829bb7c3d79de7364b00316cb290d2816b",
+    "spc_B_three_block": "42523e0944315e99895fb199d55b82c20b560fa9163ea4aa1af6eebacd67c484",
 }
 
 # step_trajectory(LLCConfig(family=F), 1.0, duration=3.0, dt=0.001).tobytes()
@@ -93,6 +95,17 @@ def test_trace_digest(name):
     assert name.endswith("_block") == (cfg.llc.family == "B" and cfg.agent_count >= _BLOCK_ROWS)
     digest = _digest(cfg)
     assert digest == DIGESTS[name], f"{name}: trace bytes changed ({digest})"
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_digest_rollouts_call_no_libm_hypot(monkeypatch, name):
+    # np.hypot is libm's hypot, whose last bit may differ between C
+    # libraries; a rollout that calls it again fails here at once.
+    def hypot(*args, **kwargs):
+        raise AssertionError("np.hypot called in a rollout")
+
+    monkeypatch.setattr(np, "hypot", hypot)
+    assert _digest(CASES[name]()) == DIGESTS[name], name
 
 
 @pytest.mark.parametrize("family", sorted(STEP_DIGESTS))
