@@ -21,7 +21,7 @@ from itertools import product
 from pathlib import Path
 from typing import Any
 
-from .config import _AGENT_COUNT, _COUNTER_WORD, ConfigError, ScenarioConfig, SpawnSpec
+from .config import _AGENT_COUNT, _COUNTER_WORD, ScenarioConfig, SpawnSpec
 from .config import load, load_scenario, scenario_to_dict
 from .controller import ControllerConfig, ControllerKind
 from .engine import DivergenceError, _cpu_count, run_scenario, write_trace_csv
@@ -36,7 +36,7 @@ from .metrics import (
     write_summary_json,
 )
 from .model import _NONNEGATIVE, _SEED, CostParams, Vec3, _check_fields, _each, _field, _one_of
-from .model import _Rule, equilibrium_distance
+from .model import ConfigError, _Rule, equilibrium_distance
 from .presets import _LAYOUT_KEYS, build_scenario, resolve_layout
 
 __all__ = ["main", "cmd_simulate", "cmd_sweep", "cmd_step_response", "cmd_equilibrium"]

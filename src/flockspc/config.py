@@ -28,7 +28,6 @@ from .model import _FINITE, _FINITE_POINT, _FINITE_POINT_OR_NONE, _NONNEGATIVE, 
 from .model import ConfigError, CostParams, Obstacle, Vec3, _each, _check_fields, _field, _Rule
 
 __all__ = [
-    "ConfigError",
     "SpawnSpec",
     "Waypoint",
     "ScenarioConfig",

@@ -33,6 +33,7 @@ from typing import Any, Callable, NamedTuple, Sequence, get_args
 import numpy as np
 
 __all__ = [
+    "ConfigError",
     "Vec3",
     "Obstacle",
     "CostParams",

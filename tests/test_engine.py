@@ -47,7 +47,7 @@ from flockspc import (
 )
 from flockspc.controller import HOLD_GRADIENT_NORM, _ladders, _norms
 from flockspc.engine import _SPAWN_BLOCK, DivergenceError, _range_bound, _snapshot, _spawn_positions
-from flockspc.noise import _pair_noise, _round_keys
+from flockspc.engine import _pair_noise, _round_keys
 
 DEFAULT_COST = CostParams(w_coh=20.0, w_sep=9.0, w_tar=0.0, w_obs=0.0)
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import ast
 import importlib
+import inspect
 import pkgutil
 from dataclasses import replace
 from pathlib import Path
@@ -23,6 +24,24 @@ def test_module_all_resolves(name):
     assert len(set(exported)) == len(exported), f"duplicate names in flockspc.{name}.__all__"
     missing = [n for n in exported if not hasattr(module, n)]
     assert not missing, f"flockspc.{name}.__all__ names missing attributes: {missing}"
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_module_exports_only_what_it_defines(name):
+    # A class or function is public in the module that defines it, so each
+    # public name has one home and no module re-exports another's.
+    module = importlib.import_module(f"flockspc.{name}")
+    foreign = [n for n in getattr(module, "__all__", ())
+               if inspect.isclass(obj := getattr(module, n)) or inspect.isroutine(obj)
+               if obj.__module__ != module.__name__]
+    assert not foreign, f"flockspc.{name}.__all__ lists names defined elsewhere: {foreign}"
+
+
+def test_config_error_keeps_its_import_paths():
+    # model exports ConfigError; config, which raises it, still binds it.
+    from flockspc.config import ConfigError
+
+    assert ConfigError is flockspc.model.ConfigError is flockspc.ConfigError
 
 
 def test_package_imports_are_public_names():

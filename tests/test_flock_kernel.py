@@ -35,7 +35,7 @@ from flockspc import (
 from flockspc.controller import _decide
 from flockspc.engine import _snapshot
 from flockspc.model import _cost_terms, _gradient, _neighborhoods, _one_neighborhood
-from flockspc.noise import _pair_noise, _round_keys
+from flockspc.engine import _pair_noise, _round_keys
 from test_trace_digests import CASES as DIGEST_CASES
 
 CASES = 120

@@ -30,7 +30,7 @@ from flockspc import (
     tick_observation,
     write_trace_csv,
 )
-from flockspc.noise import _inverse_normal, _pair_noise, _philox, _round_keys
+from flockspc.engine import _inverse_normal, _pair_noise, _philox, _round_keys
 
 
 def _words(seed, counter):
