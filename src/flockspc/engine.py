@@ -89,10 +89,9 @@ class DivergenceError(Exception):
 # the salt every spawn was drawn with; seeds below 2**53 keep their spawns.
 _KEY_SALT = 0x9E3779B97F4A8000
 _SPAWN_BLOCK = 16  # box spawn candidates per draw and array pass (100 agents: ~120 attempts)
-# Flocks of up to _BLOCK_AGENTS agents draw the noise of all n^2 ordered
-# pairs for the next _BLOCK_PAIRS // n^2 ticks in one kernel call: the
-# kernel's fixed cost of about 100 numpy calls outweighs the unused pairs.
-_BLOCK_AGENTS = 16
+# Flocks of up to _BLOCK_AGENTS agents draw every ordered pair's noise for the next
+# _BLOCK_PAIRS // n^2 ticks in one kernel call, whose fixed cost outweighs the unused pairs.
+_BLOCK_AGENTS = 20
 _BLOCK_PAIRS = 1024
 
 
@@ -142,9 +141,9 @@ def _philox(keys: np.ndarray, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray,
 
 
 # Wichura's AS241 (PPND16; Applied Statistics 37(3), 1988) as
-# statistics.NormalDist.inv_cdf evaluates it: numerator and denominator
-# coefficients from the highest power down, one (2, 1) column per power.
-_AS241_CENTRAL = np.array([
+# statistics.NormalDist.inv_cdf evaluates it: (numerator, denominator)
+# coefficients from the highest power down, as Python floats.
+_AS241_CENTRAL = tuple(zip(
     (2.5090809287301226727e+3, 5.2264952788528545610e+3),
     (3.3430575583588128105e+4, 2.8729085735721942674e+4),
     (6.7265770927008700853e+4, 3.9307895800092710610e+4),
@@ -153,8 +152,8 @@ _AS241_CENTRAL = np.array([
     (1.9715909503065514427e+3, 6.8718700749205790830e+2),
     (1.3314166789178437745e+2, 4.2313330701600911252e+1),
     (3.3871328727963666080e+0, 1.0),
-])[:, :, None]
-_AS241_TAIL = np.array([
+))
+_AS241_TAIL = tuple(zip(
     (7.74545014278341407640e-4, 1.05075007164441684324e-9),
     (2.27238449892691845833e-2, 5.47593808499534494600e-4),
     (2.41780725177450611770e-1, 1.51986665636164571966e-2),
@@ -163,11 +162,11 @@ _AS241_TAIL = np.array([
     (5.76949722146069140550e+0, 1.67638483018380384940e+0),
     (4.63033784615654529590e+0, 2.05319162663775882187e+0),
     (1.42343711074968357734e+0, 1.0),
-])[:, :, None]
+))
 
 
-def _horner(coef: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """(c7 r + c6) r + ... + c0 for both rows of coef (8, 2, 1): (2, m)."""
+def _horner(coef: tuple[float, ...], r: np.ndarray) -> np.ndarray:
+    """(c7 r + c6) r + ... + c0 for the floats coef (c7, ..., c0) at each r (m,)."""
     p = coef[0] * r
     for c in coef[1:-1]:
         p += c
@@ -181,18 +180,19 @@ def _inverse_normal(u: np.ndarray) -> np.ndarray:
     AS241, bit for bit statistics.NormalDist().inv_cdf on the same libm.
     The central region |u - 0.5| <= 0.425 is + - * / only; each tail value
     takes one math.log.  The far-tail branch (r > 5) needs u < 1.4e-11, so
-    it never runs: sqrt(-log(2**-33)) < 4.8."""
+    it never runs: sqrt(-log(2**-33)) < 4.8.  The four polynomials are
+    Horner chains with Python-float coefficients (numpy's fast path)."""
     q = u - 0.5
-    num, den = _horner(_AS241_CENTRAL, 0.180625 - q * q)
-    x = num * q / den
+    r = 0.180625 - q * q
+    num, den = (_horner(coef, r) for coef in _AS241_CENTRAL)
+    x = np.divide(np.multiply(num, q, out=num), den, out=num)  # num * q / den
     tail = np.flatnonzero(np.abs(q) > 0.425)
     if tail.size:
         qt = q[tail]
         r = np.where(qt <= 0.0, u[tail], 1.0 - u[tail]).tolist()
-        logs = np.fromiter(map(math.log, r), float, len(r))
-        num, den = _horner(_AS241_TAIL, np.sqrt(-logs) - 1.6)
-        xt = num / den
-        x[tail] = np.negative(xt, out=xt, where=qt < 0.0)
+        r = np.sqrt(-np.fromiter(map(math.log, r), float, len(r))) - 1.6
+        xt, den = (_horner(coef, r) for coef in _AS241_TAIL)
+        x[tail] = np.negative(np.divide(xt, den, out=xt), out=xt, where=qt < 0.0)
     return x
 
 
@@ -260,7 +260,7 @@ def _snapshot(pos: np.ndarray, agents: np.ndarray, r_h: float, noise: PairNoise 
     Noise is drawn for those pairs and the self pairs only, in one call;
     None adds none.  Inputs are trusted."""
     a = agents.shape[0]
-    own = pos[agents]
+    own = pos.take(agents, axis=0)  # row gathers by take: 3-4x faster than pos[agents]
     d2 = pos[:, 0] - own[:, 0, None]  # squared and summed x, y, z in place
     d2 *= d2
     for c in (1, 2):
@@ -271,10 +271,10 @@ def _snapshot(pos: np.ndarray, agents: np.ndarray, r_h: float, noise: PairNoise 
     rows, cols = np.divmod(np.flatnonzero(near), pos.shape[0])  # np.nonzero's order and dtype
     counts = np.bincount(rows, minlength=a).astype(np.int32)
     if noise is None:
-        return own, counts, cols, pos[cols]
+        return own, counts, cols, pos.take(cols, axis=0)
     noisy = noise(np.concatenate((agents, agents[rows])), np.concatenate((agents, cols)))
     own += noisy[:a]
-    return own, counts, cols, pos[cols] + noisy[a:]
+    return own, counts, cols, pos.take(cols, axis=0) + noisy[a:]
 
 
 def _tick_noise(cfg: ScenarioConfig, tick: int) -> PairNoise | None:

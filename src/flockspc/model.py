@@ -409,7 +409,7 @@ def _gradient(p: np.ndarray, hoods: _Neighborhoods, params: CostParams,
     d2 = gap = centroid = clear = None  # as _cost_terms builds them for m = 1
 
     if params.w_coh > 0.0 or params.w_sep > 0.0:
-        diff = p[hoods.rows] - hoods.nbr  # (k, 3), from each neighbour toward p_i
+        diff = p.take(hoods.rows, axis=0) - hoods.nbr  # (k, 3), from each neighbour toward p_i
         sq = diff * diff
         d2 = (sq[:, 0] + sq[:, 1] + sq[:, 2])[:, None]
         if params.w_coh > 0.0:

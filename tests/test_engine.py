@@ -192,8 +192,8 @@ def test_spawn_stream_rejects_aliasing_seeds():
 @pytest.mark.parametrize("n", [1, 2, 7, 30])
 def test_array_snapshot_equals_observe(n):
     """The simulator's flock-wide snapshot (one noise draw and one set of
-    pair lists per tick; flocks of up to 16 read a block of every pair's
-    noise) must give each agent's own batch-of-1 snapshot row for row, the
+    pair lists per tick; flocks of up to _BLOCK_AGENTS read a block of every
+    pair's noise) must give each agent's own batch-of-1 snapshot row for row, the
     one tick_observation replays, whatever order the ticks and agents are
     asked in.  This pins the pair-list format: the lists hold counts.sum()
     pairs, row-major, each agent's cols strictly ascending and never the

@@ -79,13 +79,18 @@ def _python_inv_cdf():
     return module._normal_dist_inv_cdf
 
 
+@pytest.mark.byte_identity
 def test_inverse_normal_matches_statistics():
-    # statistics.NormalDist.inv_cdf is AS241 too.  Its pure-Python form is
-    # the exact oracle: the kernel repeats its operations, so the two agree
-    # bit for bit, tails included (np.log there would differ in the last
-    # bit on some inputs under AVX-512).  The C accelerator NormalDist uses
-    # may fuse multiply-adds where the compiler does, hence 2 ulp there; on
-    # x86-64 it agrees bit for bit as well.
+    """Pins AS241, which maps every noise word to the normal that the trace
+    records, bit for bit to statistics' pure-Python AS241 over about 150 000
+    u, region edges and tails included.
+
+    statistics.NormalDist.inv_cdf is AS241 too.  Its pure-Python form is
+    the exact oracle: the kernel repeats its operations, so the two agree
+    bit for bit, tails included (np.log there would differ in the last
+    bit on some inputs under AVX-512).  The C accelerator NormalDist uses
+    may fuse multiply-adds where the compiler does, hence 2 ulp there; on
+    x86-64 it agrees bit for bit as well."""
     edge = 0.5 - 0.425
     fixed = [2.0**-33, 1.0 - 2.0**-33, 2.0**-32 * 1.5, 0.5 - 2.0**-33, 0.5 + 2.0**-33, 0.5]
     for centre in (edge, 1.0 - edge):
@@ -132,7 +137,11 @@ def test_pair_noise_moments_and_independence():
     assert abs(np.corrcoef(flat, other.ravel())[0, 1]) < limit
 
 
+@pytest.mark.byte_identity
 def test_pair_noise_depends_on_the_counter_only():
+    """Pins batch independence: a pair's noise drawn alone has the bits it
+    has in a block of 75 pairs over three ticks, so the small-flock block
+    and the per-tick draws give every pair the same noise."""
     keys = _round_keys(2**40 + 9)
     t, i, j = np.indices((3, 5, 5)).reshape(3, -1)
     block = _pair_noise(keys, t + 7, i, j, 0.3)
