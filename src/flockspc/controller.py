@@ -145,14 +145,16 @@ def _decide(p: np.ndarray, hoods: _Neighborhoods, params: CostParams,
     gradient = _gradient(p, hoods, params)[4]
     norm = _norms(gradient)
     moves = (HOLD_GRADIENT_NORM <= norm) & (norm < math.inf)  # a NaN norm holds too
+    along, scale = gradient, norm  # each np.where below keeps all of them when all move
+    if not (everyone := moves.all()):  # a holder's ladder repeats p
+        along, scale = np.where(moves[:, None], gradient, 0.0), np.where(moves, norm, 1.0)
     lookahead = cfg.n_star
-    if cfg.dynamic_n and params.target is not None:
-        held = np.where(moves[:, None], p, params._target_array)  # a holder's distance is 0
+    if cfg.dynamic_n and params.target is not None:  # a holder's distance is 0
+        held = p if everyone else np.where(moves[:, None], p, params._target_array)
         lookahead = _lookahead_counts(cfg.n_star, _norms(held - params._target_array))
     counts = moves.astype(np.int32) * lookahead
     longest = int(counts.max())
-    along = np.where(moves[:, None], gradient, 0.0)  # a holder's ladder repeats p
-    points = _ladders(p, along, np.where(moves, norm, 1.0), cfg.epsilon, longest)
+    points = _ladders(p, along, scale, cfg.epsilon, longest)
     terms = _cost_terms(points, hoods, params)
     totals = _cost_totals(terms)
     # Point 0 (hold) counts as infinitely costly, so argmin picks the first

@@ -60,7 +60,7 @@ import numpy as np
 from .config import ScenarioConfig, Waypoint
 from .controller import _decide
 from .floatrepr import _Lines
-from .llc import _plant_fault, fly
+from .llc import _plant_fault, _step_plant
 from .model import _INTEGER, _SEED, ConfigError, CostParams, Vec3, _neighborhoods
 
 __all__ = [
@@ -249,14 +249,14 @@ def _range_bound(r_h: float) -> float:
 
 
 def _snapshot(pos: np.ndarray, agents: np.ndarray, r_h: float, noise: PairNoise | None
-              ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+              ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """What each of the observing agents (a,) sees of the true positions
     pos (n, 3), as pair lists: its own noisy position (a, 3), its neighbour
     count (a,) int32, and the indices cols (k,) and noisy positions (k, 3)
     of the agents strictly within r_h of its true position, itself excluded,
     in row-major order: agent i's are its next counts[i] entries, cols
-    ascending.  A squared distance d2 is in range when d2 <
-    _range_bound(r_h), which is exactly sqrt(d2) < r_h without the sqrt.
+    ascending; last, each pair's observer row (k,) int64.  A squared distance
+    d2 is in range when d2 < _range_bound(r_h), exactly sqrt(d2) < r_h, without the sqrt.
     Noise is drawn for those pairs and the self pairs only, in one call;
     None adds none.  Inputs are trusted."""
     a = agents.shape[0]
@@ -271,10 +271,10 @@ def _snapshot(pos: np.ndarray, agents: np.ndarray, r_h: float, noise: PairNoise 
     rows, cols = np.divmod(np.flatnonzero(near), pos.shape[0])  # np.nonzero's order and dtype
     counts = np.bincount(rows, minlength=a).astype(np.int32)
     if noise is None:
-        return own, counts, cols, pos.take(cols, axis=0)
+        return own, counts, cols, pos.take(cols, axis=0), rows
     noisy = noise(np.concatenate((agents, agents[rows])), np.concatenate((agents, cols)))
     own += noisy[:a]
-    return own, counts, cols, pos.take(cols, axis=0) + noisy[a:]
+    return own, counts, cols, pos.take(cols, axis=0) + noisy[a:], rows
 
 
 def _tick_noise(cfg: ScenarioConfig, tick: int) -> PairNoise | None:
@@ -360,16 +360,16 @@ def _spawn_positions(cfg: ScenarioConfig) -> np.ndarray:
 
 def _advance(state: np.ndarray, sp: np.ndarray, cfg: ScenarioConfig, tick: int) -> np.ndarray:
     """The (n, 8) state rows after control tick `tick`'s LLC + plant steps
-    toward the setpoints sp (n, 3).  Raises DivergenceError, naming the tick,
-    for the first physics step's first agent whose state is not finite."""
-    new_state = state.copy()
-    fly(new_state, sp, cfg.llc, cfg.physics_dt, cfg.steps_per_tick)
+    toward the setpoints sp (n, 3), by llc._step_plant: fly()'s shape, dt
+    and step checks hold by construction.  Raises DivergenceError, naming the
+    tick, for the first physics step's first agent whose state is not finite."""
+    new_state = _step_plant(state, sp, cfg.llc, cfg.physics_dt, cfg.steps_per_tick)
     if not np.isfinite(new_state[:, :6]).all():
         # A value that stops being finite stays so: replaying one step at a
         # time finds where the first one did.
-        replay = state.copy()
+        replay = state
         for _ in range(cfg.steps_per_tick):
-            fly(replay, sp, cfg.llc, cfg.physics_dt, 1)
+            replay = _step_plant(replay, sp, cfg.llc, cfg.physics_dt, 1)
             for i, row in enumerate(replay.tolist()):
                 if (fault := _plant_fault(row)) is not None:
                     raise DivergenceError(f"tick {tick} (t={tick * cfg.control_period:g} s), "
@@ -454,8 +454,8 @@ class Simulation:
 
         params = self._active_params(now)
         basis = self._position_history[0]
-        observed, counts, _, seen = _snapshot(basis, self._agents, cfg.r_h, self._noise(k))
-        hoods = _neighborhoods(seen, counts)
+        observed, counts, _, seen, rows = _snapshot(basis, self._agents, cfg.r_h, self._noise(k))
+        hoods = _neighborhoods(seen, counts, rows)
         decisions = _decide(observed, hoods, params, cfg.controller)
 
         # Positional, in TickRecord's field order: faster than keywords.
@@ -497,7 +497,7 @@ def tick_observation(trace: Trace, tick_index: int, agent: int) -> list[tuple[in
     if not 0 <= agent < cfg.agent_count:
         raise ConfigError("agent", f"must be in [0, {cfg.agent_count}), got {agent}")
     basis = trace.records[max(0, tick_index - cfg.obs_delay_ticks)].positions
-    own, _, cols, seen = _snapshot(basis, np.array([agent]), cfg.r_h, _tick_noise(cfg, tick_index))
+    own, _, cols, seen, _ = _snapshot(basis, np.array([agent]), cfg.r_h, _tick_noise(cfg, tick_index))
     points = sorted([(agent, own[0]), *zip(cols.tolist(), seen)], key=lambda pair: pair[0])
     return [(j, Vec3(*p.tolist())) for j, p in points]
 

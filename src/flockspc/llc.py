@@ -146,10 +146,10 @@ def _fly(rows: list[list[float]], refs: Sequence[Sequence[float]], cfg: LLCConfi
 
 
 def _fly_block(states: np.ndarray, refs: np.ndarray, cfg: LLCConfig, dt: float,
-               steps: int) -> None:
+               steps: int) -> np.ndarray:
     """Family B's _fly for many rows as one array step: the loop's IEEE
     operations in its order on a transposed (8, n) copy, so every row gets
-    the loop's bits.  Every step writes into the same two (3, n) planes."""
+    the loop's bits, as new rows.  Every step writes into two (3, n) planes."""
     t_delta, t_delta2 = cfg.t_delta, cfg.t_delta**2
     tau, tau2 = cfg.z_time_constant, cfg.z_time_constant**2
     a_lo, a_hi = GRAVITY * tan(cfg.tilt_min), GRAVITY * tan(cfg.tilt_max)
@@ -167,7 +167,17 @@ def _fly_block(states: np.ndarray, refs: np.ndarray, cfg: LLCConfig, dt: float,
             np.subtract(az, np.divide(np.multiply(vz, 2.0, out=tz), tau, out=tz), out=az)
             np.add(v, np.multiply(a, dt, out=tmp), out=v)
             np.add(p, np.multiply(v, dt, out=tmp), out=p)
-    states[:] = s.T
+    return s.T.copy()
+
+
+def _step_plant(states: np.ndarray, refs: np.ndarray, cfg: LLCConfig, dt: float,
+                steps: int) -> np.ndarray:
+    """fly()'s steps, unchecked, into new rows: the engine's plant call."""
+    if cfg.family == "B" and states.shape[0] >= _BLOCK_ROWS:
+        return _fly_block(states, refs, cfg, dt, steps)
+    rows = states.tolist()
+    _fly(rows, refs.tolist(), cfg, dt, steps)
+    return np.array(rows) if rows else states.copy()  # [] is shape (0,), not (0, 8)
 
 
 def fly(states: np.ndarray, refs: np.ndarray, cfg: LLCConfig, dt: float,
@@ -176,7 +186,7 @@ def fly(states: np.ndarray, refs: np.ndarray, cfg: LLCConfig, dt: float,
     plant steps of dt seconds toward the positional references refs (n, 3).
     Family A's integrator keeps its old value on an axis whose output is
     clamped.  Shapes, dt and steps are checked; values are not, so a
-    non-finite state flows through.
+    non-finite state flows through.  _step_plant takes the same steps unchecked.
     """
     if not (isinstance(states, np.ndarray) and states.dtype == float and states.shape[1:] == (8,)):
         raise ValueError(f"states must be a float64 (n, 8) array, got {np.shape(states)}")
@@ -187,13 +197,7 @@ def fly(states: np.ndarray, refs: np.ndarray, cfg: LLCConfig, dt: float,
     _INTEGER.check(steps, "steps")
     if steps < 1:
         raise ConfigError("steps", f"must be >= 1, got {steps}")
-    if cfg.family == "B" and states.shape[0] >= _BLOCK_ROWS:
-        _fly_block(states, refs, cfg, dt, steps)
-        return
-    rows = states.tolist()
-    _fly(rows, refs.tolist(), cfg, dt, steps)
-    if rows:  # [] does not broadcast to shape (0, 8)
-        states[:] = rows
+    states[:] = _step_plant(states, refs, cfg, dt, steps)
 
 
 def _plant_fault(row: Sequence[float]) -> str | None:

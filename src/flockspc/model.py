@@ -248,10 +248,10 @@ def _points(points: Neighbors, what: str) -> np.ndarray:
 class _Neighborhoods(NamedTuple):
     """The frozen neighbourhoods of n agents as pair lists: pair j is agent
     rows[j]'s neighbour nbr[j] (k, 3), agent i's counts[i] (n,) pairs next in
-    observation order.  Built once a tick for every kernel: the neighbour sums
-    sums (n, 3) (+0.0 for none), h (n, 1) the counts clamped to 1, h1 (n, 1)
-    the counts + 1, has (n, 1) counts > 0, and the _pair_sum bins of 3 values a
-    pair, for sums and pushes."""
+    observation order.  Built once a tick for every kernel: the float64 neighbour
+    sums (n, 3) (+0.0 for none), h (n, 1) the counts clamped to 1, h1 (n, 1) the
+    counts + 1, has (n, 1) counts > 0, all_have whether all are (the kernels then
+    skip has: same bits), and the _pair_sum bins of 3 values a pair."""
 
     rows: np.ndarray
     nbr: np.ndarray
@@ -260,6 +260,7 @@ class _Neighborhoods(NamedTuple):
     h: np.ndarray
     h1: np.ndarray
     has: np.ndarray
+    all_have: bool
     bins: np.ndarray
 
 
@@ -268,16 +269,20 @@ def _pair_sum(x: np.ndarray, bins: np.ndarray, n: int) -> np.ndarray:
     + i] = rows[j] * c + i: bincount adds each agent's pairs in order from +0.0,
     0.0 + x_0 + x_1 + ... (test_flock_kernel pins it; .sum() adds pairwise)."""
     c = x.shape[1]
+    if not bins.size:  # bincount's zeros would be int64
+        return np.zeros((n, c))
     return np.bincount(bins, weights=x.ravel(), minlength=n * c).reshape(n, c)
 
 
-def _neighborhoods(seen: np.ndarray, counts: np.ndarray) -> _Neighborhoods:
-    """Agent i's neighbours are the next counts[i] (n,) rows of seen (k, 3)."""
-    rows = np.repeat(np.arange(len(counts)), counts)
+def _neighborhoods(seen: np.ndarray, counts: np.ndarray,
+                   rows: np.ndarray | None = None) -> _Neighborhoods:
+    """Agent i's neighbours are the next counts[i] (n,) rows of seen (k, 3);
+    rows (k,) int64 holds each pair's agent, when the caller has them."""
+    rows = np.repeat(np.arange(len(counts)), counts) if rows is None else rows
     bins = (rows[:, None] * 3 + np.arange(3)).ravel()
     return _Neighborhoods(rows, seen, counts, _pair_sum(seen, bins, len(counts)),
                           np.maximum(counts, 1)[:, None], (counts + 1)[:, None],
-                          (counts > 0)[:, None], bins)
+                          (counts > 0)[:, None], bool(counts.all()), bins)
 
 
 def _one_neighborhood(neighbors: Neighbors) -> _Neighborhoods:
@@ -289,7 +294,8 @@ def _one_neighborhood(neighbors: Neighbors) -> _Neighborhoods:
 def _centroids(points: np.ndarray, hoods: _Neighborhoods) -> np.ndarray:
     # Centroid of {point} u H at every point of the planes (3, n, m), or the
     # point itself for an agent without neighbours.
-    return np.where(hoods.has, (points + hoods.sums.T[:, :, None]) / hoods.h1, points)
+    centroid = (points + hoods.sums.T[:, :, None]) / hoods.h1
+    return centroid if hoods.all_have else np.where(hoods.has, centroid, points)
 
 
 def _sep_gap(d: np.ndarray, params: CostParams) -> np.ndarray:
@@ -316,14 +322,16 @@ def _put_terms(terms: np.ndarray, hoods: _Neighborhoods, params: CostParams, d2,
     """Write into the planes terms (4, n, m) the cost terms at m points per
     agent from the pairs' squared distances d2 and separation gaps (k, m),
     the centroid planes (3, n, m) and the obstacle gaps clear (K, n, m),
-    whose terms add left to right over K; a None term stays 0."""
+    whose terms add left to right over K; a None term stays 0.  gap is overwritten."""
     if d2 is not None:
-        m = d2.shape[1]
+        m, n = d2.shape[1], terms.shape[1]
         bins = hoods.rows if m == 1 else (hoods.rows[:, None] * m + np.arange(m)).ravel()
         if params.w_coh > 0.0:
-            terms[0] = params.w_coh * _pair_sum(d2, bins, terms.shape[1]) / hoods.h
+            coh = _pair_sum(d2, bins, n)
+            np.divide(np.multiply(params.w_coh, coh, out=coh), hoods.h, out=terms[0])
         if gap is not None:
-            terms[1] = params.w_sep * _pair_sum(1.0 / gap**2, bins, terms.shape[1]) / hoods.h
+            sep = _pair_sum(np.divide(1.0, np.multiply(gap, gap, out=gap), out=gap), bins, n)
+            np.divide(np.multiply(params.w_sep, sep, out=sep), hoods.h, out=terms[1])
     if centroid is not None:
         sq = params._target_array[:, None, None] - centroid
         sq *= sq
@@ -412,8 +420,9 @@ def _gradient(p: np.ndarray, hoods: _Neighborhoods, params: CostParams,
         diff = p.take(hoods.rows, axis=0) - hoods.nbr  # (k, 3), from each neighbour toward p_i
         sq = diff * diff
         d2 = (sq[:, 0] + sq[:, 1] + sq[:, 2])[:, None]
+        has = True if hoods.all_have else hoods.has  # where=True: numpy's unmasked loop
         if params.w_coh > 0.0:
-            np.multiply(2.0 * params.w_coh, p - hoods.sums / hoods.h, out=grad[0], where=hoods.has)
+            np.multiply(2.0 * params.w_coh, p - hoods.sums / hoods.h, out=grad[0], where=has)
         if params.w_sep > 0.0:
             d = np.sqrt(d2)
             unit = diff / np.where(d > 0.0, d, 1.0)
@@ -423,7 +432,7 @@ def _gradient(p: np.ndarray, hoods: _Neighborhoods, params: CostParams,
             unit /= gap * gap * gap
             push = _pair_sum(unit, hoods.bins, len(p))
             # -(2 w_sep / h) as one division: negation is exact
-            np.multiply((-2.0 * params.w_sep) / hoods.h, push, out=grad[1], where=hoods.has)
+            np.multiply((-2.0 * params.w_sep) / hoods.h, push, out=grad[1], where=has)
 
     if params.w_tar > 0.0 and params.target is not None:
         centroid = _centroids(p.T[:, :, None], hoods)

@@ -92,7 +92,7 @@ def _noise(seed, tick, sigma):
 
 def test_observe_noise_std_matches_sigma():
     pos = np.zeros((183, 3))
-    own, counts, _, seen = _snapshot(pos, np.arange(183), math.inf, _noise(7, 0, 0.10))
+    own, counts, _, seen, _ = _snapshot(pos, np.arange(183), math.inf, _noise(7, 0, 0.10))
     samples = np.concatenate((own, seen)).ravel()  # 183*183*3 > 1e5 draws
     assert counts.sum() == 183 * 182
     std = float(np.std(samples))
@@ -206,7 +206,7 @@ def test_array_snapshot_equals_observe(n):
             sim = Simulation(_scenario(agent_count=n, noise_sigma=sigma, r_h=r_h, seed=n + 40,
                                        spawn=SpawnSpec(positions=tuple(Vec3(*p) for p in pos))))
             for tick in rng.permutation([0, 1, 5, 2, 2**32 - 1]).tolist():
-                own, counts, cols, seen = _snapshot(pos, agents, r_h, sim._noise(tick))
+                own, counts, cols, seen, _ = _snapshot(pos, agents, r_h, sim._noise(tick))
                 assert counts.dtype == np.int32 and counts.shape == (n,)
                 assert counts.sum() == len(cols) == len(seen)
                 ends = np.cumsum(counts)
@@ -270,9 +270,9 @@ def _snapshot_reference(pos, agents, r_h, noise):
     rows, cols = np.nonzero(near)
     counts = np.bincount(rows, minlength=a).astype(np.int32)
     if noise is None:
-        return pos[agents], counts, cols, pos[cols]
+        return pos[agents], counts, cols, pos[cols], rows
     noisy = noise(np.concatenate((agents, agents[rows])), np.concatenate((agents, cols)))
-    return pos[agents] + noisy[:a], counts, cols, pos[cols] + noisy[a:]
+    return pos[agents] + noisy[:a], counts, cols, pos[cols] + noisy[a:], rows
 
 
 @pytest.mark.byte_identity
@@ -281,7 +281,8 @@ def test_snapshot_equals_the_sqrt_and_nonzero_reference(r_h):
     """The snapshot against the np.sqrt / np.nonzero code it replaced, on
     rows with NaN and inf coordinates, agents 8e15 m out (a diverged PFC
     flock's z), pairs exactly r_h apart, one observer, and a flock with no
-    pairs in range: the same pair lists, dtypes and noisy positions."""
+    pairs in range: the same pair lists, dtypes and noisy positions, and
+    each pair's observer row as np.nonzero gives it."""
     rng = np.random.default_rng(2600)
     pos = rng.uniform(-1.5, 1.5, size=(40, 3))
     pos[3] = (math.nan, 0.0, 1.0)

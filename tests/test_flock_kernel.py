@@ -7,12 +7,15 @@ pass must equal the public batch-of-1 call for the
 same agent (evaluate_gradient, evaluate_cost, spc_setpoint,
 pfc_setpoint) bit for bit, compared with float.hex so -0.0 and NaN payloads
 count too, and relabelling the agents of a batch must permute its rows
-exactly.
+exactly.  The tick's private hand-offs (the snapshot's pair rows, the
+every-agent-has-a-neighbour flag, the plant dispatch without fly()'s
+checks) must give the bits of the paths they stand in for.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 from functools import partial, reduce
 from operator import add
 
@@ -22,10 +25,14 @@ import pytest
 from flockspc import (
     ControllerConfig,
     CostParams,
+    LLCConfig,
     Obstacle,
     Vec3,
+    build_scenario,
     evaluate_cost,
     evaluate_gradient,
+    fly,
+    hardware_scenario,
     pfc_setpoint,
     run_scenario,
     spc_setpoint,
@@ -33,8 +40,9 @@ from flockspc import (
     tick_observation,
 )
 from flockspc.controller import _decide
-from flockspc.engine import _snapshot
-from flockspc.model import _cost_terms, _gradient, _neighborhoods, _one_neighborhood
+from flockspc.engine import DivergenceError, _advance, _snapshot
+from flockspc.llc import _BLOCK_ROWS, _step_plant
+from flockspc.model import _cost_terms, _gradient, _neighborhoods, _one_neighborhood, _pair_sum
 from flockspc.engine import _pair_noise, _round_keys
 from test_trace_digests import CASES as DIGEST_CASES
 
@@ -74,8 +82,8 @@ def _params(rng, i, pos):
 def _flock(i):
     """Seeded flock: n from 1 to 40, finite and infinite r_h, coincident
     agents, per-pair observation noise; returns (observed, seen, counts,
-    params), seen holding the (k, 3) neighbour observations, agent by agent
-    in order, counts[i] of them agent i's."""
+    params, rows), seen holding the (k, 3) neighbour observations, agent by
+    agent in order, counts[i] of them agent i's, rows (k,) each one's agent."""
     rng = np.random.default_rng(1000 + i)
     n = 1 + i % 40
     pos = rng.uniform(-1.0, 1.0, size=(n, 3)) * (0.2, 1.0, 3.0)[i % 3]
@@ -88,8 +96,8 @@ def _flock(i):
     noise = None
     if sigma > 0.0:
         noise = partial(_pair_noise, _round_keys(i), 2**32 - 1 - i, sigma=sigma)
-    observed, counts, _, seen = _snapshot(pos, np.arange(n), r_h, noise)
-    return observed, seen, counts, _params(rng, i, pos)
+    observed, counts, _, seen, rows = _snapshot(pos, np.arange(n), r_h, noise)
+    return observed, seen, counts, _params(rng, i, pos), rows
 
 
 def _views(seen, counts):
@@ -111,7 +119,7 @@ def test_cases_reach_the_edges():
     # The generator covers what the kernel must get right.
     counts, flat, nan, moved = set(), 0, 0, 0
     for i in range(CASES):
-        observed, seen, hood_counts, params = _flock(i)
+        observed, seen, hood_counts, params, _ = _flock(i)
         counts.update(hood_counts.tolist())
         with np.errstate(over="ignore", invalid="ignore"):
             d = _decide(observed, _neighborhoods(seen, hood_counts), params, _controllers(
@@ -126,7 +134,7 @@ def test_cases_reach_the_edges():
 @pytest.mark.parametrize("part", range(4))
 def test_flock_kernel_rows_equal_batch_of_one(part):
     for i in range(part, CASES, 4):
-        observed, seen, counts, params = _flock(i)
+        observed, seen, counts, params, _ = _flock(i)
         n = observed.shape[0]
         hoods = _neighborhoods(seen, counts)
         assert hoods.counts.tolist() == counts.tolist()
@@ -161,7 +169,7 @@ def test_relabelling_permutes_rows_exactly():
     # Agent a of the relabelled batch is agent perm[a] of the original, with
     # the same view of its neighbours: every output row moves with it.
     for i in range(CASES):
-        observed, seen, counts, params = _flock(i)
+        observed, seen, counts, params, _ = _flock(i)
         n = observed.shape[0]
         perm = np.random.default_rng(i).permutation(n)
         views = _views(seen, counts)
@@ -269,7 +277,8 @@ def _pfc_flock(i):
     noise = None
     if i % 4 == 2:
         noise = partial(_pair_noise, _round_keys(i), 7, sigma=0.05)
-    observed, counts, _, seen = _snapshot(pos, np.arange(n), (math.inf, 0.6)[(i // 2) % 2], noise)
+    observed, counts, _, seen, _ = _snapshot(pos, np.arange(n), (math.inf, 0.6)[(i // 2) % 2],
+                                              noise)
     return observed, seen, counts, params
 
 
@@ -346,3 +355,97 @@ def test_holders_keep_their_position_and_movers_their_bits():
             assert _hex(d.setpoints[a]) == _hex(observed[a]), a
         assert d.grad_norms[1] == 0.0 and d.grad_norms[2] == math.inf
         assert math.isnan(d.grad_norms[4])
+
+
+def test_neighbourhood_flag_takes_the_unmasked_forms_with_the_same_bits():
+    # all_have is set when every agent has a neighbour; the gradient (with
+    # and without its cost terms) and the cost terms then skip their has
+    # masks.  On a connected flock both forms give the same bits.  With an
+    # isolated agent the flag is off, and forcing it on moves only the
+    # isolated agents' rows.  The snapshot's pair rows give the
+    # neighbourhoods that rebuilding them from the counts gives.
+    seen_flags = set()
+    for i in range(0, CASES, 2):
+        observed, seen, counts, params, rows = _flock(i)
+        n = observed.shape[0]
+        hoods = _neighborhoods(seen, counts, rows)
+        for got, want in zip(hoods, _neighborhoods(seen, counts)):
+            assert got is want if isinstance(got, bool) else _hex(got) == _hex(want), i
+        assert hoods.all_have == bool((counts > 0).all()) and hoods.sums.dtype == np.float64
+        seen_flags.add(hoods.all_have)
+        points = observed.T[:, :, None] + np.random.default_rng(i).normal(0.0, 0.3, size=(3, n, 2))
+        kept = counts > 0
+        outputs = {}
+        with np.errstate(over="ignore", invalid="ignore"):
+            for flag in (False, True):
+                h = hoods._replace(all_have=flag)
+                costs = np.zeros((n, 4))
+                outputs[flag] = (_gradient(observed, h, params), _gradient(observed, h, params, costs),
+                                 costs, _cost_terms(points, h, params))
+        for off, on in zip(outputs[False], outputs[True]):
+            axis = 1 if off.ndim == 3 else 0  # (5, n, 3) and (4, n, m) planes, (n, 4) rows
+            assert _hex(np.compress(kept, off, axis)) == _hex(np.compress(kept, on, axis)), i
+            if hoods.all_have:
+                assert _hex(off) == _hex(on), i
+    assert seen_flags == {False, True}
+
+
+def test_pair_sums_are_float64_without_pairs():
+    # np.bincount gives int64 zeros for no pairs; the cost planes take the
+    # sums by out= writes, which reject them.  Checked on the kernel and on
+    # a whole hardware-preset rollout in which no agent sees another.
+    hoods = _neighborhoods(np.empty((0, 3)), np.zeros(3, np.int32))
+    assert hoods.sums.dtype == np.float64 and _hex(hoods.sums) == [(0.0).hex()] * 9
+    assert _pair_sum(np.empty((0, 2)), np.empty(0, np.intp), 3).dtype == np.float64
+    trace = run_scenario(replace(hardware_scenario(0), r_h=1e-3))
+    for rec in trace.records:
+        assert rec.n_neighbors.tolist() == [0] * 4
+        assert rec.costs.dtype == np.float64 and _hex(rec.costs[:, 1:3]) == [(0.0).hex()] * 8
+
+
+@pytest.mark.parametrize("family", ["A", "B"])
+def test_plant_dispatch_equals_fly(family):
+    # The engine steps the plant by llc._step_plant, fly() without its
+    # argument checks: at 1, _BLOCK_ROWS - 1 and _BLOCK_ROWS rows (family
+    # B's array step from there on) it gives fly()'s bits, non-finite
+    # values included, in a new array, and leaves its input as it was.
+    rng = np.random.default_rng(36)
+    cfg = LLCConfig(family=family)
+    for n in (1, _BLOCK_ROWS - 1, _BLOCK_ROWS):
+        for steps in (1, 10):
+            start = rng.uniform(-3.0, 3.0, size=(n, 8))
+            refs = start[:, :3] + rng.uniform(-4.0, 4.0, size=(n, 3))
+            if steps == 10:
+                start[rng.integers(n), rng.integers(8)] = math.inf
+            before = _hex(start)
+            states = start.copy()
+            with np.errstate(over="ignore", invalid="ignore"):
+                fly(states, refs, cfg, 0.01, steps)
+                got = _step_plant(start, refs, cfg, 0.01, steps)
+            assert got.shape == (n, 8) and got.dtype == np.float64 and got is not start
+            assert _hex(got) == _hex(states), (n, steps)
+            assert _hex(start) == before, (n, steps)
+
+
+def test_advance_names_the_diverging_agent_as_before():
+    # _advance replays a tick step by step only when it diverged.  Agent
+    # positions leave the float range at the tenth physics step; the text
+    # is pinned, and the state it was given stays as it was.
+    cases = (
+        (hardware_scenario(0), 2, "tick 5 (t=0.5 s), agent 2: plant position must be finite, got "
+         "Vec3(x=inf, y=0.7012586556400746, z=0.8059070806341092)"),
+        (build_scenario(_BLOCK_ROWS, "none", "SPC", "B", 0), _BLOCK_ROWS - 2,
+         f"tick 5 (t=0.5 s), agent {_BLOCK_ROWS - 2}: plant position must be finite, got "
+         "Vec3(x=inf, y=5.780304887561424, z=5.755276524464324)"),
+    )
+    for cfg, agent, text in cases:
+        n = cfg.agent_count
+        state = np.zeros((n, 8))
+        state[:, :3] = np.arange(3.0 * n).reshape(n, 3) / 10.0
+        state[agent, 0], state[agent, 3] = 1.7e308, 1e308
+        before = _hex(state)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(DivergenceError) as exc:
+                _advance(state, np.ones((n, 3)), cfg, 5)
+        assert str(exc.value) == text
+        assert _hex(state) == before
