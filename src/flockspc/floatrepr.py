@@ -26,10 +26,13 @@ uint64 arrays.  Then:
   digit, and "-" before a negative value.
 
 Texts are three little-endian uint64 words (24 bytes) per value, padded
-with NUL bytes; a line is its words with the NULs dropped.  Zeros stay in
-the array pass.  Subnormals, infinities and NaN go through repr() itself:
-Schubfach keeps at least two digits of a subnormal (4.9e-324 where repr
-writes 5e-324), and repr writes no sign for a negative NaN.
+with NUL bytes; a line is its words with the NULs dropped.  So an exponent
+suffix is written at a fixed byte, 18, after the at most 18 bytes of digits
+and ".", and the NUL drop closes the gap.  A zero is written as 1.0 with
+its leading '1' turned to '0'.  Only subnormals, infinities and NaN go
+through repr() itself: Schubfach keeps at least two digits of a subnormal
+(4.9e-324 where repr writes 5e-324), and repr writes no sign for a
+negative NaN.
 
 Every scalar is a np.uint64 and every integer array uint64, because numpy
 1.x's value-based casting turns uint64 with int64 into float64.
@@ -75,10 +78,12 @@ def _exponent_tables() -> tuple[np.ndarray, ...]:
     """Per table index (the biased exponent, plus 2048 for a zero fraction
     above the least normal exponent, whose lower neighbour is closer): g's
     high 63 and low 63 bits, the shift h, the lower interval end's offset
-    from 4c and the decimal exponent k + 17 + _BIAS.  Biased exponents 0
-    and 2047 (zeros, subnormals, inf, nan) take the least and greatest
-    normal's entries; those values are written elsewhere."""
+    from 4c and the decimal exponent k + 17 + _BIAS.  Index 2048, reached
+    only by zeros, takes 1.0's entry (3071).  Biased exponents 0 and 2047
+    otherwise (subnormals, inf, nan) take the least and greatest normal's
+    entries; those values are written elsewhere."""
     index = np.arange(4096)
+    index[2048] = 3071
     q = np.clip(index & 2047, 1, 2046) - 1075
     closer = (index >= 2048) & (q > -1074)
     k = _floor_log10_pow2(q, closer)
@@ -110,32 +115,33 @@ def _layout_tables() -> tuple[np.ndarray, ...]:
     digits in fixed notation (1 <= decpt <= 16) and after the first one in
     exponent notation, "0.000"[:S] in front for -3 <= decpt <= 0.  Each
     row holds the low-part masks of words 0 and 1, the fill's three words,
-    8 S, and the text length as max(n + plus, least) for n significant
-    digits, and the exponent suffix ("e-05") for exponent notation."""
+    8 S, the text length as max(n + plus, least) for n significant digits,
+    1 for exponent notation and its suffix ("e-05") at byte 18 of the text,
+    that is bit 16 of word 2, and 0, 0 for fixed notation."""
     rows = []
     for kb in range(1024):
         decpt = kb - _BIAS
+        suffix = 0
         if 1 <= decpt <= 16:
             p, s, fill, plus, least = decpt, 1, _word(b"."), 1, decpt + 2
         elif -3 <= decpt <= 0:
             p, s, fill, plus, least = 0, 2 - decpt, _word(b"0.000"[:2 - decpt]), 2 - decpt, 0
         else:
             p, s, fill, plus, least = 1, 1, _word(b"."), 1, 0
+            suffix = _word(b"e%+03d" % (decpt - 1)) << 16
         low = _mask(p)
         fill <<= 8 * p
-        suffix = _word(b"e%+03d" % (decpt - 1)) if -330 < decpt < 330 else 0
         rows.append((low & _mask(8), low >> 64, fill & _mask(8), (fill >> 64) & _mask(8), fill >> 128,
-                     8 * s, plus, least, suffix))
+                     8 * s, plus, least, suffix > 0, suffix))
     return tuple(np.array(column, dtype=np.uint64) for column in zip(*rows))
 
 
-(_MASK0, _MASK1, _FILL0, _FILL1, _FILL2, _SHIFT, _PLUS, _LEAST, _SUFFIX) = _layout_tables()
+(_MASK0, _MASK1, _FILL0, _FILL1, _FILL2, _SHIFT, _PLUS, _LEAST, _SCI, _SUFFIX) = _layout_tables()
 
 # Per text length 0..24: the masks of its bytes in words 0, 1 and 2.
 _KEEP = tuple(np.array([_mask(min(max(n - 8 * w, 0), 8)) for n in range(25)], dtype=np.uint64)
               for w in range(3))
 
-_ZERO_TEXT = _word(b"0.0")
 _ZEROS = _u(0x3030303030303030)  # eight '0' bytes
 _M32, _M63 = _u(2**32 - 1), _u(2**63 - 1)
 _U0, _U1, _U2, _U3, _U32, _U63 = (_u(i) for i in (0, 1, 2, 3, 32, 63))
@@ -164,8 +170,8 @@ class _Encoder:
         (idx, cb, g1h, g1l, g0h, g0l, h, low, kb, vb, vbl, vbr,
          t1, t2, t3, t4) = (row[:m] for row in self._scratch)
 
-        # Biased exponent 0 (zeros, subnormals) or 2047 (inf, nan): mended
-        # at the end.
+        # Biased exponent 0 (zeros, subnormals) or 2047 (inf, nan); all but
+        # the zeros are mended at the end.
         np.right_shift(bits, _u(52), out=idx)
         idx &= _u(0x7FF)
         np.subtract(idx, _U1, out=t1)
@@ -176,6 +182,8 @@ class _Encoder:
         t1 >>= _u(52)
         t1 &= _u(0x800)
         idx |= t1
+        zero = idx == _u(2048)  # ±0.0, written as 1.0 with a '0' for its '1'
+        odd ^= zero
         ix = idx.view(np.int64)
         _take(_G1, ix, g1h)
         _take(_G0, ix, g0h)
@@ -318,6 +326,7 @@ class _Encoder:
         np.right_shift(vbl, _u(52), out=n)
         n -= _u(1023 - 8)
         n >>= _U3
+        w0 ^= zero
 
         # Layout: the bytes below P, the fill, the bytes from P moved up.
         kx = kb.view(np.int64)
@@ -342,42 +351,28 @@ class _Encoder:
         for table, word in ((_FILL0, w0), (_FILL1, w1), (_FILL2, w2)):
             _take(table, kx, vb)
             word |= vb
-        # The text's length: max(n + plus, least); its bytes are kept.
+        # The text's length: max(n + plus, least), less the "." after a
+        # single digit in exponent notation; its bytes are kept, then the
+        # exponent suffix put at byte 18.
         length = t1
         _take(_PLUS, kx, length)
         length += n
         _take(_LEAST, kx, vb)
         np.maximum(length, vb, out=length)
+        _take(_SCI, kx, vb)
+        vb &= n == _U1
+        length -= vb
         lx = length.view(np.int64)
         for table, word in ((_KEEP[0], w0), (_KEEP[1], w1), (_KEEP[2], w2)):
             _take(table, lx, vb)
             word &= vb
+        _take(_SUFFIX, kx, vb)
+        w2 |= vb
         neg = t2
         np.right_shift(bits, _U63, out=neg)
 
-        # Exponent notation: the suffix after the digits, and no "." after
-        # a single digit.
-        np.subtract(kb, _u(_BIAS - 3), out=vb)
-        sci = vb >= _u(20)
-        if sci.any():
-            at = np.flatnonzero(sci)
-            single = n[at] == _U1
-            w0[at[single]] &= _u(0xFF)
-            body = np.where(single, _U1, length[at])
-            suffix = _SUFFIX[kb[at].view(np.int64)]
-            bit = (body & _u(7)) << _U3
-            below, above = suffix << bit, (suffix >> _U1) >> (_U63 - bit)
-            word = body >> _U3
-            for w, this, after in ((0, w0, w1), (1, w1, w2), (2, w2, None)):
-                pick = word == _u(w)
-                this[at[pick]] |= below[pick]
-                if after is not None:
-                    after[at[pick]] |= above[pick]
         if odd.any():
-            at = np.flatnonzero(odd)
-            zero = (bits[at] << _U1) == _U0
-            w0[at[zero]], w1[at[zero]], w2[at[zero]] = _ZERO_TEXT, 0, 0
-            for i in at[~zero].tolist():  # repr writes the sign of -inf and none for nan
+            for i in np.flatnonzero(odd).tolist():  # repr writes the sign of -inf and none for nan
                 text = repr(float(bits[i].view(np.float64))).encode().ljust(24, b"\0")
                 w0[i], w1[i], w2[i] = np.frombuffer(text, dtype="<u8").tolist()
                 neg[i] = 0

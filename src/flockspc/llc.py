@@ -149,7 +149,8 @@ def _fly_block(states: np.ndarray, refs: np.ndarray, cfg: LLCConfig, dt: float,
                steps: int) -> np.ndarray:
     """Family B's _fly for many rows as one array step: the loop's IEEE
     operations in its order on a transposed (8, n) copy, so every row gets
-    the loop's bits, as new rows.  Every step writes into two (3, n) planes."""
+    the loop's bits, as new column-major rows.  Every step writes into two
+    (3, n) planes."""
     t_delta, t_delta2 = cfg.t_delta, cfg.t_delta**2
     tau, tau2 = cfg.z_time_constant, cfg.z_time_constant**2
     a_lo, a_hi = GRAVITY * tan(cfg.tilt_min), GRAVITY * tan(cfg.tilt_max)
@@ -167,7 +168,7 @@ def _fly_block(states: np.ndarray, refs: np.ndarray, cfg: LLCConfig, dt: float,
             np.subtract(az, np.divide(np.multiply(vz, 2.0, out=tz), tau, out=tz), out=az)
             np.add(v, np.multiply(a, dt, out=tmp), out=v)
             np.add(p, np.multiply(v, dt, out=tmp), out=p)
-    return s.T.copy()
+    return s.T
 
 
 def _step_plant(states: np.ndarray, refs: np.ndarray, cfg: LLCConfig, dt: float,

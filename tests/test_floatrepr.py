@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import io
 import sys
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -114,6 +115,52 @@ def test_random_values_at_trace_scales():
     _assert_repr(rng.standard_normal(50_000) * 10.0 ** rng.integers(-20, 20, 50_000))
 
 
+def _exponent_notation_values() -> list[float]:
+    """For each significand length 1..17, both signs and the exponents
+    -307, -100, -99, -5, 16, 99, 100 and 307: a float whose repr has that
+    many digits in exponent notation."""
+    digits = "12345678923456789"  # no '0', so each prefix is its float's shortest text
+    values = []
+    for length in range(1, 18):
+        for e in (-307, -100, -99, -5, 16, 99, 100, 307):
+            v = float(f"{digits[0]}.{digits[1:length]}e{e}")
+            # A 16- or 17-digit text may name a float with a shorter text;
+            # a float a step or two below it takes all its digits.
+            while len(repr(v).split("e")[0].replace(".", "")) != length:
+                v = float(np.nextafter(v, 0.0))
+            values += [v, -v]
+    return values
+
+
+def test_exponent_notation_at_each_significand_length():
+    # The suffix sits at a fixed byte behind 1 to 17 digits and the "."
+    # (none after a single digit), at 2- and 3-digit exponents of both signs.
+    values = _exponent_notation_values()
+    assert {repr(v).split("e")[1] for v in values} == {"-307", "-100", "-99", "-05", "+16", "+99", "+100", "+307"}
+    assert len(values) == 17 * 8 * 2
+    _assert_repr(values)
+
+
+def test_zeros_in_every_column_of_a_trace_row():
+    # Rows laid out as write_trace_csv's (a time and agent prefix, 18
+    # values after ","), with +0.0 and -0.0 in every column, next to each
+    # other and to texts of other lengths and notations.
+    rows = np.zeros((6, 18))
+    rows[1] = -0.0
+    rows[2, 1::2] = rows[3, ::2] = -0.0
+    rows[4, ::2] = rows[5, 1::2] = -1.2345678901234567e-300
+    rows[4, 1::2] = rows[5, ::2] = np.resize([-0.0, 0.0], 9)
+    lines = floatrepr._Lines(b"," * 18, 24 + 2, least=len(rows))
+    for i in range(len(rows)):  # the time in bytes 0-23, the agent after it
+        time_s, agent = repr(0.1 * i).encode(), b",%d" % i
+        lines.prefix[i, :len(time_s)] = np.frombuffer(time_s, dtype=np.uint8)
+        lines.prefix[i, 24:24 + len(agent)] = np.frombuffer(agent, dtype=np.uint8)
+    want = "".join(f"{0.1 * i!r},{i},{','.join(map(repr, row))}\n" for i, row in enumerate(rows.tolist()))
+    assert lines.text(rows) == want
+    for sign in (True, False):  # each column holds a zero of each sign
+        assert ((rows == 0.0) & (np.signbit(rows) == sign)).any(axis=0).all()
+
+
 def test_columns_separators_and_signs():
     lines = floatrepr._Lines(b"\0,;")
     values = np.array([[-0.0, 1.5, -np.nan], [-np.inf, -1e-07, 2.0], [5e-324, -5e-324, 1e300]])
@@ -178,3 +225,31 @@ def test_trace_csv_of_unusual_values(traces):
     buf = io.StringIO()
     write_trace_csv(odd_trace, buf)
     assert buf.getvalue() == _reference_csv(odd_trace)
+
+
+# --- the whole-range sweep ----------------------------------------------------
+
+
+def sweep(patterns: int = 4_000_000, chunk: int = 1 << 18, seed: int = 2024) -> int:
+    """Every power of two and of ten with its neighbours, then `patterns`
+    random bit patterns (every pattern equally likely, in chunks of `chunk`
+    values), against repr().  Tier-1 runs fixed samples of these; this runs
+    the whole sweep:
+
+        PYTHONPATH=src python tests/test_floatrepr.py
+
+    in about 10 s.  It prints the count, and stops on the first chunk that
+    differs (an AssertionError naming the values, exit 1)."""
+    start = time.perf_counter()
+    test_powers_of_two_and_their_neighbours()
+    test_powers_of_ten_and_their_neighbours()
+    rng = np.random.default_rng(seed)
+    for lo in range(0, patterns, chunk):
+        _assert_repr(rng.integers(0, 2**64, min(chunk, patterns - lo), dtype=np.uint64).view(np.float64))
+    print(f"{patterns} random bit patterns, powers of two and ten: the bytes of repr(), "
+          f"in {time.perf_counter() - start:.1f} s")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(sweep())
